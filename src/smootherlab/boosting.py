@@ -14,7 +14,8 @@ weight vector obeys the recursion
 where s_corr_p(x) is row leaf_p(x) of the correction matrix R_p whose row j
 averages the previous round's weight rows over the training points in leaf j.
 The training-point weight state is carried across rounds in two (n, n)
-buffers (previous / current).
+buffers (previous / current). Averages of boosted runs are
+``trees.AveragedSmoother``s.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .trees import RegressionTree, fit_tree
+from .trees import AveragedSmoother, RegressionTree, fit_tree
 
 DEFAULT_LEARNING_RATE = 0.85
 DEFAULT_LEAF_BUDGET = 10
@@ -51,7 +52,6 @@ class BoostedModel:
     train_mse_history: np.ndarray          # per-round training MSE
     p_train_history: np.ndarray            # per-round squared Frobenius norm of the state
     train_weight_state: np.ndarray         # final (n, n) smoother rows at train points
-    train_predictions: np.ndarray
 
     @property
     def n_rounds(self) -> int:
@@ -69,9 +69,20 @@ class BoostedModel:
     def predict(self, X0: np.ndarray, upto: int | None = None) -> np.ndarray:
         upto = self._resolve_rounds(upto)
         X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-        out = np.zeros(X0.shape[0])
-        for t in self.trees[:upto]:
-            out += self.learning_rate * t.predict(X0)
+        lids = [t.leaf_ids(X0) for t in self.trees[:upto]]
+        return self.predictions_from_leaf_ids(lids, X0.shape[0])
+
+    def train_predictions(self, upto: int | None = None) -> np.ndarray:
+        """Fitted values at the training points after ``upto`` rounds."""
+        upto = self._resolve_rounds(upto)
+        return self.predictions_from_leaf_ids(self.train_leaf_ids[:upto], self.n_train)
+
+    def predictions_from_leaf_ids(self, lids_per_round, m) -> np.ndarray:
+        """Predictions for precomputed per-round leaf assignments; the same
+        float operations as the training-time update of the fitted values."""
+        out = np.zeros(m)
+        for tree, lids in zip(self.trees, lids_per_round):
+            out += self.learning_rate * tree.leaf_values[lids]
         return out
 
     def weight_matrix(self, X0: np.ndarray, upto: int | None = None) -> np.ndarray:
@@ -157,35 +168,10 @@ def fit_boost(
         train_mse_history=np.asarray(mse_hist),
         p_train_history=np.asarray(p_hist),
         train_weight_state=state,
-        train_predictions=f,
     )
 
 
 # --------------------------------------------------------------------------- ensembles
-
-
-@dataclass
-class BoostedEnsemble:
-    members: list[BoostedModel]
-
-    @property
-    def n_train(self) -> int:
-        return self.members[0].n_train
-
-    def predict(self, X0: np.ndarray, upto: int | None = None) -> np.ndarray:
-        out = self.members[0].predict(X0, upto)
-        for m in self.members[1:]:
-            out += m.predict(X0, upto)
-        return out / len(self.members)
-
-    def weight_matrix(self, X0: np.ndarray, upto: int | None = None) -> np.ndarray:
-        acc = self.members[0].weight_matrix(X0, upto)
-        for m in self.members[1:]:
-            acc = acc + m.weight_matrix(X0, upto)
-        return acc / len(self.members)
-
-    def weight_vector(self, x0: np.ndarray, upto: int | None = None) -> np.ndarray:
-        return self.weight_matrix(np.atleast_2d(x0), upto)[0]
 
 
 def fit_boost_ensemble(
@@ -198,7 +184,7 @@ def fit_boost_ensemble(
     leaf_budget: int = DEFAULT_LEAF_BUDGET,
     stop_tol: float | None = None,
     subset_size: int | None = None,
-) -> BoostedEnsemble:
+) -> AveragedSmoother:
     """Average p_ens boosted models seeded base_seed+1 .. base_seed+p_ens."""
     if p_ens < 1:
         raise ValidationError(f"p_ens must be >= 1, got {p_ens}")
@@ -209,4 +195,4 @@ def fit_boost_ensemble(
         )
         for j in range(1, p_ens + 1)
     ]
-    return BoostedEnsemble(members=members)
+    return AveragedSmoother(members=members)

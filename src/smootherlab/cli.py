@@ -28,12 +28,15 @@ from .dataset import (
     SyntheticSpec,
     load_csv,
     load_idx,
+    normalize_minmax,
+    one_vs_all_targets,
     subsample,
     synth_generate,
     synth_images,
 )
 from .effparams import (
     generalized_eff_params,
+    p_eff,
     train_eff_params_classical,
     write_effparams_csv,
 )
@@ -53,8 +56,8 @@ from .experiments import (
     run_sweep,
 )
 from .knn import fit_knn
-from .linear import LinearFit, fit_minnorm, fit_ols, fit_pcr, fit_svd_basis
-from .rff import DEFAULT_SCALE, sample_frequencies, transform
+from .linear import fit_minnorm, fit_ols, fit_pcr, fit_svd_basis
+from .rff import DEFAULT_SCALE, RffModel, sample_frequencies, transform
 from .svg import LineChart
 from .tableio import atomic_write_text, write_csv
 from .trees import fit_ensemble, fit_tree
@@ -379,8 +382,10 @@ def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
         for key in ("train", "test"):
             if not cfg[key]:
                 raise ValidationError(f"dataset.{key} is required for kind 'csv'")
-        train = load_csv(cfg["train"], name="csv-train", normalize=cfg["normalize"])
-        test = load_csv(cfg["test"], name="csv-test", normalize=cfg["normalize"])
+        train = load_csv(cfg["train"], name="csv-train", normalize=False)
+        test = load_csv(cfg["test"], name="csv-test", normalize=False)
+        if cfg["normalize"]:  # one scale for both sets, fitted on train
+            train, test = normalize_minmax(train), normalize_minmax(test, train)
     elif kind == "synthetic":
         spec = SyntheticSpec(
             cfg["generator"], cfg["n_train"] + cfg["n_test"], cfg["d"],
@@ -404,16 +409,6 @@ def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
     if cfg["n_test"] is not None:
         test = subsample(test, cfg["n_test"], cfg["seed"] + 1, balanced=cfg["balanced"])
     return train, test
-
-
-def _binary_targets(ds: Dataset, class_index: int) -> np.ndarray:
-    if ds.class_labels is None:
-        return ds.targets
-    if not (0 <= class_index < ds.n_classes):
-        raise ValidationError(
-            f"class_index {class_index} out of range [0, {ds.n_classes})"
-        )
-    return (ds.class_labels == class_index).astype(float)
 
 
 # --------------------------------------------------------------------------- axis defaults
@@ -469,56 +464,37 @@ def _shared_config(cfg: dict) -> SweepConfig:
 # --------------------------------------------------------------------------- model fitting (fit / effparams)
 
 
-def _fit_model(cfg: dict, train: Dataset):
-    """Returns (model, weight-query function taking raw inputs, info dict)."""
+def _fit_model(cfg: dict, X: np.ndarray, y: np.ndarray):
+    """Returns (smoother on raw inputs, info dict)."""
     kind = cfg["kind"]
-    y = _binary_targets(train, cfg["class_index"])
-    X = train.features
     if kind in ("ols", "minnorm", "svd_basis", "pcr"):
-        fmap = sample_frequencies(
-            cfg["rff_seed"], cfg["p_phi"], train.d, cfg["rff_scale"]
-        )
+        fmap = sample_frequencies(cfg["rff_seed"], cfg["p_phi"], X.shape[1],
+                                  cfg["rff_scale"])
         Phi = transform(fmap, X, cfg["p_phi"])
-        if kind == "ols":
-            fit = fit_ols(Phi, y)
-        elif kind == "minnorm":
-            fit = fit_minnorm(Phi, y)
-        elif kind == "svd_basis":
-            fit = fit_svd_basis(Phi, y)
-        else:
+        if kind == "pcr":
             fit = fit_pcr(Phi, y, cfg["p_pc"])
+        else:
+            fit = {"ols": fit_ols, "minnorm": fit_minnorm,
+                   "svd_basis": fit_svd_basis}[kind](Phi, y)
         raw = cfg["p_phi"] if kind != "pcr" else cfg["p_pc"] + 1
-
-        def query(X0):
-            return fit.weight_matrix(transform(fmap, np.atleast_2d(X0), cfg["p_phi"]))
-
-        def predict(X0):
-            return fit.predict(transform(fmap, np.atleast_2d(X0), cfg["p_phi"]))
-
-        return fit, query, predict, {"raw_params": raw}
+        return RffModel(fmap, cfg["p_phi"], fit), {"raw_params": raw}
     if kind == "knn":
-        model = fit_knn(X, y, cfg["k"])
-        return model, model.weight_matrix, model.predict, {"raw_params": None}
+        return fit_knn(X, y, cfg["k"]), {"raw_params": None}
     if kind == "tree":
         model = fit_tree(X, y, cfg["max_leaves"], seed=cfg["seed"],
                          subset_size=cfg["subset_size"])
-        return model, model.weight_matrix, model.predict, {
-            "raw_params": model.n_leaves
-        }
+        return model, {"raw_params": model.n_leaves}
     if kind == "forest":
         model = fit_ensemble(X, y, cfg["max_leaves"], cfg["p_ens"],
                              base_seed=cfg["seed"], subset_size=cfg["subset_size"])
-        raw = sum(t.n_leaves for t in model.members)
-        return model, model.weight_matrix, model.predict, {"raw_params": raw}
+        return model, {"raw_params": sum(t.n_leaves for t in model.members)}
     if kind == "boost":
         model = fit_boost(X, y, n_rounds=cfg["n_rounds"],
                           learning_rate=cfg["learning_rate"],
                           leaf_budget=cfg["leaf_budget"], seed=cfg["seed"],
                           stop_tol=cfg["stop_tol"], subset_size=cfg["subset_size"])
         raw = sum(t.n_leaves for t in model.trees)
-        return model, model.weight_matrix, model.predict, {
-            "raw_params": raw, "rounds_used": model.n_rounds
-        }
+        return model, {"raw_params": raw, "rounds_used": model.n_rounds}
     if kind == "boost_ensemble":
         model = fit_boost_ensemble(X, y, cfg["n_rounds"], cfg["p_ens"],
                                    base_seed=cfg["seed"],
@@ -526,7 +502,7 @@ def _fit_model(cfg: dict, train: Dataset):
                                    leaf_budget=cfg["leaf_budget"],
                                    subset_size=cfg["subset_size"])
         raw = sum(sum(t.n_leaves for t in m.trees) for m in model.members)
-        return model, model.weight_matrix, model.predict, {"raw_params": raw}
+        return model, {"raw_params": raw}
     raise ValidationError(f"unknown model kind {kind!r}")
 
 
@@ -562,18 +538,19 @@ def _cmd_ingest(cfg, out, args) -> str:
 
 def _cmd_fit(cfg, out, args) -> str:
     train, test = load_datasets(cfg["dataset"])
-    model, query, predict, info = _fit_model(cfg["model"], train)
-    y_tr = _binary_targets(train, cfg["model"]["class_index"])
-    y_te = _binary_targets(test, cfg["model"]["class_index"])
-    W_tr = query(train.features)
-    W_te = query(test.features)
+    c, n_classes = cfg["model"]["class_index"], train.task_classes
+    y_tr = one_vs_all_targets(train, n_classes, column=c)
+    y_te = one_vs_all_targets(test, n_classes, column=c)
+    model, info = _fit_model(cfg["model"], train.features, y_tr)
+    W_tr = model.weight_matrix(train.features)
+    W_te = model.weight_matrix(test.features)
     n = train.n
     report = {
         "model": cfg["model"]["kind"],
         "train_mse": float(np.mean((W_tr @ y_tr - y_tr) ** 2)),
-        "test_mse": float(np.mean((predict(test.features) - y_te) ** 2)),
-        "p_train": float(n * np.mean(np.sum(W_tr * W_tr, axis=1))),
-        "p_test": float(n * np.mean(np.sum(W_te * W_te, axis=1))),
+        "test_mse": float(np.mean((model.predict(test.features) - y_te) ** 2)),
+        "p_train": p_eff(W_tr, n),
+        "p_test": p_eff(W_te, n),
         **info,
     }
     report["effective_knn_test"] = float(n / report["p_test"])
@@ -683,31 +660,23 @@ def _cmd_back_to_u(cfg, out, args) -> str:
 
 def _cmd_effparams(cfg, out, args) -> str:
     train, test = load_datasets(cfg["dataset"])
-    model, query, _, info = _fit_model(cfg["model"], train)
-
-    class _Wrapped:
-        n_train = train.n
-
-        @staticmethod
-        def weight_matrix(inputs):
-            return query(inputs)
-
+    y = one_vs_all_targets(train, train.task_classes,
+                           column=cfg["model"]["class_index"])
+    model, _ = _fit_model(cfg["model"], train.features, y)
+    kind = cfg["model"]["kind"]
     rows = [
-        (cfg["model"]["kind"], generalized_eff_params(_Wrapped, train.features,
-                                                      set_name="train")),
-        (cfg["model"]["kind"], generalized_eff_params(_Wrapped, test.features,
-                                                      set_name="test")),
+        (kind, generalized_eff_params(model, train.features, set_name="train")),
+        (kind, generalized_eff_params(model, test.features, set_name="test")),
     ]
     for k in cfg["knn_k"]:
-        y = _binary_targets(train, cfg["model"]["class_index"])
         knn = fit_knn(train.features, y, int(k))
         rows.append((f"knn_k={k}", generalized_eff_params(knn, test.features,
                                                           set_name="test")))
     path = out / "effparams.csv"
     write_effparams_csv(path, rows)
     extra = {}
-    if isinstance(model, LinearFit):
-        extra = train_eff_params_classical(model.hat_matrix())
+    if isinstance(model, RffModel):
+        extra = train_eff_params_classical(model.fit.hat_matrix())
         atomic_write_text(out / "classical.json",
                           json.dumps(_jsonable(extra), indent=2) + "\n")
     head = rows[1][1]

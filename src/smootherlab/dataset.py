@@ -1,4 +1,5 @@
-"""Dataset containers, ingestion (IDX / CSV), subsampling and synthetic generators.
+"""Dataset containers, ingestion (IDX / CSV), subsampling, one-vs-all
+targets and synthetic generators.
 
 All feature matrices are float64 with rows as examples. Ingested features are
 normalized into [0, 1] (IDX pixels divided by 255, CSV columns min-max scaled);
@@ -8,7 +9,7 @@ from __future__ import annotations
 
 import csv as _csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,19 +74,11 @@ class Dataset:
             return 0
         return int(self.class_labels.max()) + 1
 
-
-@dataclass
-class OneVsAllTask:
-    """Binary {0, 1} regression view of one class of a multiclass dataset."""
-
-    base: Dataset
-    class_index: int
-    binary_targets: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.base.class_labels is None:
-            raise ValidationError("one-vs-all task needs class labels")
-        self.binary_targets = (self.base.class_labels == self.class_index).astype(float)
+    @property
+    def task_classes(self) -> int:
+        """One-vs-all task count: n_classes with at least two classes, else 0
+        (plain regression on ``targets``)."""
+        return self.n_classes if self.n_classes >= 2 else 0
 
 
 @dataclass
@@ -196,14 +189,21 @@ def load_csv(path, name: str = "", normalize: bool = True) -> Dataset:
     return normalize_minmax(ds) if normalize else ds
 
 
-def normalize_minmax(ds: Dataset) -> Dataset:
-    """Min-max scale every feature column into [0, 1] (constant columns -> 0)."""
-    X = ds.features
-    lo = X.min(axis=0)
-    span = X.max(axis=0) - lo
+def normalize_minmax(ds: Dataset, reference: Dataset | None = None) -> Dataset:
+    """Min-max scale every feature column by the column ranges of ``reference``.
+
+    The reference defaults to ``ds`` itself, which maps every column into
+    [0, 1] (constant columns -> 0). Passing the training set scales a test
+    set onto the training scale.
+    """
+    ref = ds if reference is None else reference
+    if ref.d != ds.d:
+        raise ValidationError(f"{ds.name or 'dataset'} has d={ds.d}, reference has d={ref.d}")
+    lo = ref.features.min(axis=0)
+    span = ref.features.max(axis=0) - lo
     span = np.where(span > 0, span, 1.0)
     return Dataset(
-        features=(X - lo) / span,
+        features=(ds.features - lo) / span,
         targets=ds.targets,
         class_labels=ds.class_labels,
         name=ds.name,
@@ -249,13 +249,37 @@ def subsample(ds: Dataset, n_sub: int, seed: int, balanced: bool = False) -> Dat
     )
 
 
-def one_vs_all(ds: Dataset) -> list[OneVsAllTask]:
-    """One binary {0,1} task per class; the indicator targets partition 1."""
-    if ds.class_labels is None:
-        raise ValidationError("one_vs_all needs class labels")
-    if ds.n_classes < 2:
-        raise ValidationError("one_vs_all needs at least 2 classes")
-    return [OneVsAllTask(ds, c) for c in range(ds.n_classes)]
+def one_vs_all_targets(
+    ds: Dataset, n_classes: int, column: int | None = None
+) -> np.ndarray:
+    """Binary {0, 1} regression targets, one task per class.
+
+    Returns the (n, n_classes) indicator matrix, whose rows sum to 1, or with
+    ``column`` that one task's targets as a vector. ``n_classes`` comes from
+    the training set (``train.task_classes``); 0 means plain regression, and
+    then ``ds.targets`` come back as they are. A label outside
+    [0, n_classes), or a column outside that range, raises ValidationError
+    naming it.
+    """
+    if n_classes == 0:
+        return ds.targets if column is not None else ds.targets[:, None]
+    if column is not None and not (0 <= column < n_classes):
+        raise ValidationError(f"class_index {column} out of range [0, {n_classes})")
+    labels = ds.class_labels
+    name = ds.name or "dataset"
+    if labels is None:
+        raise ValidationError(f"{name} has no class labels for {n_classes} classes")
+    outside = labels[labels >= n_classes]
+    if outside.size:
+        raise ValidationError(
+            f"{name} has class label {int(outside[0])}, outside the "
+            f"{n_classes} training classes [0, {n_classes})"
+        )
+    if column is not None:
+        return (labels == column).astype(float)
+    Y = np.zeros((ds.n, n_classes))
+    Y[np.arange(ds.n), labels] = 1.0
+    return Y
 
 
 # --------------------------------------------------------------------------- synthetic data

@@ -1,13 +1,17 @@
 """Effective parameter counts read off smoother weight vectors.
 
-The generalized count over an input set I0 = {x0_1 .. x0_m} is
+Every model in the package is a smoother: it exposes ``n_train``,
+``weight_matrix(X0)`` (the rows s(x0) with f(x0) = s(x0) . y_train),
+``predict(X0)`` and ``train_predictions()``. The generalized count over an
+input set I0 = {x0_1 .. x0_m} is
 
     p0 = (n / m) * sum_j || s(x0_j) ||^2
 
-calibrated so a k-nearest-neighbour smoother scores n/k regardless of the
-input set; n/p0 is therefore the "effective k" of any smoother. Unlike the
-classical train-time counts it needs no hat matrix and can be evaluated
-anywhere in input space.
+which ``p_eff`` reduces from a weight matrix; every p0 in the package goes
+through it. It is calibrated so a k-nearest-neighbour smoother scores n/k
+regardless of the input set; n/p0 is therefore the "effective k" of any
+smoother. Unlike the classical train-time counts it needs no hat matrix and
+can be evaluated anywhere in input space.
 """
 from __future__ import annotations
 
@@ -29,22 +33,26 @@ class EffParamsReport:
     per_point_sq_norms: np.ndarray
 
 
+def p_eff(W: np.ndarray, n: int) -> float:
+    """p0 of the weight rows W (m, n_train): n times the mean squared row norm."""
+    return float(n * np.mean(np.sum(W * W, axis=1)))
+
+
 def generalized_eff_params(model, inputs: np.ndarray, set_name: str = "") -> EffParamsReport:
     """Generalized count for any model exposing weight_matrix / n_train."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.shape[0] < 1:
         raise ValidationError("need at least one evaluation input")
     W = model.weight_matrix(inputs)
-    norms = np.sum(W * W, axis=1)
     n = model.n_train
-    p0 = float(n * norms.mean())
+    p0 = p_eff(W, n)
     return EffParamsReport(
         set_name=set_name,
         n_train=n,
         n_inputs=inputs.shape[0],
         p_generalized=p0,
         effective_knn=float(n / p0) if p0 > 0 else float("inf"),
-        per_point_sq_norms=norms,
+        per_point_sq_norms=np.sum(W * W, axis=1),
     )
 
 

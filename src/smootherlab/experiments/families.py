@@ -19,15 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..boosting import fit_boost
-from ..dataset import Dataset
+from ..dataset import Dataset, one_vs_all_targets
+from ..effparams import p_eff
 from ..errors import ScheduleError, ValidationError
 from ..linear import pcr_smoother
-from ..rff import sample_frequencies, transform
+from ..rff import BLOCK, sample_frequencies, transform
 from ..trees import fit_tree
-
-# random-feature columns are produced in fixed-width blocks so that a column's
-# float value never depends on how wide the surrounding cache happens to be
-_RFF_BLOCK = 256
 
 
 @dataclass
@@ -38,17 +35,6 @@ class PointEval:
     test_zero_one: float
     p_train: float
     p_test: float
-
-
-def _one_vs_all_targets(ds: Dataset, n_classes: int) -> np.ndarray:
-    """(n, C) indicator targets; a single regression column when C == 0."""
-    if n_classes == 0:
-        return ds.targets[:, None]
-    Y = np.zeros((ds.n, n_classes))
-    labels = ds.class_labels
-    ok = labels < n_classes
-    Y[np.nonzero(ok)[0], labels[ok]] = 1.0
-    return Y
 
 
 class _FamilyBase:
@@ -63,17 +49,14 @@ class _FamilyBase:
         self.train = train
         self.test = test
         self.shared = shared
-        if train.class_labels is not None and train.n_classes >= 2:
-            self.n_classes = train.n_classes
-        else:
-            self.n_classes = 0
+        self.n_classes = train.task_classes
         if self.n_classes and not (0 <= shared.effparams_class < self.n_classes):
             raise ValidationError(
                 f"effparams_class {shared.effparams_class} out of range "
                 f"[0, {self.n_classes})"
             )
-        self.Y_train = _one_vs_all_targets(train, self.n_classes)
-        self.Y_test = _one_vs_all_targets(test, self.n_classes)
+        self.Y_train = one_vs_all_targets(train, self.n_classes)
+        self.Y_test = one_vs_all_targets(test, self.n_classes)
 
     def prefit_tasks(self):
         return []
@@ -108,19 +91,14 @@ class RffLinearFamily(_FamilyBase):
                     f"p_pc={p_pc} exceeds n-1={train.n - 1}", point_index=i
                 )
         p_needed = max(p_pc + p_ex for p_pc, p_ex in states)
-        p_cache = -(-p_needed // _RFF_BLOCK) * _RFF_BLOCK
+        # whole transform blocks, so every cached column comes from a
+        # full-width block whatever the sweep's widest point is
+        p_cache = -(-p_needed // BLOCK) * BLOCK
         self.fmap = sample_frequencies(
             shared.resolved_rff_seed(), p_cache, train.d, shared.rff_scale
         )
-        self.Phi_train = self._blocked_transform(train.features, p_cache)
-        self.Phi_test = self._blocked_transform(test.features, p_cache)
-
-    def _blocked_transform(self, X, p_cache):
-        blocks = []
-        for start in range(0, p_cache, _RFF_BLOCK):
-            V = self.fmap.frequencies[start : start + _RFF_BLOCK]
-            blocks.append(np.cos(X @ V.T))
-        return np.concatenate(blocks, axis=1)
+        self.Phi_train = transform(self.fmap, train.features, p_cache)
+        self.Phi_test = transform(self.fmap, test.features, p_cache)
 
     def evaluate(self, p_pc: int, p_ex: int) -> PointEval:
         p_phi = p_pc + p_ex
@@ -134,8 +112,8 @@ class RffLinearFamily(_FamilyBase):
             train_mse=tr,
             test_mse=te,
             test_zero_one=zo,
-            p_train=float(n * np.mean(np.sum(W_train * W_train, axis=1))),
-            p_test=float(n * np.mean(np.sum(W_test * W_test, axis=1))),
+            p_train=p_eff(W_train, n),
+            p_test=p_eff(W_test, n),
         )
 
 
@@ -215,8 +193,8 @@ class TreeFamily(_FamilyBase):
             train_mse=tr,
             test_mse=te,
             test_zero_one=zo,
-            p_train=float(n * np.mean(np.sum(W_train * W_train, axis=1))),
-            p_test=float(n * np.mean(np.sum(W_test * W_test, axis=1))),
+            p_train=p_eff(W_train, n),
+            p_test=p_eff(W_test, n),
         )
 
 
@@ -267,13 +245,6 @@ class BoostFamily(_FamilyBase):
     def store(self, key, value):
         self._runs[key] = value
 
-    def _truncated_predictions(self, entry, lids_per_round, m, rounds):
-        model = entry["model"]
-        out = np.zeros(m)
-        for tree, lids in zip(model.trees[:rounds], lids_per_round[:rounds]):
-            out += model.learning_rate * tree.leaf_values[lids]
-        return out
-
     def evaluate(self, p_boost: int, p_ens: int) -> PointEval:
         n, m = self.train.n, self.test.n
         C = max(1, self.n_classes)
@@ -284,11 +255,9 @@ class BoostFamily(_FamilyBase):
             for member in range(1, p_ens + 1):
                 entry = self._runs[(c, member)]
                 model = entry["model"]
-                preds_train[:, c] += self._truncated_predictions(
-                    entry, model.train_leaf_ids, n, p_boost
-                )
-                preds_test[:, c] += self._truncated_predictions(
-                    entry, entry["test_lids"], m, p_boost
+                preds_train[:, c] += model.train_predictions(upto=p_boost)
+                preds_test[:, c] += model.predictions_from_leaf_ids(
+                    entry["test_lids"][:p_boost], m
                 )
             preds_train[:, c] /= p_ens
             preds_test[:, c] /= p_ens
@@ -319,7 +288,7 @@ class BoostFamily(_FamilyBase):
             test_mse=te,
             test_zero_one=zo,
             p_train=float(p_train),
-            p_test=float(n * np.mean(np.sum(W_test * W_test, axis=1))),
+            p_test=p_eff(W_test, n),
         )
 
 

@@ -8,15 +8,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
-from ..boosting import BoostedEnsemble, BoostedModel, fit_boost
-from ..dataset import GENERATORS, Dataset, SyntheticSpec, synth_generate
+from ..boosting import fit_boost
+from ..dataset import (
+    GENERATORS,
+    Dataset,
+    SyntheticSpec,
+    one_vs_all_targets,
+    synth_generate,
+)
+from ..effparams import p_eff
 from ..errors import PreconditionError, ValidationError
 from ..knn import KnnSmoother
-from ..linear import LinearFit, fit_minnorm
+from ..linear import LinearFit, fit_minnorm, standardize
 from ..rff import RffMap, sample_frequencies, transform
-from ..trees import RegressionTree, TreeEnsemble
 
 # --------------------------------------------------------------------------- conditioning
 
@@ -34,17 +39,15 @@ def cond_study(
 ) -> list[ConditionRow]:
     """Singular-value decay of the standardized random-feature design.
 
-    For each design width the columns are centered and scaled (constant
-    columns dropped), and sigma_k / the condition number sigma_1 / sigma_k is
-    tabulated for each requested k. Indices past the available spectrum get
-    sigma_k = 0 and an infinite condition number.
+    For each design width the columns are standardized as PCR does (see
+    linear.standardize: centered, scaled, constant columns dropped), and
+    sigma_k / the condition number sigma_1 / sigma_k is tabulated for each
+    requested k. Indices past the available spectrum get sigma_k = 0 and an
+    infinite condition number.
     """
     rows = []
     for p_phi in p_phi_values:
-        Phi = transform(fmap, ds.features, int(p_phi))
-        std = Phi.std(axis=0)
-        kept = std > 1e-12
-        Xs = (Phi[:, kept] - Phi[:, kept].mean(axis=0)) / std[kept]
+        Xs = standardize(transform(fmap, ds.features, int(p_phi)))[0]
         s = np.linalg.svd(Xs, compute_uv=False)
         for k in k_values:
             k = int(k)
@@ -70,22 +73,6 @@ class FixedDesignReport:
     max_loss_deviation: float
     hat_identity_deviation: dict[str, float]
     tolerance: float
-
-
-def _train_predictions(model) -> np.ndarray:
-    if isinstance(model, LinearFit):
-        return model.fitted_values
-    if isinstance(model, BoostedModel):
-        return model.train_predictions
-    if isinstance(model, RegressionTree):
-        return model.leaf_values[model.train_leaf]
-    if isinstance(model, TreeEnsemble):
-        return np.mean([m.leaf_values[m.train_leaf] for m in model.members], axis=0)
-    if isinstance(model, BoostedEnsemble):
-        return np.mean([m.train_predictions for m in model.members], axis=0)
-    if isinstance(model, KnnSmoother):
-        return model.predict(model.features)
-    raise ValidationError(f"unsupported model type {type(model).__name__}")
 
 
 def fixed_design_check(
@@ -115,7 +102,7 @@ def fixed_design_check(
     losses: dict[str, float] = {}
     hat_dev: dict[str, float] = {}
     for name, model in models.items():
-        preds = _train_predictions(model)
+        preds = model.train_predictions()
         train_err = float(np.mean((preds - y_train) ** 2))
         if train_err > interp_tol:
             raise PreconditionError(
@@ -323,12 +310,8 @@ def model_selection_study(
     selected, and the Spearman rank correlation between that count and test
     error is reported (None when fewer than two configs interpolate).
     """
-    if train.class_labels is not None and train.n_classes >= 2:
-        y_train = (train.class_labels == 0).astype(float)
-        y_test = (test.class_labels == 0).astype(float)
-    else:
-        y_train = train.targets
-        y_test = test.targets
+    y_train = one_vs_all_targets(train, train.task_classes, column=0)
+    y_test = one_vs_all_targets(test, train.task_classes, column=0)
     n = train.n
     result = SelectionResult()
     for leaf_budget in leaf_grid:
@@ -354,13 +337,15 @@ def model_selection_study(
                 train_mse=float(train_mse),
                 interpolating=bool(train_mse < interp_tol),
                 test_mse=float(np.mean((preds - y_test) ** 2)),
-                p_test=float(n * np.mean(np.sum(W_test * W_test, axis=1))),
+                p_test=p_eff(W_test, n),
             )
             result.rows.append(row)
     good = [r for r in result.rows if r.interpolating]
     if good:
         result.selected = min(good, key=lambda r: r.p_test)
     if len(good) >= 2:
+        from scipy import stats  # imported here: it dominates the package's import time
+
         rho = stats.spearmanr([r.p_test for r in good], [r.test_mse for r in good])
         corr = float(rho.statistic)
         result.spearman = None if np.isnan(corr) else corr

@@ -19,7 +19,7 @@ import numpy as np
 from ..dataset import Dataset
 from ..errors import ScheduleError
 from ..tableio import write_csv
-from .families import FAMILY_RUNNERS, PointEval
+from .families import FAMILY_RUNNERS
 from .schedule import AXES, AXIS2_INIT, SweepConfig, SweepSchedule, composite_schedule
 
 SWEEP_HEADER = [
@@ -114,30 +114,7 @@ class SweepResult:
         write_csv(path, SWEEP_HEADER, [r.row() for r in self.records])
 
 
-def _record(i, names, state, seed, ev: PointEval, wall) -> SweepRecord:
-    return SweepRecord(
-        point_index=i,
-        axis1_name=names[0],
-        axis1_value=state[0],
-        axis2_name=names[1],
-        axis2_value=state[1],
-        raw_params=ev.raw_params,
-        train_mse=ev.train_mse,
-        test_mse=ev.test_mse,
-        test_zero_one=ev.test_zero_one,
-        p_train=ev.p_train,
-        p_test=ev.p_test,
-        seed=seed,
-        wall_time=wall,
-    )
-
-
 # --------------------------------------------------------------------------- running
-
-
-def _build_family(schedule: SweepSchedule, train: Dataset, test: Dataset, states):
-    runner = FAMILY_RUNNERS[schedule.family]
-    return runner(train, test, schedule.shared, states)
 
 
 def _run_states(family, states, threads):
@@ -157,6 +134,39 @@ def _run_states(family, states, threads):
     return [one(state) for state in states]
 
 
+def evaluate_states(
+    family: str,
+    labeled_states,
+    train: Dataset,
+    test: Dataset,
+    shared: SweepConfig,
+    threads: int | None,
+) -> list[tuple[str, SweepRecord]]:
+    """The evaluation core behind every sweep runner.
+
+    Takes (label, (axis1, axis2)) pairs, builds the family runner over all
+    the states, runs them, and returns (label, record) pairs in input order;
+    records are numbered within their label.
+    """
+    threads = resolve_threads(threads)
+    states = [state for _, state in labeled_states]
+    runner = FAMILY_RUNNERS[family](train, test, shared, states)
+    names = AXES[family]
+    index_in_label: dict[str, int] = {}
+    out = []
+    for (label, state), (ev, wall) in zip(
+        labeled_states, _run_states(runner, states, threads)
+    ):
+        i = index_in_label.get(label, 0)
+        index_in_label[label] = i + 1
+        record = SweepRecord(
+            i, names[0], state[0], names[1], state[1], **vars(ev),
+            seed=shared.base_seed, wall_time=wall,
+        )
+        out.append((label, record))
+    return out
+
+
 def run_sweep(
     schedule: SweepSchedule,
     train: Dataset,
@@ -165,17 +175,11 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate a composite schedule point by point, in schedule order."""
     schedule.validate()
-    threads = resolve_threads(threads)
-    states = schedule.expand()
-    family = _build_family(schedule, train, test, states)
-    names = AXES[schedule.family]
-    seed = schedule.shared.base_seed
-    result = SweepResult(family=schedule.family, schedule=schedule)
-    for i, (state, (ev, wall)) in enumerate(
-        zip(states, _run_states(family, states, threads))
-    ):
-        result.records.append(_record(i, names, state, seed, ev, wall))
-    return result
+    labeled = [("", state) for state in schedule.expand()]
+    evaluated = evaluate_states(
+        schedule.family, labeled, train, test, schedule.shared, threads
+    )
+    return SweepResult(schedule.family, schedule, [rec for _, rec in evaluated])
 
 
 def run_grid(
@@ -194,7 +198,7 @@ def run_grid(
     names = AXES[family]
     # A grid is not expressible as one composite walk, so build the state
     # list directly and push the values through a schedule for validation.
-    states = [(int(a1), int(a2)) for a1 in axis1_values for a2 in axis2_values]
+    labeled = [("", (int(a1), int(a2))) for a1 in axis1_values for a2 in axis2_values]
     probe = SweepSchedule(
         family=family,
         points=[(names[0], a1) for a1 in axis1_values]
@@ -202,15 +206,8 @@ def run_grid(
         shared=shared,
     )
     probe.validate()
-    threads = resolve_threads(threads)
-    runner = FAMILY_RUNNERS[family]
-    fam = runner(train, test, shared, states)
-    result = SweepResult(family=family, schedule=probe)
-    for i, (state, (ev, wall)) in enumerate(
-        zip(states, _run_states(fam, states, threads))
-    ):
-        result.records.append(_record(i, names, state, shared.base_seed, ev, wall))
-    return result
+    evaluated = evaluate_states(family, labeled, train, test, shared, threads)
+    return SweepResult(family, probe, [rec for _, rec in evaluated])
 
 
 # --------------------------------------------------------------------------- composite studies
@@ -323,21 +320,9 @@ def back_to_u(
         for a1 in axis1_values:
             labeled.append((name, (a1, a2)))
 
-    probe = composite_schedule(family, axis1_values, axis2_values, shared=shared)
-    probe.validate()
-    threads = resolve_threads(threads)
-    states = [state for _, state in labeled]
-    fam = FAMILY_RUNNERS[family](train, test, shared, states)
-    result = BackToUResult(family=family)
-    evals = _run_states(fam, states, threads)
-    index_in_branch: dict[str, int] = {}
-    for (branch, state), (ev, wall) in zip(labeled, evals):
-        i = index_in_branch.get(branch, 0)
-        index_in_branch[branch] = i + 1
-        result.records.append(
-            BranchRecord(branch, _record(i, names, state, shared.base_seed, ev, wall))
-        )
-    return result
+    composite_schedule(family, axis1_values, axis2_values, shared=shared).validate()
+    evaluated = evaluate_states(family, labeled, train, test, shared, threads)
+    return BackToUResult(family, [BranchRecord(b, rec) for b, rec in evaluated])
 
 
 # --------------------------------------------------------------------------- noise band

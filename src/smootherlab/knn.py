@@ -33,6 +33,9 @@ class KnnSmoother:
     def predict(self, X0: np.ndarray) -> np.ndarray:
         return self.weight_matrix(X0) @ self.targets
 
+    def train_predictions(self) -> np.ndarray:
+        return self.predict(self.features)
+
 
 def fit_knn(X: np.ndarray, y: np.ndarray, k: int) -> KnnSmoother:
     X = np.asarray(X, dtype=float)

@@ -38,27 +38,19 @@ def _masked_inverse(s: np.ndarray, cutoff: float) -> np.ndarray:
 
 
 @dataclass
-class PcrState:
-    """Standardization + projection pipeline kept by a PCR fit."""
+class PcrSmoother:
+    """The y-independent half of a PCR fit.
+
+    Holds the standardization + projection pipeline and the pseudo-inverse
+    solver, so weight matrices (and fits for many target vectors at once) can
+    be produced without refactoring the design per target.
+    """
 
     mean: np.ndarray          # per kept column
     std: np.ndarray           # per kept column (ones when not scaling)
     kept: np.ndarray          # boolean mask over original columns
     components: np.ndarray    # (p_kept, p_pc) right singular vectors
     solver: np.ndarray        # (p_pc + 1, n): beta = solver @ y
-    scale_columns: bool
-
-
-@dataclass
-class PcrSmoother:
-    """The y-independent half of a PCR fit.
-
-    Holds the fitted projection pipeline and the pseudo-inverse solver, so
-    weight matrices (and fits for many target vectors at once) can be produced
-    without refactoring the design per target.
-    """
-
-    state: PcrState
     train_design: np.ndarray  # (n, p_pc + 1) projected columns + intercept
     tolerance: float
     rank: int
@@ -68,23 +60,22 @@ class PcrSmoother:
         return self.train_design.shape[0]
 
     def design(self, Phi0: np.ndarray) -> np.ndarray:
-        st = self.state
         Phi0 = np.atleast_2d(np.asarray(Phi0, dtype=float))
-        if Phi0.shape[1] != st.kept.size:
+        if Phi0.shape[1] != self.kept.size:
             raise ValidationError(
-                f"query has {Phi0.shape[1]} columns, design had {st.kept.size}"
+                f"query has {Phi0.shape[1]} columns, design had {self.kept.size}"
             )
-        Z0 = ((Phi0[:, st.kept] - st.mean) / st.std) @ st.components
+        Z0 = ((Phi0[:, self.kept] - self.mean) / self.std) @ self.components
         return np.concatenate([Z0, np.ones((Z0.shape[0], 1))], axis=1)
 
     def weight_matrix(self, Phi0: np.ndarray) -> np.ndarray:
-        return self.design(Phi0) @ self.state.solver
+        return self.design(Phi0) @ self.solver
 
     def hat_matrix(self) -> np.ndarray:
-        return self.train_design @ self.state.solver
+        return self.train_design @ self.solver
 
     def coefficients(self, y: np.ndarray) -> np.ndarray:
-        return self.state.solver @ np.asarray(y, dtype=float)
+        return self.solver @ np.asarray(y, dtype=float)
 
 
 @dataclass
@@ -98,7 +89,7 @@ class LinearFit:
     tolerance: float
     rank: int
     rank_deficient: bool = False
-    pcr_state: PcrState | None = None
+    pcr: PcrSmoother | None = None  # the pipeline a pcr-mode fit delegates to
     # compact SVD factors of the (possibly transformed) design
     _U: np.ndarray = field(default=None, repr=False)
     _s_inv: np.ndarray = field(default=None, repr=False)
@@ -108,6 +99,9 @@ class LinearFit:
     def n_train(self) -> int:
         return self.train_design.shape[0]
 
+    def train_predictions(self) -> np.ndarray:
+        return self.fitted_values
+
     # -- prediction path (through the coefficients) -------------------------
 
     def predict(self, Phi0: np.ndarray) -> np.ndarray:
@@ -116,7 +110,7 @@ class LinearFit:
             B0 = Phi0 @ self._Vt.T
             return B0 @ self.coefficients
         if self.mode == "pcr":
-            return self._pcr_design(Phi0) @ self.coefficients
+            return self.pcr.design(Phi0) @ self.coefficients
         return Phi0 @ self.coefficients
 
     # -- weight path (rows of the smoother matrix) --------------------------
@@ -125,7 +119,7 @@ class LinearFit:
         """Rows s(x0) for each row of Phi0, shape (m, n_train)."""
         Phi0 = self._check_query(Phi0)
         if self.mode == "pcr":
-            return self._pcr_design(Phi0) @ self.pcr_state.solver
+            return self.pcr.weight_matrix(Phi0)
         return ((Phi0 @ self._Vt.T) * self._s_inv) @ self._U.T
 
     def weight_vector(self, phi0: np.ndarray) -> np.ndarray:
@@ -141,11 +135,6 @@ class LinearFit:
             return self.weight_matrix(self.train_design)
         U = self._U[:, : self.rank]
         return U @ U.T
-
-    def _pcr_design(self, Phi0: np.ndarray) -> np.ndarray:
-        st = self.pcr_state
-        Z0 = ((Phi0[:, st.kept] - st.mean) / st.std) @ st.components
-        return np.concatenate([Z0, np.ones((Z0.shape[0], 1))], axis=1)
 
     def _check_query(self, Phi0: np.ndarray) -> np.ndarray:
         Phi0 = np.atleast_2d(np.asarray(Phi0, dtype=float))
@@ -221,17 +210,29 @@ def fit_svd_basis(Phi: np.ndarray, y: np.ndarray) -> LinearFit:
     )
 
 
+def standardize(Phi: np.ndarray, scale_columns: bool = True):
+    """Center (and by default scale) the columns, dropping zero-variance ones.
+
+    Returns (Xs, mean, std, kept): the standardized kept columns, their means
+    and scales (ones when not scaling), and the boolean kept-column mask.
+    """
+    mean_all = Phi.mean(axis=0)
+    std_all = Phi.std(axis=0)
+    kept = std_all > 1e-12 * max(1.0, float(np.abs(Phi).max()))
+    std = std_all[kept] if scale_columns else np.ones(int(kept.sum()))
+    return (Phi[:, kept] - mean_all[kept]) / std, mean_all[kept], std, kept
+
+
 def pcr_smoother(
     Phi: np.ndarray, p_pc: int, scale_columns: bool = True
 ) -> PcrSmoother:
     """Fit the target-independent part of principal-component regression.
 
-    Pipeline: center (and by default scale) the columns, drop zero-variance
-    columns, project onto the top p_pc right singular vectors, append an
-    intercept column, and form the SVD cutoff pseudo-inverse of that
-    (p_pc + 1)-column system. Near-square designs are legitimately
-    ill-conditioned here; their variance blow-up is something we measure
-    rather than reject.
+    Pipeline: standardize the columns (see ``standardize``), project onto the
+    top p_pc right singular vectors, append an intercept column, and form the
+    SVD cutoff pseudo-inverse of that (p_pc + 1)-column system. Near-square
+    designs are legitimately ill-conditioned here; their variance blow-up is
+    something we measure rather than reject.
     """
     Phi = np.asarray(Phi, dtype=float)
     if Phi.ndim != 2:
@@ -243,9 +244,7 @@ def pcr_smoother(
         raise ValidationError(
             f"p_pc must be in [1, min(n-1, p)] = [1, {min(n - 1, p)}], got {p_pc}"
         )
-    mean_all = Phi.mean(axis=0)
-    std_all = Phi.std(axis=0)
-    kept = std_all > 1e-12 * max(1.0, float(np.abs(Phi).max()))
+    Xs, mean, std, kept = standardize(Phi, scale_columns)
     if not kept.all():
         warnings.warn(
             f"dropping {int((~kept).sum())} zero-variance column(s) before PCA",
@@ -253,8 +252,6 @@ def pcr_smoother(
         )
     if not kept.any():
         raise ValidationError("all columns have zero variance")
-    std = std_all[kept] if scale_columns else np.ones(int(kept.sum()))
-    Xs = (Phi[:, kept] - mean_all[kept]) / std
     U, s, Vt = np.linalg.svd(Xs, full_matrices=False)
     k = min(p_pc, s.size)
     Z = U[:, :k] * s[:k]
@@ -262,13 +259,9 @@ def pcr_smoother(
     Ua, sa, Vta = np.linalg.svd(A, full_matrices=False)
     cut = svd_cutoff(sa, A.shape)
     sa_inv = _masked_inverse(sa, cut)
-    solver = (Vta.T * sa_inv) @ Ua.T
-    state = PcrState(
-        mean=mean_all[kept], std=std, kept=kept,
-        components=Vt[:k].T, solver=solver, scale_columns=scale_columns,
-    )
     return PcrSmoother(
-        state=state, train_design=A, tolerance=cut,
+        mean=mean, std=std, kept=kept, components=Vt[:k].T,
+        solver=(Vta.T * sa_inv) @ Ua.T, train_design=A, tolerance=cut,
         rank=int(np.count_nonzero(sa > cut)),
     )
 
@@ -282,7 +275,7 @@ def fit_pcr(
     """Principal-component regression with an appended intercept.
 
     See pcr_smoother for the pipeline; this adds the solve for one target
-    vector and wraps everything as a LinearFit.
+    vector and wraps everything as a LinearFit that delegates to it.
     """
     Phi, y = _check_design(Phi, y)
     sm = pcr_smoother(Phi, p_pc, scale_columns=scale_columns)
@@ -292,7 +285,7 @@ def fit_pcr(
         fitted_values=sm.train_design @ beta, tolerance=sm.tolerance,
         rank=sm.rank,
         rank_deficient=sm.rank < sm.train_design.shape[1],
-        pcr_state=sm.state,
+        pcr=sm,
     )
 
 

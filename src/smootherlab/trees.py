@@ -1,4 +1,4 @@
-"""Best-first regression trees and averaged tree ensembles as smoothers.
+"""Best-first regression trees and averaged smoothers (forests) as smoothers.
 
 A fitted tree predicts the mean target of the training points sharing the
 query's leaf, i.e. it is a smoother with weights
@@ -95,6 +95,9 @@ class RegressionTree:
 
     def predict(self, X0: np.ndarray) -> np.ndarray:
         return self.leaf_values[self.leaf_ids(X0)]
+
+    def train_predictions(self) -> np.ndarray:
+        return self.leaf_values[self.train_leaf]
 
     def leaf_weight_rows(self) -> np.ndarray:
         """(n_leaves, n_train) matrix whose row j is the leaf-j weight vector."""
@@ -198,29 +201,36 @@ def fit_tree(
 
 
 @dataclass
-class TreeEnsemble:
-    """Plain average of independently seeded trees (no bootstrap)."""
+class AveragedSmoother:
+    """Plain average of member smoothers (independently seeded, no bootstrap).
 
-    members: list[RegressionTree]
+    Keyword arguments such as a boosted member's ``upto`` are passed on to
+    every member.
+    """
+
+    members: list
 
     @property
     def n_train(self) -> int:
         return self.members[0].n_train
 
-    def predict(self, X0: np.ndarray) -> np.ndarray:
-        out = self.members[0].predict(X0).astype(float)
-        for t in self.members[1:]:
-            out += t.predict(X0)
-        return out / len(self.members)
-
-    def weight_matrix(self, X0: np.ndarray) -> np.ndarray:
-        acc = self.members[0].weight_matrix(X0)
-        for t in self.members[1:]:
-            acc = acc + t.weight_matrix(X0)
+    def _mean(self, method: str, *args, **kwargs) -> np.ndarray:
+        acc = getattr(self.members[0], method)(*args, **kwargs)
+        for m in self.members[1:]:
+            acc = acc + getattr(m, method)(*args, **kwargs)
         return acc / len(self.members)
 
-    def weight_vector(self, x0: np.ndarray) -> np.ndarray:
-        return self.weight_matrix(np.atleast_2d(x0))[0]
+    def predict(self, X0: np.ndarray, **kwargs) -> np.ndarray:
+        return self._mean("predict", X0, **kwargs)
+
+    def weight_matrix(self, X0: np.ndarray, **kwargs) -> np.ndarray:
+        return self._mean("weight_matrix", X0, **kwargs)
+
+    def train_predictions(self, **kwargs) -> np.ndarray:
+        return self._mean("train_predictions", **kwargs)
+
+    def weight_vector(self, x0: np.ndarray, **kwargs) -> np.ndarray:
+        return self.weight_matrix(np.atleast_2d(x0), **kwargs)[0]
 
 
 def fit_ensemble(
@@ -230,7 +240,7 @@ def fit_ensemble(
     p_ens: int,
     base_seed: int,
     subset_size: int | None = None,
-) -> TreeEnsemble:
+) -> AveragedSmoother:
     """Fit p_ens trees with seeds base_seed+1 .. base_seed+p_ens and average."""
     if p_ens < 1:
         raise ValidationError(f"p_ens must be >= 1, got {p_ens}")
@@ -238,4 +248,4 @@ def fit_ensemble(
         fit_tree(X, y, max_leaves, seed=base_seed + j, subset_size=subset_size)
         for j in range(1, p_ens + 1)
     ]
-    return TreeEnsemble(members=members)
+    return AveragedSmoother(members=members)

@@ -19,7 +19,7 @@ from smootherlab.boosting import fit_boost, fit_boost_ensemble
 from smootherlab.dataset import (
     SyntheticSpec,
     load_idx,
-    one_vs_all,
+    one_vs_all_targets,
     synth_generate,
     synth_images,
 )
@@ -199,7 +199,7 @@ def test_c05_knn_effective_params_exact(capsys):
 def test_c06_interpolation_plateau(images_1k, capsys):
     t0 = time.perf_counter()
     train, test = images_1k
-    y = one_vs_all(train)[0].binary_targets
+    y = one_vs_all_targets(train, train.task_classes, column=0)
     n = train.n
     fmap = sample_frequencies(0, 4 * n, train.d)
     Phi = transform(fmap, train.features, 4 * n)

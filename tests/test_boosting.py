@@ -13,13 +13,12 @@ import pytest
 from smootherlab.boosting import (
     DEFAULT_LEAF_BUDGET,
     DEFAULT_LEARNING_RATE,
-    BoostedEnsemble,
     BoostedModel,
     fit_boost,
     fit_boost_ensemble,
 )
 from smootherlab.errors import ValidationError
-from smootherlab.trees import fit_tree
+from smootherlab.trees import AveragedSmoother, fit_tree
 
 
 def _toy():
@@ -42,7 +41,7 @@ def test_one_round_full_budget_unit_rate_interpolates():
     X, y = _random_instance(0, n=15, d=1)
     model = fit_boost(X, y, n_rounds=1, learning_rate=1.0, leaf_budget=15, seed=3,
                       stop_tol=None, subset_size=1)
-    assert np.allclose(model.train_predictions, y, atol=1e-12)
+    assert np.allclose(model.train_predictions(), y, atol=1e-12)
     assert np.allclose(model.train_weight_state, np.eye(15), atol=1e-12)
 
 
@@ -236,7 +235,7 @@ def test_boost_ensemble_duality():
                              learning_rate=0.85, leaf_budget=4)
     X0 = np.random.default_rng(21).normal(size=(5, 3))
     assert np.allclose(ens.weight_matrix(X0) @ y, ens.predict(X0), atol=1e-10)
-    assert isinstance(ens, BoostedEnsemble)
+    assert isinstance(ens, AveragedSmoother)
     assert all(isinstance(m, BoostedModel) for m in ens.members)
     assert ens.n_train == 30
 

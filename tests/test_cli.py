@@ -8,10 +8,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from smootherlab.cli import main
+import smootherlab
+from smootherlab.cli import build_config, load_datasets, main
 from smootherlab.experiments.sweep import SWEEP_HEADER
 
 # small enough that every subcommand finishes in well under a second
@@ -367,3 +373,46 @@ def test_select_smoke(tmp_path, capsys):
     header, rows = _read_csv(out / "selection.csv")
     assert header[0] == "leaf_budget" and len(rows) == 2
     assert capsys.readouterr().out.startswith("select: configs=2")
+
+
+# ---------------------------------------------------------------------------
+# CSV ingestion and labels
+# ---------------------------------------------------------------------------
+
+
+def _write_rows(path, rows):
+    path.write_text("x1,x2,label\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows))
+    return path
+
+
+def _csv_sets(train, test):
+    return ["dataset.kind=csv", f"dataset.train={train}", f"dataset.test={test}"]
+
+
+def test_csv_test_set_is_scaled_with_the_train_ranges(tmp_path):
+    train = _write_rows(tmp_path / "train.csv", [(0, 10, 0), (2, 30, 1), (4, 20, 0)])
+    test = _write_rows(tmp_path / "test.csv", [(1, 30, 1)])
+    tr, te = load_datasets(build_config("ingest", {}, _csv_sets(train, test))["dataset"])
+    assert np.array_equal(tr.features, [[0.0, 0.0], [0.5, 1.0], [1.0, 0.5]])
+    # a one-row test file keeps its position on the training scale
+    assert np.array_equal(te.features, [[0.25, 1.0]])
+
+
+def test_test_label_outside_the_train_classes_exits_one(tmp_path, capsys):
+    rows = [(i, (i * 7) % 5, i % 2) for i in range(8)]
+    train = _write_rows(tmp_path / "train.csv", rows)
+    test = _write_rows(tmp_path / "test.csv", rows[:3] + [(3, 1, 2)])
+    sets = [*_csv_sets(train, test), "axis1_values=[2]", "axis2_values=[1]"]
+    argv = ["sweep", *(a for expr in sets for a in ("--set", expr)), "--threads", "1"]
+    assert _run(argv, tmp_path / "a") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "class label 2" in err
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    code = "import sys, smootherlab.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(smootherlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert done.stdout.strip() == "False"

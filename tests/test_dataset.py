@@ -16,7 +16,7 @@ from smootherlab.dataset import (
     load_csv,
     load_idx,
     normalize_minmax,
-    one_vs_all,
+    one_vs_all_targets,
     subsample,
     synth_generate,
     synth_images,
@@ -165,6 +165,15 @@ def test_normalize_minmax_idempotent():
     assert once.features.min() >= 0.0 and once.features.max() <= 1.0
 
 
+def test_normalize_minmax_with_a_reference_scale():
+    train = Dataset(features=np.array([[0.0, 10.0], [4.0, 30.0]]), targets=np.zeros(2))
+    test = Dataset(features=np.array([[1.0, 30.0]]), targets=np.zeros(1))
+    # a one-row set keeps its values on the reference's scale
+    assert np.array_equal(normalize_minmax(test, train).features, [[0.25, 1.0]])
+    with pytest.raises(ValidationError, match="d=1"):
+        normalize_minmax(test, Dataset(features=np.zeros((2, 1)), targets=np.zeros(2)))
+
+
 def test_normalize_minmax_constant_column():
     ds = Dataset(features=np.array([[1.0, 5.0], [1.0, 6.0]]), targets=np.zeros(2))
     out = normalize_minmax(ds)
@@ -267,19 +276,24 @@ def test_subsample_out_of_range():
 
 def test_one_vs_all_partitions_mass():
     ds = _labeled_dataset(40, 5, seed=9)
-    tasks = one_vs_all(ds)
-    assert [t.class_index for t in tasks] == list(range(ds.n_classes))
-    total = sum(t.binary_targets for t in tasks)
-    assert np.array_equal(total, np.ones(40))
-    for t in tasks:
-        assert set(np.unique(t.binary_targets)) <= {0.0, 1.0}
-        assert np.array_equal(t.binary_targets == 1.0, ds.class_labels == t.class_index)
+    Y = one_vs_all_targets(ds, ds.task_classes)
+    assert Y.shape == (40, ds.n_classes)
+    assert np.array_equal(Y.sum(axis=1), np.ones(40))
+    for c in range(ds.n_classes):
+        y = one_vs_all_targets(ds, ds.task_classes, column=c)
+        assert np.array_equal(y, Y[:, c])
+        assert set(np.unique(y)) <= {0.0, 1.0}
+        assert np.array_equal(y == 1.0, ds.class_labels == c)
 
 
 def test_one_vs_all_requires_labels():
-    ds = Dataset(features=np.zeros((3, 1)), targets=np.zeros(3))
-    with pytest.raises(ValidationError):
-        one_vs_all(ds)
+    ds = Dataset(features=np.zeros((3, 1)), targets=np.arange(3.0))
+    with pytest.raises(ValidationError, match="no class labels"):
+        one_vs_all_targets(ds, 2)
+    # unlabeled data is plain regression: the targets are the single task
+    assert ds.task_classes == 0
+    assert np.array_equal(one_vs_all_targets(ds, 0), ds.targets[:, None])
+    assert np.array_equal(one_vs_all_targets(ds, 0, column=0), ds.targets)
 
 
 def test_one_vs_all_requires_two_classes():
@@ -288,8 +302,23 @@ def test_one_vs_all_requires_two_classes():
         targets=np.zeros(3),
         class_labels=np.array([0, 0, 0]),
     )
-    with pytest.raises(ValidationError):
-        one_vs_all(ds)
+    # a single class gives no one-vs-all split: the data is plain regression
+    assert ds.task_classes == 0
+    assert np.array_equal(one_vs_all_targets(ds, ds.task_classes), ds.targets[:, None])
+
+
+def test_one_vs_all_rejects_labels_outside_the_train_classes():
+    train = _labeled_dataset(12, 3, seed=4)
+    test = Dataset(
+        features=np.zeros((3, 1)),
+        targets=np.zeros(3),
+        class_labels=np.array([0, 3, 1]),
+        name="probe",
+    )
+    with pytest.raises(ValidationError, match="probe has class label 3"):
+        one_vs_all_targets(test, train.task_classes)
+    with pytest.raises(ValidationError, match="class_index 3 out of range"):
+        one_vs_all_targets(train, train.task_classes, column=3)
 
 
 @settings(deadline=None, max_examples=25)
@@ -305,8 +334,8 @@ def test_one_vs_all_partition_property(labels):
         targets=np.zeros(n),
         class_labels=np.array(labels),
     )
-    tasks = one_vs_all(ds)
-    assert np.array_equal(sum(t.binary_targets for t in tasks), np.ones(n))
+    Y = one_vs_all_targets(ds, ds.task_classes)
+    assert np.array_equal(Y.sum(axis=1), np.ones(n))
 
 
 # ---------------------------------------------------------------------------

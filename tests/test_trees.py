@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smootherlab.errors import ValidationError
-from smootherlab.trees import RegressionTree, TreeEnsemble, fit_ensemble, fit_tree
+from smootherlab.trees import AveragedSmoother, RegressionTree, fit_ensemble, fit_tree
 
 
 def _toy():
@@ -249,5 +249,5 @@ def test_ensemble_validation():
         fit_ensemble(X, y, max_leaves=2, p_ens=0, base_seed=0)
     ens = fit_ensemble(X, y, max_leaves=2, p_ens=2, base_seed=0)
     assert ens.n_train == 4
-    assert isinstance(ens, TreeEnsemble)
+    assert isinstance(ens, AveragedSmoother)
     assert all(isinstance(m, RegressionTree) for m in ens.members)
