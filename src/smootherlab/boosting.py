@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .trees import AveragedSmoother, RegressionTree, fit_tree
+from .trees import AveragedSmoother, RegressionTree, fit_tree, presort
 
 DEFAULT_LEARNING_RATE = 0.85
 DEFAULT_LEAF_BUDGET = 10
@@ -33,12 +33,15 @@ DEFAULT_MAX_ROUNDS = 500
 
 
 def _round_step(prev, W, R, lids, lr):
-    """One recursion step: prev + lr * (W[lids] - R[lids]).
+    """One recursion step: prev + (lr * (W - R))[lids].
 
+    The difference and the scaling act on the (J, n) leaf rows before the
+    rows are gathered to the m queries: elementwise the same float
+    operations as prev + lr * (W[lids] - R[lids]), on J rows instead of m.
     Shared by the training-time state update and the weight extraction for
     new inputs so both paths perform bitwise-identical float operations.
     """
-    return prev + lr * (W[lids] - R[lids])
+    return prev + (lr * (W - R))[lids]
 
 
 @dataclass
@@ -120,12 +123,14 @@ def fit_boost(
     seed: int = 0,
     stop_tol: float | None = DEFAULT_STOP_TOL,
     subset_size: int | None = None,
+    order: np.ndarray | None = None,
 ) -> BoostedModel:
     """Boost residual trees for up to n_rounds rounds.
 
     With ``stop_tol`` set, rounds stop once mean squared training error falls
     below it. Round p's tree is seeded from (seed, p) so a longer run extends
-    a shorter one round for round.
+    a shorter one round for round. ``order`` is ``trees.presort(X)``, shared
+    by every round's tree; it is computed here when not given.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -136,13 +141,16 @@ def fit_boost(
     if not (0.0 < learning_rate <= 1.0):
         raise ValidationError(f"learning_rate must be in (0, 1], got {learning_rate}")
     n = X.shape[0]
+    if order is None:
+        order = presort(X)
     f = np.zeros(n)
     state = np.zeros((n, n))
     trees, weight_rows, corrections, leaf_ids = [], [], [], []
     mse_hist, p_hist = [], []
     for p in range(1, n_rounds + 1):
         residual = y - f
-        tree = fit_tree(X, residual, leaf_budget, seed=[seed, p], subset_size=subset_size)
+        tree = fit_tree(X, residual, leaf_budget, seed=[seed, p],
+                        subset_size=subset_size, order=order)
         W = tree.leaf_weight_rows()
         R = np.empty_like(W)
         for j, members in enumerate(tree.leaf_members):
@@ -188,10 +196,12 @@ def fit_boost_ensemble(
     """Average p_ens boosted models seeded base_seed+1 .. base_seed+p_ens."""
     if p_ens < 1:
         raise ValidationError(f"p_ens must be >= 1, got {p_ens}")
+    order = presort(X)
     members = [
         fit_boost(
             X, y, n_rounds, learning_rate, leaf_budget,
             seed=base_seed + j, stop_tol=stop_tol, subset_size=subset_size,
+            order=order,
         )
         for j in range(1, p_ens + 1)
     ]

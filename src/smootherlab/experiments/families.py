@@ -24,7 +24,7 @@ from ..effparams import p_eff
 from ..errors import ScheduleError, ValidationError
 from ..linear import pcr_smoother
 from ..rff import BLOCK, sample_frequencies, transform
-from ..trees import fit_tree
+from ..trees import fit_tree, presort
 
 
 @dataclass
@@ -125,6 +125,7 @@ class TreeFamily(_FamilyBase):
 
     def __init__(self, train, test, shared, states):
         super().__init__(train, test, shared)
+        self.order = presort(train.features)  # shared by every prefit tree
         self._cache: dict[tuple[int, int, int], dict] = {}
         self._needed = sorted(
             {
@@ -147,6 +148,7 @@ class TreeFamily(_FamilyBase):
                     budget,
                     seed=self.shared.base_seed + member,
                     subset_size=self.shared.tree_subset,
+                    order=self.order,
                 )
                 return key, {
                     "tree": tree,
@@ -211,6 +213,7 @@ class BoostFamily(_FamilyBase):
 
     def __init__(self, train, test, shared, states):
         super().__init__(train, test, shared)
+        self.order = presort(train.features)  # shared by every prefit run
         self.r_max = max(a1 for a1, _ in states)
         self.e_max = max(a2 for _, a2 in states)
         self._runs: dict[tuple[int, int], dict] = {}
@@ -234,6 +237,7 @@ class BoostFamily(_FamilyBase):
                     seed=self.shared.base_seed + member,
                     stop_tol=None,
                     subset_size=self.shared.tree_subset,
+                    order=self.order,
                 )
                 test_lids = [t.leaf_ids(self.test.features) for t in model.trees]
                 return key, {"model": model, "test_lids": test_lids}

@@ -7,6 +7,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+BLOCK = 16  # query rows per (rows, n, d) difference tensor in weight_matrix
+
 
 @dataclass
 class KnnSmoother:
@@ -20,7 +22,12 @@ class KnnSmoother:
 
     def weight_matrix(self, X0: np.ndarray) -> np.ndarray:
         X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-        d2 = ((X0[:, None, :] - self.features[None, :, :]) ** 2).sum(axis=2)
+        # squared distances BLOCK query rows at a time; each row's sum is the
+        # same whatever the block, and memory stays at BLOCK * n * d floats
+        d2 = np.empty((X0.shape[0], self.n_train))
+        for start in range(0, X0.shape[0], BLOCK):
+            diff = X0[start : start + BLOCK, None, :] - self.features[None, :, :]
+            d2[start : start + BLOCK] = (diff**2).sum(axis=2)
         # stable sort: distance ties resolve toward the lower training index
         nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         W = np.zeros((X0.shape[0], self.n_train))

@@ -12,6 +12,14 @@ examines one fresh random subset of floor(sqrt(d)) features; candidate
 thresholds are midpoints between consecutive sorted values; gain ties break
 toward the lower feature index, then the lower threshold. Leaves keep at
 least one sample; there is no pruning and no bootstrapping.
+
+Split search uses the CART presort (Breiman et al., 1984): ``presort(X)``
+argsorts every column once, stably, and a node's sorted order for a column
+is that order restricted to the node's rows. Node index sets are always
+ascending, so the restriction is exactly the stable argsort of the node's
+values: the sorted values, cumulative sums, gains and tie-breaks are the
+same bit for bit as sorting each node afresh. Ensembles and boosting share
+one presort across all trees fit on the same X.
 """
 from __future__ import annotations
 
@@ -25,8 +33,23 @@ from .errors import ValidationError
 _GAIN_EPS = 1e-12  # absolute guard against float-noise "gains" on pure nodes
 
 
-def _best_split(X, y, idx, feats):
-    """Best (gain, feature, threshold) over the given features, or None."""
+def presort(X: np.ndarray) -> np.ndarray:
+    """Stable argsort of every column of X, as a read-only C-contiguous
+    (d, n) array that threads fitting trees on X can share."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValidationError(f"X must be 2-d, got shape {X.shape}")
+    order = np.ascontiguousarray(np.argsort(X.T, axis=1, kind="stable"))
+    order.setflags(write=False)
+    return order
+
+
+def _best_split(X, y, idx, feats, order, mask):
+    """Best (gain, feature, threshold) over the given features, or None.
+
+    ``idx`` is ascending, ``order`` is ``presort(X)`` and ``mask`` an
+    all-False boolean array of length n, left all False again on return.
+    """
     m = idx.size
     if m < 2:
         return None
@@ -37,23 +60,25 @@ def _best_split(X, y, idx, feats):
     node_sse = sq - base
     if node_sse <= _GAIN_EPS * (1.0 + sq):
         return None  # pure within float noise
-    Xs = X[np.ix_(idx, feats)]
-    order = np.argsort(Xs, axis=0, kind="stable")
-    xs_sorted = np.take_along_axis(Xs, order, axis=0)
-    ys_sorted = ys[order]
-    left = np.cumsum(ys_sorted, axis=0)[:-1]
-    cnt = np.arange(1, m, dtype=float)[:, None]
+    # each feature's presorted order restricted to the node's rows, (k, m)
+    mask[idx] = True
+    rows = order[feats]
+    rows = np.compress(mask[rows].ravel(), rows).reshape(feats.size, m)
+    mask[idx] = False
+    xs_sorted = X[rows, feats[:, None]]
+    left = np.cumsum(y[rows], axis=1)[:, :-1]
+    cnt = np.arange(1, m, dtype=float)
     gain = left * left / cnt + (tot - left) ** 2 / (m - cnt) - base
     # a threshold must separate two distinct feature values
-    gain[xs_sorted[1:] <= xs_sorted[:-1]] = -np.inf
-    best = None
-    for col, f in enumerate(feats):
-        pos = int(np.argmax(gain[:, col]))  # first max = lowest threshold
-        g = float(gain[pos, col])
-        if g > _GAIN_EPS * (1.0 + node_sse) and (best is None or g > best[0]):
-            thr = 0.5 * (xs_sorted[pos, col] + xs_sorted[pos + 1, col])
-            best = (g, int(f), float(thr))
-    return best
+    gain[xs_sorted[:, 1:] <= xs_sorted[:, :-1]] = -np.inf
+    best = gain.max(axis=1)
+    best[~(best > _GAIN_EPS * (1.0 + node_sse))] = -np.inf
+    col = int(np.argmax(best))  # first max = lowest feature, feats is sorted
+    if best[col] == -np.inf:
+        return None
+    pos = int(np.argmax(gain[col]))  # first max = lowest threshold
+    thr = 0.5 * (xs_sorted[col, pos] + xs_sorted[col, pos + 1])
+    return float(best[col]), int(feats[col]), float(thr)
 
 
 @dataclass
@@ -121,8 +146,13 @@ def fit_tree(
     max_leaves: int,
     seed,
     subset_size: int | None = None,
+    order: np.ndarray | None = None,
 ) -> RegressionTree:
-    """Grow a best-first tree to at most ``max_leaves`` leaves."""
+    """Grow a best-first tree to at most ``max_leaves`` leaves.
+
+    ``order`` is ``presort(X)``, computed here when not given; callers that
+    fit many trees on the same X pass one shared copy.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.shape != (X.shape[0],):
@@ -137,6 +167,11 @@ def fit_tree(
     elif subset_size < 1:
         raise ValidationError(f"subset_size must be >= 1, got {subset_size}")
     subset_size = min(subset_size, d)
+    if order is None:
+        order = presort(X)
+    elif np.shape(order) != (d, n):
+        raise ValidationError(f"order must have shape {(d, n)}, got {np.shape(order)}")
+    mask = np.zeros(n, dtype=bool)
     rng = np.random.default_rng(seed)
 
     feature, threshold, left, right = [], [], [], []
@@ -153,7 +188,7 @@ def fit_tree(
         right.append(-1)
         node_indices[nid] = idx
         feats = np.sort(rng.choice(d, size=subset_size, replace=False))
-        cand = _best_split(X, y, idx, feats)
+        cand = _best_split(X, y, idx, feats, order, mask)
         if cand is not None:
             heapq.heappush(heap, (-cand[0], push_count, nid, cand))
             push_count += 1
@@ -244,8 +279,10 @@ def fit_ensemble(
     """Fit p_ens trees with seeds base_seed+1 .. base_seed+p_ens and average."""
     if p_ens < 1:
         raise ValidationError(f"p_ens must be >= 1, got {p_ens}")
+    order = presort(X)
     members = [
-        fit_tree(X, y, max_leaves, seed=base_seed + j, subset_size=subset_size)
+        fit_tree(X, y, max_leaves, seed=base_seed + j, subset_size=subset_size,
+                 order=order)
         for j in range(1, p_ens + 1)
     ]
     return AveragedSmoother(members=members)

@@ -277,6 +277,24 @@ def test_sweep_rerun_is_byte_identical_and_thread_independent(tmp_path):
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "family, axes",
+    [
+        ("tree", ["axis1_values=[2,8,24]", "axis2_values=[1,3]"]),
+        ("boosting", ["axis1_values=[1,3,6]", "axis2_values=[1,3]"]),
+    ],
+)
+def test_tree_family_sweeps_are_thread_independent(tmp_path, family, axes):
+    # the prefit pool threads share one presort of the training inputs
+    argv = ["sweep", *TINY, "--set", f"family={family}"]
+    for item in axes:
+        argv += ["--set", item]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert _run([*argv, "--threads", "1"], a) == 0
+    assert _run([*argv, "--threads", "3"], b) == 0
+    assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
 def test_sweep_svg_output(tmp_path):
     out = tmp_path / "a"
     assert _run(["sweep", *TINY, *TINY_AXES, "--svg"], out) == 0

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from smootherlab import knn
 from smootherlab.errors import ValidationError
 from smootherlab.knn import KnnSmoother, fit_knn
 
@@ -66,3 +69,28 @@ def test_validation():
     model = fit_knn(X, y, 2)
     assert isinstance(model, KnnSmoother)
     assert model.n_train == 5
+
+
+def test_blocked_distances_are_bitwise_equal(monkeypatch):
+    rng = np.random.default_rng(5)
+    X = rng.uniform(size=(30, 7))
+    X0 = rng.uniform(size=(23, 7))
+    model = fit_knn(X, rng.normal(size=30), 4)
+    monkeypatch.setattr(knn, "BLOCK", 1000)  # one block: the whole tensor
+    whole = model.weight_matrix(X0)
+    monkeypatch.setattr(knn, "BLOCK", 3)  # 23 rows = 7 full blocks + 2
+    assert model.weight_matrix(X0).tobytes() == whole.tobytes()
+
+
+def test_weight_matrix_memory_stays_below_the_difference_tensor():
+    rng = np.random.default_rng(6)
+    m, n, d = 400, 60, 40
+    model = fit_knn(rng.uniform(size=(n, d)), rng.normal(size=n), 5)
+    X0 = rng.uniform(size=(m, d))
+    tracemalloc.start()
+    try:
+        model.weight_matrix(X0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * n * d * 8 / 4

@@ -59,6 +59,19 @@ def test_cond_study_past_rank_is_infinite():
     assert row.cond_k == np.inf
 
 
+def test_cond_study_rounding_noise_past_the_centered_rank_is_infinite():
+    # centering n rows leaves rank n - 1 however wide the design is, so the
+    # n-th singular value is rounding noise and must not read as finite
+    ds = _uniform_dataset(12, 3)
+    fmap = sample_frequencies(2, 48, 3, scale=2.0)
+    rows = cond_study(fmap, ds, [24, 48], [11, 12])
+    for row in rows:
+        if row.k == 11:
+            assert row.sigma_k > 0.0 and np.isfinite(row.cond_k)
+        else:
+            assert row.sigma_k == 0.0 and row.cond_k == np.inf
+
+
 def test_cond_study_widening_design_improves_conditioning():
     ds = _uniform_dataset(30, 4, seed=2)
     fmap = sample_frequencies(3, 240, 4)

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smootherlab.errors import ValidationError
-from smootherlab.trees import AveragedSmoother, RegressionTree, fit_ensemble, fit_tree
+from smootherlab.trees import (
+    AveragedSmoother,
+    RegressionTree,
+    fit_ensemble,
+    fit_tree,
+    presort,
+)
 
 
 def _toy():
@@ -189,6 +197,116 @@ def test_convexity_property(seed, budget):
     assert np.all(W >= 0.0)
     assert np.allclose(W.sum(axis=1), 1.0, atol=1e-10)
     assert tree.n_leaves <= budget
+
+
+# ---------------------------------------------------------------------------
+# Split search against a brute-force oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_split(X, y, idx, feats, eps=1e-12):
+    """Every threshold of every feature, scanned in order; a later candidate
+    wins only with a strictly larger gain, so ties go to the lower feature,
+    then the lower threshold. Same gain formula and guards as the tree."""
+    m = idx.size
+    if m < 2:
+        return None
+    ys = y[idx]
+    tot = ys.sum()
+    base = tot * tot / m
+    sq = float(ys @ ys)
+    node_sse = sq - base
+    if node_sse <= eps * (1.0 + sq):
+        return None
+    best = None
+    for f in feats:
+        xs = X[idx, f]
+        values = sorted(set(xs.tolist()))
+        for lo, hi in zip(values[:-1], values[1:]):
+            below = xs <= lo
+            left = float(ys[below].sum())  # integer targets: exact
+            cnt = float(below.sum())
+            g = left * left / cnt + (tot - left) ** 2 / (m - cnt) - base
+            if g > eps * (1.0 + node_sse) and (best is None or g > best[0]):
+                best = (g, int(f), 0.5 * (lo + hi))
+    return best
+
+
+def _oracle_tree(X, y, max_leaves, seed, subset_size):
+    """Best-first growth with the tree's random feature draws and heap order."""
+    n, d = X.shape
+    k = min(subset_size or max(1, int(np.sqrt(d))), d)
+    rng = np.random.default_rng(seed)
+    feature, threshold, rows, heap = [], [], [], []
+
+    def new_node(idx):
+        nid = len(feature)
+        feature.append(-1)
+        threshold.append(np.nan)
+        rows.append(idx)
+        cand = _oracle_split(X, y, idx, np.sort(rng.choice(d, size=k, replace=False)))
+        if cand is not None:
+            heapq.heappush(heap, (-cand[0], nid, cand))
+        return nid
+
+    new_node(np.arange(n))
+    for _ in range(max_leaves - 1):
+        if not heap:
+            break
+        _, nid, (_, f, thr) = heapq.heappop(heap)
+        idx = rows[nid]
+        feature[nid], threshold[nid] = f, thr
+        new_node(idx[X[idx, f] <= thr])
+        new_node(idx[X[idx, f] > thr])
+    train_leaf = np.empty(n, dtype=np.intp)
+    leaves = [nid for nid in range(len(feature)) if feature[nid] == -1]
+    for j, nid in enumerate(leaves):
+        train_leaf[rows[nid]] = j
+    return np.asarray(feature), np.asarray(threshold), train_leaf
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=24),
+    d=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_split_search_matches_brute_force_oracle(data, n, d, seed):
+    # few distinct values: many tied feature values, thresholds and gains
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, size=(n, d)).astype(float)
+    y = rng.integers(0, 3, size=n).astype(float)
+    max_leaves = data.draw(st.integers(min_value=1, max_value=n))
+    subset_size = data.draw(st.one_of(st.none(), st.integers(1, d)))
+    tree = fit_tree(X, y, max_leaves, seed=seed, subset_size=subset_size)
+    feature, threshold, train_leaf = _oracle_tree(X, y, max_leaves, seed, subset_size)
+    assert np.array_equal(tree.feature, feature)
+    assert np.array_equal(tree.threshold, threshold, equal_nan=True)
+    assert np.array_equal(tree.train_leaf, train_leaf)
+
+
+def test_shared_presort_matches_own_presort():
+    rng = np.random.default_rng(21)
+    X = rng.integers(0, 5, size=(40, 6)).astype(float)
+    y = rng.normal(size=40)
+    order = presort(X)
+    assert order.shape == (6, 40) and order.flags.c_contiguous
+    own = fit_tree(X, y, max_leaves=12, seed=3)
+    shared = fit_tree(X, y, max_leaves=12, seed=3, order=order)
+    assert np.array_equal(own.feature, shared.feature)
+    assert np.array_equal(own.threshold, shared.threshold, equal_nan=True)
+    assert np.array_equal(own.train_leaf, shared.train_leaf)
+    assert own.leaf_values.tobytes() == shared.leaf_values.tobytes()
+
+
+def test_wrongly_shaped_presort_is_rejected():
+    rng = np.random.default_rng(22)
+    X = rng.normal(size=(10, 3))
+    y = rng.normal(size=10)
+    for bad in (presort(X).T, presort(X[:9]), presort(X)[:2]):
+        with pytest.raises(ValidationError):
+            fit_tree(X, y, max_leaves=3, seed=0, order=bad)
 
 
 # ---------------------------------------------------------------------------
