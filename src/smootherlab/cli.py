@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .boosting import fit_boost, fit_boost_ensemble
 from .dataset import (
     Dataset,
@@ -834,7 +835,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None,
                        help="seed override routed to the command's seed knob")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (else SMOOTHERLAB_THREADS, else cores)")
+                       help="sweep worker processes (else SMOOTHERLAB_THREADS, else cores)")
         p.add_argument("--full-scale", action="store_true",
                        help="use the large preset dataset instead of desk scale")
         p.add_argument("--svg", action="store_true",
@@ -871,7 +872,8 @@ def main(argv=None) -> int:
         out_dir = args.out if args.out is not None else Path("runs") / args.command
         out_dir.mkdir(parents=True, exist_ok=True)
         _echo_config(out_dir, args.command, cfg)
-        line = _COMMANDS[args.command](cfg, out_dir, args)
+        with one_blas_thread():  # outputs must not depend on the BLAS threads
+            line = _COMMANDS[args.command](cfg, out_dir, args)
         print(line)
         return 0
     except ValidationError as exc:

@@ -42,20 +42,22 @@ def cond_study(
     For each design width the columns are standardized as PCR does (see
     linear.standardize: centered, scaled, constant columns dropped), and
     sigma_k / the condition number sigma_1 / sigma_k is tabulated for each
-    requested k. Indices past the available spectrum, and singular values at
-    or below the rank cutoff (linear.svd_cutoff, so rounding noise of a
-    rank-deficient design), get sigma_k = 0 and an infinite condition number.
+    requested k. Indices past the centered rank (centering n rows leaves at
+    most n - 1 independent directions), and singular values at or below the
+    rank cutoff (linear.svd_cutoff), are rounding noise of a rank-deficient
+    design: they get sigma_k = 0 and an infinite condition number.
     """
     rows = []
     for p_phi in p_phi_values:
         Xs = standardize(transform(fmap, ds.features, int(p_phi)))[0]
         s = np.linalg.svd(Xs, compute_uv=False)
         cutoff = svd_cutoff(s, Xs.shape)
+        rank_bound = min(s.size, Xs.shape[0] - 1)
         for k in k_values:
             k = int(k)
             if k < 1:
                 raise ValidationError(f"singular value index must be >= 1, got {k}")
-            if k <= s.size and s[k - 1] > cutoff:
+            if k <= rank_bound and s[k - 1] > cutoff:
                 rows.append(
                     ConditionRow(int(p_phi), k, float(s[k - 1]), float(s[0] / s[k - 1]))
                 )

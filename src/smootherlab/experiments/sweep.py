@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..blas import one_blas_thread
 from ..dataset import Dataset
 from ..errors import ScheduleError
 from ..tableio import write_csv
@@ -41,7 +41,7 @@ THREADS_ENV = "SMOOTHERLAB_THREADS"
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else SMOOTHERLAB_THREADS, else cores."""
+    """Worker processes: explicit argument, else SMOOTHERLAB_THREADS, else cores."""
     if threads is not None:
         if threads < 1:
             raise ScheduleError(f"threads must be >= 1, got {threads}")
@@ -58,11 +58,43 @@ def resolve_threads(threads: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
+_WORK = None  # (fn, items), set in each forked pool worker
+
+
+def _init_worker(fn, items):
+    global _WORK
+    _WORK = fn, items
+
+
+def _run_item(i):
+    fn, items = _WORK
+    return fn(items[i])
+
+
 def _pool_map(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
+    """[fn(item) for item in items], in up to `threads` forked worker processes.
+
+    The workers inherit fn and items through fork, closures and family
+    caches included, so nothing is pickled on the way in; only results and
+    raised exceptions travel back. The pool forks every worker before it
+    starts its own manager thread. Runs serially for one worker or where
+    fork is unavailable.
+    """
+    workers = min(threads, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    import multiprocessing
+
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        workers, mp_context=context, initializer=_init_worker, initargs=(fn, items)
+    ) as pool:
+        return list(pool.map(_run_item, range(len(items))))
 
 
 # --------------------------------------------------------------------------- records
@@ -118,7 +150,7 @@ class SweepResult:
 
 
 def _run_states(family, states, threads):
-    """Prefit (possibly in parallel), then evaluate each state."""
+    """Prefit (possibly in parallel), then evaluate each state, in order."""
     tasks = family.prefit_tasks()
     if tasks:
         for key, value in _pool_map(lambda t: t(), tasks, threads):
@@ -129,9 +161,15 @@ def _run_states(family, states, threads):
         ev = family.evaluate(*state)
         return ev, time.perf_counter() - start
 
-    if family.parallel_points:
-        return _pool_map(one, states, threads)
-    return [one(state) for state in states]
+    if not family.parallel_points:
+        return [one(state) for state in states]
+    # largest points first, so no big one is left to run alone at the end
+    schedule = sorted(range(len(states)), key=lambda i: -sum(states[i]))
+    done = _pool_map(one, [states[i] for i in schedule], threads)
+    out = [None] * len(states)
+    for i, result in zip(schedule, done):
+        out[i] = result
+    return out
 
 
 def evaluate_states(
@@ -146,17 +184,19 @@ def evaluate_states(
 
     Takes (label, (axis1, axis2)) pairs, builds the family runner over all
     the states, runs them, and returns (label, record) pairs in input order;
-    records are numbered within their label.
+    records are numbered within their label. BLAS runs on one thread
+    throughout, in the workers too, so the bits do not depend on
+    OPENBLAS_NUM_THREADS or on `threads`.
     """
     threads = resolve_threads(threads)
     states = [state for _, state in labeled_states]
-    runner = FAMILY_RUNNERS[family](train, test, shared, states)
+    with one_blas_thread():
+        runner = FAMILY_RUNNERS[family](train, test, shared, states)
+        evaluated = _run_states(runner, states, threads)
     names = AXES[family]
     index_in_label: dict[str, int] = {}
     out = []
-    for (label, state), (ev, wall) in zip(
-        labeled_states, _run_states(runner, states, threads)
-    ):
+    for (label, state), (ev, wall) in zip(labeled_states, evaluated):
         i = index_in_label.get(label, 0)
         index_in_label[label] = i + 1
         record = SweepRecord(

@@ -35,7 +35,8 @@ _GAIN_EPS = 1e-12  # absolute guard against float-noise "gains" on pure nodes
 
 def presort(X: np.ndarray) -> np.ndarray:
     """Stable argsort of every column of X, as a read-only C-contiguous
-    (d, n) array that threads fitting trees on X can share."""
+    (d, n) array that every tree fitted on X can share, in forked sweep
+    workers too: they inherit it from the parent without a copy."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValidationError(f"X must be 2-d, got shape {X.shape}")

@@ -18,6 +18,8 @@ import pytest
 
 import smootherlab
 from smootherlab.cli import build_config, load_datasets, main
+from smootherlab.errors import SingularDesignError, ValidationError
+from smootherlab.experiments.families import FAMILY_RUNNERS, TreeFamily
 from smootherlab.experiments.sweep import SWEEP_HEADER
 
 # small enough that every subcommand finishes in well under a second
@@ -46,6 +48,13 @@ def _read_csv(path):
 
 def _echoed(out):
     return json.loads((out / "config.json").read_text())
+
+
+def _src_env():
+    """The environment for a CLI subprocess that imports this source tree."""
+    env = {k: v for k, v in os.environ.items() if k != "SMOOTHERLAB_THREADS"}
+    env["PYTHONPATH"] = str(Path(smootherlab.__file__).resolve().parents[1])
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +232,30 @@ def test_rank_deficient_strict_fit_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical error:")
 
 
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [(ValidationError, 1, "error:"), (SingularDesignError, 2, "numerical error:")],
+)
+def test_errors_in_pooled_prefit_keep_their_exit_code(
+    tmp_path, capsys, monkeypatch, error, code, prefix
+):
+    class Failing(TreeFamily):
+        def prefit_tasks(self):
+            def fail():
+                raise error(f"raised in process {os.getpid()}")
+
+            return [fail] + super().prefit_tasks()
+
+    # installed before the pool forks, so the workers inherit it
+    monkeypatch.setitem(FAMILY_RUNNERS, "tree", Failing)
+    argv = ["sweep", *TINY, "--set", "family=tree", "--set", "axis1_values=[2,8]",
+            "--set", "axis2_values=[1,2]", "--threads", "2"]
+    assert _run(argv, tmp_path / "a") == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{prefix} raised in process ")
+    assert int(err.split()[-1]) != os.getpid()
+
+
 # ---------------------------------------------------------------------------
 # seed routing
 # ---------------------------------------------------------------------------
@@ -285,7 +318,7 @@ def test_sweep_rerun_is_byte_identical_and_thread_independent(tmp_path):
     ],
 )
 def test_tree_family_sweeps_are_thread_independent(tmp_path, family, axes):
-    # the prefit pool threads share one presort of the training inputs
+    # the forked prefit workers share one presort of the training inputs
     argv = ["sweep", *TINY, "--set", f"family={family}"]
     for item in axes:
         argv += ["--set", item]
@@ -293,6 +326,19 @@ def test_tree_family_sweeps_are_thread_independent(tmp_path, family, axes):
     assert _run([*argv, "--threads", "1"], a) == 0
     assert _run([*argv, "--threads", "3"], b) == 0
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
+def test_sweep_bytes_do_not_depend_on_the_blas_threads(tmp_path):
+    # OpenBLAS sums products in another order on two threads; the CLI pins one
+    csvs = []
+    for blas in ("1", "2"):
+        out = tmp_path / blas
+        argv = ["sweep", "--seed", "0", "--threads", "2", "--out", str(out)]
+        subprocess.run([sys.executable, "-m", "smootherlab.cli", *argv],
+                       capture_output=True, check=True,
+                       env={**_src_env(), "OPENBLAS_NUM_THREADS": blas})
+        csvs.append((out / "sweep.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_sweep_svg_output(tmp_path):
@@ -428,9 +474,9 @@ def test_test_label_outside_the_train_classes_exits_one(tmp_path, capsys):
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    code = "import sys, smootherlab.cli; print('scipy.stats' in sys.modules)"
-    src = str(Path(smootherlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    # nor the process pool, which only sweeps with more than one worker need
+    lazy = ["scipy.stats", "multiprocessing", "concurrent.futures.process"]
+    code = f"import sys, smootherlab.cli; print([m in sys.modules for m in {lazy}])"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, env=env)
-    assert done.stdout.strip() == "False"
+                          text=True, check=True, env=_src_env())
+    assert done.stdout.strip() == str([False] * len(lazy))

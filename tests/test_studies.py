@@ -70,6 +70,10 @@ def test_cond_study_rounding_noise_past_the_centered_rank_is_infinite():
             assert row.sigma_k > 0.0 and np.isfinite(row.cond_k)
         else:
             assert row.sigma_k == 0.0 and row.cond_k == np.inf
+    # at the default scale the columns are nearly constant, standardizing
+    # amplifies the centering error, and sigma_12 lands above svd_cutoff
+    (row,) = cond_study(sample_frequencies(2, 48, 3), _uniform_dataset(12, 3), [24], [12])
+    assert row.sigma_k == 0.0 and row.cond_k == np.inf
 
 
 def test_cond_study_widening_design_improves_conditioning():

@@ -8,11 +8,14 @@ give bitwise-identical numbers.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
+from smootherlab import blas
 from smootherlab.errors import ScheduleError
-from smootherlab.experiments.families import RffLinearFamily
+from smootherlab.experiments.families import FAMILY_RUNNERS, RffLinearFamily
 from smootherlab.experiments.schedule import (
     SweepConfig,
     SweepSchedule,
@@ -341,10 +344,68 @@ def test_resolve_threads(monkeypatch):
         resolve_threads(0)
 
 
-def test_threaded_sweep_matches_serial(toy_images):
+def test_one_blas_thread_pins_and_restores(monkeypatch):
+    funcs = blas._openblas_threads()
+    if funcs is not None:  # numpy's bundled OpenBLAS
+        get, set_ = funcs
+        before = get()
+        set_(2)
+        try:
+            with blas.one_blas_thread():
+                assert get() == 1
+            assert get() == 2
+        finally:
+            set_(before)
+    monkeypatch.setattr(blas, "_openblas_threads", lambda: None)
+    with blas.one_blas_thread():  # any other BLAS: nothing to pin
+        pass
+
+
+@pytest.mark.parametrize(
+    "family, axis1, axis2, runner",
+    [
+        ("rff_linear", [2, 10, 30], [60], "sweep"),
+        ("tree", [2, 10, 30], [1, 3], "sweep"),
+        ("boosting", [2, 5, 12], [1, 3], "sweep"),
+        # contours revisit small points after large ones: out-of-order dispatch
+        ("rff_linear", [2, 10, 30], [0, 60], "back_to_u"),
+    ],
+    ids=["rff_linear", "tree", "boosting", "rff_linear-back_to_u"],
+)
+def test_threaded_sweep_matches_serial(toy_images, family, axis1, axis2, runner):
     train, test = toy_images
+    shared = SweepConfig(base_seed=4)
+
+    def run(threads):
+        if runner == "back_to_u":
+            result = back_to_u(family, train, test, axis1, axis2, shared, threads=threads)
+            return [br.record.row() for br in result.records]
+        sched = composite_schedule(family, axis1, axis2, shared=shared)
+        return [r.row() for r in run_sweep(sched, train, test, threads=threads).records]
+
+    pooled = run(3)
+    assert pooled == run(1)
+    if family == "rff_linear":
+        # points run largest first; each record must still hold its own
+        # point's values: raw_params is that point's p_pc + p_ex
+        assert all(row[5] == row[2] + row[4] for row in pooled)
+
+
+def test_pooled_errors_cross_the_process_boundary(toy_images, monkeypatch):
+    train, test = toy_images
+
+    class Failing(RffLinearFamily):
+        def evaluate(self, p_pc, p_ex):
+            if p_pc == 10:
+                raise ScheduleError(f"raised in process {os.getpid()}", point_index=1)
+            return super().evaluate(p_pc, p_ex)
+
+    # installed before the pool forks, so the workers inherit it
+    monkeypatch.setitem(FAMILY_RUNNERS, "rff_linear", Failing)
     sched = composite_schedule("rff_linear", [2, 10, 30], [60], shared=SweepConfig())
-    serial = run_sweep(sched, train, test, threads=1)
-    pooled = run_sweep(sched, train, test, threads=3)
-    assert np.array_equal(serial.test_mse, pooled.test_mse)
-    assert np.array_equal(serial.p_test, pooled.p_test)
+    with pytest.raises(ScheduleError) as err:
+        run_sweep(sched, train, test, threads=2)
+    assert err.value.point_index == 1
+    message = str(err.value)
+    assert message.startswith("schedule point 1: raised in process ")
+    assert int(message.rsplit(" ", 1)[1]) != os.getpid()
