@@ -15,6 +15,8 @@ STEPS = [
     ["bias-variance", "--out", "runs/diagnostics/bias_variance"],
     ["bias-variance", "--out", "runs/diagnostics/bias_variance_knn",
      "--set", "model.kind=knn", "--set", "model.k=5"],
+    ["bias-variance", "--out", "runs/diagnostics/bias_variance_minnorm",
+     "--set", "model.kind=minnorm"],
     ["effparams", "--out", "runs/diagnostics/effparams"],
 ]
 

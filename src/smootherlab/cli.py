@@ -45,6 +45,8 @@ from .errors import SingularDesignError, ValidationError
 from .experiments import (
     AXIS2_INIT,
     AnalyticModelConfig,
+    ConditionRow,
+    SelectionRow,
     SweepConfig,
     back_to_u,
     bias_variance,
@@ -60,7 +62,7 @@ from .knn import fit_knn
 from .linear import fit_minnorm, fit_ols, fit_pcr, fit_svd_basis
 from .rff import DEFAULT_SCALE, RffModel, sample_frequencies, transform
 from .svg import LineChart
-from .tableio import atomic_write_text, write_csv
+from .tableio import atomic_write_text, write_csv, write_rows
 from .trees import fit_ensemble, fit_tree
 
 # --------------------------------------------------------------------------- defaults
@@ -76,16 +78,8 @@ _DESK_IMAGES = {
     "seed": 0,
 }
 
-_FULL_IMAGES = {
-    "kind": "images",
-    "n_train": 1000,
-    "n_test": 2000,
-    "side": 28,
-    "n_classes": 10,
-    "noise_std": 0.25,
-    "label_noise": 0.15,
-    "seed": 0,
-}
+_FULL_IMAGES = {**_DESK_IMAGES, "n_train": 1000, "n_test": 2000, "side": 28,
+                "n_classes": 10}
 
 DATASET_DEFAULTS = {
     "idx": {
@@ -121,17 +115,6 @@ DATASET_DEFAULTS = {
     "images": dict(_DESK_IMAGES),
 }
 
-SHARED_DEFAULTS = {
-    "base_seed": 0,
-    "rff_seed": None,
-    "rff_scale": DEFAULT_SCALE,
-    "learning_rate": 0.85,
-    "boost_leaf_budget": 10,
-    "tree_subset": None,
-    "effparams_class": 0,
-    "axis1_init": None,
-}
-
 MODEL_DEFAULTS = {
     "ols": {"kind": "ols", "p_phi": 64, "rff_seed": 0, "rff_scale": DEFAULT_SCALE,
             "class_index": 0},
@@ -154,15 +137,6 @@ MODEL_DEFAULTS = {
                        "subset_size": None, "class_index": 0},
 }
 
-ANALYTIC_MODEL_DEFAULTS = {
-    "kind": "ols",
-    "n_features": 2,
-    "k": 3,
-    "rff_p": 0,
-    "rff_seed": 0,
-    "rff_scale": DEFAULT_SCALE,
-}
-
 
 def _sweep_defaults():
     return {
@@ -170,7 +144,7 @@ def _sweep_defaults():
         "family": "rff_linear",
         "axis1_values": None,  # None picks a family default sized to n_train
         "axis2_values": None,
-        "shared": dict(SHARED_DEFAULTS),
+        "shared": dataclasses.asdict(SweepConfig()),
     }
 
 
@@ -216,7 +190,7 @@ def command_defaults(command: str) -> dict:
         return {
             "spec": {"generator": "sine", "n": 40, "d": 1, "noise_std": 0.3,
                      "seed": 0},
-            "model": dict(ANALYTIC_MODEL_DEFAULTS),
+            "model": dataclasses.asdict(AnalyticModelConfig("ols", k=3)),
             "n_resamples": 400,
             "n_test_points": 25,
         }
@@ -251,6 +225,29 @@ _SEED_PATHS = {
 # --------------------------------------------------------------------------- config plumbing
 
 
+# keys whose null default is derived from the data; set, they take a list of ints
+_LIST_KEYS = {"axis1_values", "axis2_values", "switches", "p_phi_values", "k_values"}
+
+
+def _fits(default, value) -> bool:
+    """Whether a config value has its default's type.
+
+    An int may stand for a float, a bool never for a number. List elements
+    must fit one of the default list's elements, where a string element must
+    be one the default list holds.
+    """
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(
+            any(v == d if isinstance(d, str) else _fits(d, v) for d in default)
+            for v in value
+        )
+    return type(value) is type(default)
+
+
 def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
     out = copy.deepcopy(defaults)
     for key, value in user.items():
@@ -262,15 +259,26 @@ def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
         base = defaults[key]
         if isinstance(base, dict) and isinstance(value, dict):
             out[key] = _merge_strict(base, value, path + key + ".")
-        else:
-            out[key] = value
+            continue
+        like = base
+        if base is None:  # derived from the data unless set
+            like = [0] if key in _LIST_KEYS else 0
+        if not (_fits(like, value) or base is None and value is None):
+            either = "null or " if base is None else ""
+            raise ValidationError(
+                f"config key {path + key!r} must be {either}typed like "
+                f"{json.dumps(like)}, got {json.dumps(value)}"
+            )
+        out[key] = value
     return out
 
 
-def _merge_kinded(defaults_by_kind, user: dict, fallback: dict, path: str) -> dict:
+def _merge_kinded(defaults_by_kind, user, fallback: dict, path: str) -> dict:
     """Merge a dict whose legal keys depend on its 'kind' entry."""
+    if not isinstance(user, dict):
+        raise ValidationError(f"config key {path!r} takes an object, got {user!r}")
     kind = user.get("kind", fallback["kind"])
-    if kind not in defaults_by_kind:
+    if not isinstance(kind, str) or kind not in defaults_by_kind:
         raise ValidationError(
             f"unknown {path} kind {kind!r}; choose from {sorted(defaults_by_kind)}"
         )
@@ -290,23 +298,13 @@ def build_config(
     if full_scale and "dataset" in defaults:
         defaults["dataset"] = dict(_FULL_IMAGES)
     # kind-dependent sections are matched against their own key tables
-    out = {}
-    handled = set()
-    if "dataset" in defaults:
-        handled.add("dataset")
-        out["dataset"] = _merge_kinded(
-            DATASET_DEFAULTS, user.get("dataset", {}) or {},
-            defaults["dataset"], "dataset",
-        )
-    if "model" in defaults and command in ("fit", "effparams"):
-        handled.add("model")
-        out["model"] = _merge_kinded(
-            MODEL_DEFAULTS, user.get("model", {}) or {},
-            defaults["model"], "model",
-        )
-    rest_defaults = {k: v for k, v in defaults.items() if k not in handled}
-    rest_user = {k: v for k, v in user.items() if k not in handled}
-    out.update(_merge_strict(rest_defaults, rest_user))
+    kinded = {"dataset": DATASET_DEFAULTS} if "dataset" in defaults else {}
+    if command in ("fit", "effparams"):
+        kinded["model"] = MODEL_DEFAULTS
+    out = _merge_strict({k: v for k, v in defaults.items() if k not in kinded},
+                        {k: v for k, v in user.items() if k not in kinded})
+    for key, table in kinded.items():
+        out[key] = _merge_kinded(table, user.get(key, {}) or {}, defaults[key], key)
     return out
 
 
@@ -358,19 +356,6 @@ def _echo_config(out_dir: Path, command: str, config: dict) -> None:
 # --------------------------------------------------------------------------- datasets
 
 
-def _split(ds: Dataset, n_train: int) -> tuple[Dataset, Dataset]:
-    def cut(lo, hi):
-        return Dataset(
-            features=ds.features[lo:hi],
-            targets=ds.targets[lo:hi],
-            class_labels=None if ds.class_labels is None else ds.class_labels[lo:hi],
-            name=ds.name,
-            true_values=None if ds.true_values is None else ds.true_values[lo:hi],
-        )
-
-    return cut(0, n_train), cut(n_train, ds.n)
-
-
 def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
     kind = cfg["kind"]
     if kind == "idx":
@@ -388,11 +373,10 @@ def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
         if cfg["normalize"]:  # one scale for both sets, fitted on train
             train, test = normalize_minmax(train), normalize_minmax(test, train)
     elif kind == "synthetic":
-        spec = SyntheticSpec(
+        full = synth_generate(SyntheticSpec(
             cfg["generator"], cfg["n_train"] + cfg["n_test"], cfg["d"],
             cfg["noise_std"], cfg["seed"],
-        )
-        return _split(synth_generate(spec), cfg["n_train"])
+        ))
     elif kind == "images":
         full = synth_images(
             cfg["n_train"] + cfg["n_test"],
@@ -402,9 +386,11 @@ def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
             seed=cfg["seed"],
             label_noise=cfg["label_noise"],
         )
-        return _split(full, cfg["n_train"])
     else:  # pragma: no cover - kinds validated during merge
         raise ValidationError(f"unknown dataset kind {kind!r}")
+    if kind in ("synthetic", "images"):  # one generated set, split at n_train
+        n = cfg["n_train"]
+        return full.take(slice(None, n)), full.take(slice(n, None))
     if cfg["n_train"] is not None:
         train = subsample(train, cfg["n_train"], cfg["seed"], balanced=cfg["balanced"])
     if cfg["n_test"] is not None:
@@ -433,11 +419,13 @@ def default_axis_values(family: str, n: int) -> tuple[list[int], list[int]]:
     return axis1, axis2
 
 
-def _resolve_axes(cfg: dict, n: int) -> tuple[list[int], list[int]]:
-    d1, d2 = default_axis_values(cfg["family"], n)
+def _sweep_inputs(cfg: dict):
+    """train, test, axis-1 and axis-2 values, and the SweepConfig of a sweep command."""
+    train, test = load_datasets(cfg["dataset"])
+    d1, d2 = default_axis_values(cfg["family"], train.n)
     axis1 = cfg["axis1_values"] if cfg["axis1_values"] is not None else d1
     axis2 = cfg["axis2_values"] if cfg["axis2_values"] is not None else d2
-    return [int(v) for v in axis1], [int(v) for v in axis2]
+    return train, test, axis1, axis2, SweepConfig(**cfg["shared"])
 
 
 def _composite_axis2(family: str, values: list[int]) -> list[int]:
@@ -446,20 +434,6 @@ def _composite_axis2(family: str, values: list[int]) -> list[int]:
     init = AXIS2_INIT[family]
     kept = [v for v in values if v != init]
     return kept or values
-
-
-def _shared_config(cfg: dict) -> SweepConfig:
-    s = cfg["shared"]
-    return SweepConfig(
-        base_seed=int(s["base_seed"]),
-        rff_seed=None if s["rff_seed"] is None else int(s["rff_seed"]),
-        rff_scale=float(s["rff_scale"]),
-        learning_rate=float(s["learning_rate"]),
-        boost_leaf_budget=int(s["boost_leaf_budget"]),
-        tree_subset=None if s["tree_subset"] is None else int(s["tree_subset"]),
-        effparams_class=int(s["effparams_class"]),
-        axis1_init=None if s["axis1_init"] is None else int(s["axis1_init"]),
-    )
 
 
 # --------------------------------------------------------------------------- model fitting (fit / effparams)
@@ -565,11 +539,9 @@ def _cmd_fit(cfg, out, args) -> str:
 
 
 def _cmd_sweep(cfg, out, args) -> str:
-    train, test = load_datasets(cfg["dataset"])
-    axis1, axis2 = _resolve_axes(cfg, train.n)
-    axis2 = _composite_axis2(cfg["family"], axis2)
-    schedule = composite_schedule(cfg["family"], axis1, axis2,
-                                  shared=_shared_config(cfg))
+    train, test, axis1, axis2, shared = _sweep_inputs(cfg)
+    schedule = composite_schedule(cfg["family"], axis1,
+                                  _composite_axis2(cfg["family"], axis2), shared=shared)
     result = run_sweep(schedule, train, test, threads=args.threads)
     path = out / "sweep.csv"
     result.write_csv(path)
@@ -586,10 +558,9 @@ def _cmd_sweep(cfg, out, args) -> str:
 
 
 def _cmd_grid(cfg, out, args) -> str:
-    train, test = load_datasets(cfg["dataset"])
-    axis1, axis2 = _resolve_axes(cfg, train.n)
+    train, test, axis1, axis2, shared = _sweep_inputs(cfg)
     result = run_grid(cfg["family"], axis1, axis2, train, test,
-                      shared=_shared_config(cfg), threads=args.threads)
+                      shared=shared, threads=args.threads)
     path = out / "grid.csv"
     result.write_csv(path)
     if args.svg:
@@ -609,14 +580,13 @@ def _cmd_grid(cfg, out, args) -> str:
 
 
 def _cmd_peaks(cfg, out, args) -> str:
-    train, test = load_datasets(cfg["dataset"])
-    axis1, axis2 = _resolve_axes(cfg, train.n)
+    train, test, axis1, axis2, shared = _sweep_inputs(cfg)
     switches = cfg["switches"]
     if switches is None:
         top = axis1[-1]
         switches = sorted({max(2, int(round(top * f))) for f in (0.8, 0.9, 1.0)})
     results = peak_move(cfg["family"], switches, train, test,
-                        shared=_shared_config(cfg), axis1_grid=axis1,
+                        shared=shared, axis1_grid=axis1,
                         axis2_values=_composite_axis2(cfg["family"], axis2),
                         threads=args.threads)
     chart = LineChart(f"peak moving ({cfg['family']})", "schedule position",
@@ -636,10 +606,9 @@ def _cmd_peaks(cfg, out, args) -> str:
 
 
 def _cmd_back_to_u(cfg, out, args) -> str:
-    train, test = load_datasets(cfg["dataset"])
-    axis1, axis2 = _resolve_axes(cfg, train.n)
+    train, test, axis1, axis2, shared = _sweep_inputs(cfg)
     result = back_to_u(cfg["family"], train, test, axis1, axis2,
-                       shared=_shared_config(cfg), threads=args.threads)
+                       shared=shared, threads=args.threads)
     path = out / "back_to_u.csv"
     result.write_csv(path)
     if args.svg:
@@ -670,7 +639,7 @@ def _cmd_effparams(cfg, out, args) -> str:
         (kind, generalized_eff_params(model, test.features, set_name="test")),
     ]
     for k in cfg["knn_k"]:
-        knn = fit_knn(train.features, y, int(k))
+        knn = fit_knn(train.features, y, k)
         rows.append((f"knn_k={k}", generalized_eff_params(knn, test.features,
                                                           set_name="test")))
     path = out / "effparams.csv"
@@ -703,8 +672,7 @@ def _cmd_cond_study(cfg, out, args) -> str:
                               cfg["rff_scale"])
     rows = cond_study(fmap, train, p_values, k_values)
     path = out / "conditioning.csv"
-    write_csv(path, ["p_phi", "k", "sigma_k", "cond_k"],
-              [[r.p_phi, r.k, r.sigma_k, r.cond_k] for r in rows])
+    write_rows(path, ConditionRow, rows)
     worst = max((r for r in rows if np.isfinite(r.cond_k)),
                 key=lambda r: r.cond_k, default=None)
     tag = f"max_finite_cond={worst.cond_k:.4g}@p_phi={worst.p_phi},k={worst.k}" \
@@ -740,29 +708,19 @@ def _cmd_fixed_design(cfg, out, args) -> str:
 
 
 def _cmd_bias_variance(cfg, out, args) -> str:
-    spec = SyntheticSpec(cfg["spec"]["generator"], cfg["spec"]["n"],
-                         cfg["spec"]["d"], cfg["spec"]["noise_std"],
-                         cfg["spec"]["seed"])
-    m = cfg["model"]
-    model = AnalyticModelConfig(kind=m["kind"], n_features=m["n_features"],
-                                k=m["k"], rff_p=m["rff_p"],
-                                rff_seed=m["rff_seed"], rff_scale=m["rff_scale"])
-    report = bias_variance(spec, model, n_resamples=cfg["n_resamples"],
+    report = bias_variance(SyntheticSpec(**cfg["spec"]),
+                           AnalyticModelConfig(**cfg["model"]),
+                           n_resamples=cfg["n_resamples"],
                            n_test_points=cfg["n_test_points"])
-    header = ["point", "analytic_bias", "analytic_variance", "analytic_mse",
-              "mc_bias", "mc_variance", "mc_mse", "se_bias", "se_variance",
-              "se_mse"]
-    rows = [
-        [j, report.analytic_bias[j], report.analytic_variance[j],
-         report.analytic_mse[j], report.mc_bias[j], report.mc_variance[j],
-         report.mc_mse[j], report.se_bias[j], report.se_variance[j],
-         report.se_mse[j]]
-        for j in range(report.analytic_bias.size)
-    ]
+    # one column per per-point array of the report
+    names = [f.name for f in dataclasses.fields(report)
+             if np.ndim(getattr(report, f.name)) == 1]
+    columns = [getattr(report, name) for name in names]
     path = out / "bias_variance.csv"
-    write_csv(path, header, rows)
+    write_csv(path, ["point", *names],
+              [[j, *row] for j, row in enumerate(zip(*columns))])
     return (
-        f"bias-variance: {m['kind']} max_z_bias={report.max_z_bias:.2f} "
+        f"bias-variance: {cfg['model']['kind']} max_z_bias={report.max_z_bias:.2f} "
         f"max_z_var={report.max_z_variance:.2f} max_z_mse={report.max_z_mse:.2f} "
         f"-> {path}"
     )
@@ -775,15 +733,8 @@ def _cmd_select(cfg, out, args) -> str:
         interp_tol=cfg["interp_tol"], max_rounds=cfg["max_rounds"],
         seed=cfg["seed"],
     )
-    header = ["leaf_budget", "learning_rate", "rounds_used", "train_mse",
-              "interpolating", "test_mse", "p_test"]
-    rows = [
-        [r.leaf_budget, r.learning_rate, r.rounds_used, r.train_mse,
-         int(r.interpolating), r.test_mse, r.p_test]
-        for r in result.rows
-    ]
     path = out / "selection.csv"
-    write_csv(path, header, rows)
+    write_rows(path, SelectionRow, result.rows)
     sel = result.selected
     picked = (
         f"selected leaf_budget={sel.leaf_budget} lr={sel.learning_rate} "
@@ -835,7 +786,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None,
                        help="seed override routed to the command's seed knob")
         p.add_argument("--threads", type=int, default=None,
-                       help="sweep worker processes (else SMOOTHERLAB_THREADS, else cores)")
+                       help="sweep worker processes (default: one per core)")
         p.add_argument("--full-scale", action="store_true",
                        help="use the large preset dataset instead of desk scale")
         p.add_argument("--svg", action="store_true",

@@ -80,6 +80,16 @@ class Dataset:
         (plain regression on ``targets``)."""
         return self.n_classes if self.n_classes >= 2 else 0
 
+    def take(self, rows) -> Dataset:
+        """The examples at ``rows`` (an index array or a slice)."""
+        return Dataset(
+            features=self.features[rows],
+            targets=self.targets[rows],
+            class_labels=None if self.class_labels is None else self.class_labels[rows],
+            name=self.name,
+            true_values=None if self.true_values is None else self.true_values[rows],
+        )
+
 
 @dataclass
 class SyntheticSpec:
@@ -240,13 +250,7 @@ def subsample(ds: Dataset, n_sub: int, seed: int, balanced: bool = False) -> Dat
         idx = rng.permutation(np.concatenate(picks))
     else:
         idx = rng.choice(ds.n, size=n_sub, replace=False)
-    return Dataset(
-        features=ds.features[idx],
-        targets=ds.targets[idx],
-        class_labels=None if ds.class_labels is None else ds.class_labels[idx],
-        name=ds.name,
-        true_values=None if ds.true_values is None else ds.true_values[idx],
-    )
+    return ds.take(idx)
 
 
 def one_vs_all_targets(

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .linear import svd_cutoff
 from .tableio import write_csv
 
 
@@ -85,8 +86,7 @@ def hessian_proxy_eff_params(Phi: np.ndarray, alpha: float) -> float:
     s = np.linalg.svd(Phi, compute_uv=False)
     theta = s * s
     if alpha == 0.0:
-        cutoff = max(Phi.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-        return float(np.count_nonzero(s > cutoff))
+        return float(np.count_nonzero(s > svd_cutoff(s, Phi.shape)))
     return float(np.sum(theta / (theta + alpha)))
 
 

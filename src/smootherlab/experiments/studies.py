@@ -21,7 +21,7 @@ from ..effparams import p_eff
 from ..errors import PreconditionError, ValidationError
 from ..knn import KnnSmoother
 from ..linear import LinearFit, fit_minnorm, standardize, svd_cutoff
-from ..rff import RffMap, sample_frequencies, transform
+from ..rff import DEFAULT_SCALE, RffMap, sample_frequencies, transform
 
 # --------------------------------------------------------------------------- conditioning
 
@@ -145,15 +145,16 @@ class AnalyticModelConfig:
     kind "ols" regresses on an intercept plus the first (n_features - 1) raw
     coordinates; "mean" is the intercept-only special case; "knn" averages the
     k nearest training points; "minnorm" interpolates on a random cosine
-    design of width rff_p (which must be >= n).
+    design of width rff_p (which must be >= n; None means 2n). Only minnorm
+    reads rff_p.
     """
 
     kind: str
     n_features: int = 2
     k: int = 1
-    rff_p: int = 0
+    rff_p: int | None = None
     rff_seed: int = 0
-    rff_scale: float = 0.2
+    rff_scale: float = DEFAULT_SCALE
 
 
 @dataclass
@@ -188,15 +189,15 @@ def _analytic_weights(config: AnalyticModelConfig, X: np.ndarray, X0: np.ndarray
         sm = KnnSmoother(features=X, targets=np.zeros(n), k=config.k)
         return sm.weight_matrix(X0)
     if config.kind == "minnorm":
-        if config.rff_p < n:
+        p = 2 * n if config.rff_p is None else config.rff_p
+        if p < n:
             raise ValidationError(
-                f"minnorm needs rff_p >= n, got rff_p={config.rff_p}, n={n}"
+                f"minnorm needs rff_p >= n, got rff_p={p}, n={n}"
             )
-        fmap = sample_frequencies(config.rff_seed, config.rff_p, X.shape[1],
-                                  config.rff_scale)
-        Phi = transform(fmap, X, config.rff_p)
+        fmap = sample_frequencies(config.rff_seed, p, X.shape[1], config.rff_scale)
+        Phi = transform(fmap, X, p)
         fit = fit_minnorm(Phi, np.zeros(n))
-        return fit.weight_matrix(transform(fmap, X0, config.rff_p))
+        return fit.weight_matrix(transform(fmap, X0, p))
     raise ValidationError(
         f"unknown analytic model kind {config.kind!r}; adaptive smoothers "
         "(trees, boosting) have data-dependent weights and are not supported"

@@ -37,25 +37,13 @@ SWEEP_HEADER = [
     "seed",
 ]
 
-THREADS_ENV = "SMOOTHERLAB_THREADS"
-
-
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker processes: explicit argument, else SMOOTHERLAB_THREADS, else cores."""
-    if threads is not None:
-        if threads < 1:
-            raise ScheduleError(f"threads must be >= 1, got {threads}")
-        return threads
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ScheduleError(f"{THREADS_ENV}={env!r} is not an integer") from None
-        if value < 1:
-            raise ScheduleError(f"{THREADS_ENV} must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
+    """Worker processes: the argument, else one per core."""
+    if threads is None:
+        return os.cpu_count() or 1
+    if threads < 1:
+        raise ScheduleError(f"threads must be >= 1, got {threads}")
+    return threads
 
 
 _WORK = None  # (fn, items), set in each forked pool worker

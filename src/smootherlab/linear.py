@@ -47,7 +47,7 @@ class PcrSmoother:
     """
 
     mean: np.ndarray          # per kept column
-    std: np.ndarray           # per kept column (ones when not scaling)
+    std: np.ndarray           # per kept column
     kept: np.ndarray          # boolean mask over original columns
     components: np.ndarray    # (p_kept, p_pc) right singular vectors
     solver: np.ndarray        # (p_pc + 1, n): beta = solver @ y
@@ -210,22 +210,20 @@ def fit_svd_basis(Phi: np.ndarray, y: np.ndarray) -> LinearFit:
     )
 
 
-def standardize(Phi: np.ndarray, scale_columns: bool = True):
-    """Center (and by default scale) the columns, dropping zero-variance ones.
+def standardize(Phi: np.ndarray):
+    """Center and scale the columns, dropping zero-variance ones.
 
     Returns (Xs, mean, std, kept): the standardized kept columns, their means
-    and scales (ones when not scaling), and the boolean kept-column mask.
+    and scales, and the boolean kept-column mask.
     """
     mean_all = Phi.mean(axis=0)
     std_all = Phi.std(axis=0)
     kept = std_all > 1e-12 * max(1.0, float(np.abs(Phi).max()))
-    std = std_all[kept] if scale_columns else np.ones(int(kept.sum()))
+    std = std_all[kept]
     return (Phi[:, kept] - mean_all[kept]) / std, mean_all[kept], std, kept
 
 
-def pcr_smoother(
-    Phi: np.ndarray, p_pc: int, scale_columns: bool = True
-) -> PcrSmoother:
+def pcr_smoother(Phi: np.ndarray, p_pc: int) -> PcrSmoother:
     """Fit the target-independent part of principal-component regression.
 
     Pipeline: standardize the columns (see ``standardize``), project onto the
@@ -244,7 +242,7 @@ def pcr_smoother(
         raise ValidationError(
             f"p_pc must be in [1, min(n-1, p)] = [1, {min(n - 1, p)}], got {p_pc}"
         )
-    Xs, mean, std, kept = standardize(Phi, scale_columns)
+    Xs, mean, std, kept = standardize(Phi)
     if not kept.all():
         warnings.warn(
             f"dropping {int((~kept).sum())} zero-variance column(s) before PCA",
@@ -266,19 +264,14 @@ def pcr_smoother(
     )
 
 
-def fit_pcr(
-    Phi: np.ndarray,
-    y: np.ndarray,
-    p_pc: int,
-    scale_columns: bool = True,
-) -> LinearFit:
+def fit_pcr(Phi: np.ndarray, y: np.ndarray, p_pc: int) -> LinearFit:
     """Principal-component regression with an appended intercept.
 
     See pcr_smoother for the pipeline; this adds the solve for one target
     vector and wraps everything as a LinearFit that delegates to it.
     """
     Phi, y = _check_design(Phi, y)
-    sm = pcr_smoother(Phi, p_pc, scale_columns=scale_columns)
+    sm = pcr_smoother(Phi, p_pc)
     beta = sm.coefficients(y)
     return LinearFit(
         mode="pcr", coefficients=beta, train_design=Phi,

@@ -29,19 +29,7 @@ def _write_idx_pair(dirpath, ds: Dataset, side: int):
 
 
 def _split(ds: Dataset, n_first: int) -> tuple[Dataset, Dataset]:
-    head = Dataset(
-        features=ds.features[:n_first],
-        targets=ds.targets[:n_first],
-        class_labels=None if ds.class_labels is None else ds.class_labels[:n_first],
-        name=ds.name,
-    )
-    tail = Dataset(
-        features=ds.features[n_first:],
-        targets=ds.targets[n_first:],
-        class_labels=None if ds.class_labels is None else ds.class_labels[n_first:],
-        name=ds.name,
-    )
-    return head, tail
+    return ds.take(slice(None, n_first)), ds.take(slice(n_first, None))
 
 
 @pytest.fixture

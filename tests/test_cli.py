@@ -52,7 +52,7 @@ def _echoed(out):
 
 def _src_env():
     """The environment for a CLI subprocess that imports this source tree."""
-    env = {k: v for k, v in os.environ.items() if k != "SMOOTHERLAB_THREADS"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(smootherlab.__file__).resolve().parents[1])
     return env
 
@@ -150,6 +150,27 @@ def test_config_file_unreadable(tmp_path, capsys):
     rc = _run(["ingest", "--config", str(tmp_path / "absent.json")], tmp_path / "a")
     assert rc == 1
     assert "cannot read config" in capsys.readouterr().err
+
+
+_MISTYPED = [
+    (["sweep", "--set", "shared.base_seed=abc"], "shared.base_seed"),
+    (["sweep", "--set", "family=boosting", "--set", "shared.learning_rate=fast"],
+     "shared.learning_rate"),
+    (["fit", "--set", "model.kind=knn", "--set", "model.k=x"], "model.k"),
+    (["ingest", "--set", "dataset.n_train=abc"], "dataset.n_train"),
+    (["sweep", "--set", "axis1_values=5"], "axis1_values"),
+    (["select", "--set", 'leaf_grid=["foo"]'], "leaf_grid"),
+    (["sweep", "--set", "shared.base_seed=1.0"], "shared.base_seed"),
+    (["ingest", "--set", "dataset.n_train=true"], "dataset.n_train"),
+]
+
+
+@pytest.mark.parametrize("argv, key", _MISTYPED, ids=[argv[-1] for argv, _ in _MISTYPED])
+def test_mistyped_value_exits_one_naming_its_key(tmp_path, capsys, argv, key):
+    assert _run(argv, tmp_path / "a") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert "Traceback" not in err
 
 
 def test_set_overrides_config_file(tmp_path):
@@ -426,7 +447,18 @@ def test_bias_variance_smoke(tmp_path, capsys):
     assert _run(argv, out) == 0
     header, rows = _read_csv(out / "bias_variance.csv")
     assert header[0] == "point" and len(rows) == 6
+    assert all(np.isfinite(float(cell)) for row in rows for cell in row)
     assert capsys.readouterr().out.startswith("bias-variance: ols max_z_bias=")
+
+
+def test_bias_variance_minnorm_defaults_to_width_twice_n(tmp_path):
+    argv = ["bias-variance", "--set", "model.kind=minnorm"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert _run(argv, a) == 0
+    assert _echoed(a)["config"]["model"]["rff_p"] is None
+    assert _run([*argv, "--set", "model.rff_p=80"], b) == 0  # spec.n is 40
+    table = "bias_variance.csv"
+    assert (a / table).read_bytes() == (b / table).read_bytes()
 
 
 def test_select_smoke(tmp_path, capsys):
@@ -436,6 +468,7 @@ def test_select_smoke(tmp_path, capsys):
     assert _run(argv, out) == 0
     header, rows = _read_csv(out / "selection.csv")
     assert header[0] == "leaf_budget" and len(rows) == 2
+    assert {r[header.index("interpolating")] for r in rows} <= {"0", "1"}
     assert capsys.readouterr().out.startswith("select: configs=2")
 
 

@@ -259,7 +259,7 @@ def test_weight_vector_matches_matrix_row():
 
 def test_pcr_all_components_equals_centered_ols():
     Phi, y = _instance(23, 20, 6)
-    fit = fit_pcr(Phi, y, 6, scale_columns=False)
+    fit = fit_pcr(Phi, y, 6)
     A = np.hstack([Phi - Phi.mean(axis=0), np.ones((20, 1))])
     beta, *_ = np.linalg.lstsq(A, y, rcond=None)
     X0 = np.random.default_rng(24).normal(size=(8, 6))

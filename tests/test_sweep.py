@@ -327,18 +327,8 @@ def test_seed_standard_error_single_curve_is_zero():
     assert se[1] == 0.0
 
 
-def test_resolve_threads(monkeypatch):
+def test_resolve_threads():
     assert resolve_threads(4) == 4
-    monkeypatch.setenv("SMOOTHERLAB_THREADS", "3")
-    assert resolve_threads() == 3
-    assert resolve_threads(2) == 2  # explicit beats environment
-    monkeypatch.setenv("SMOOTHERLAB_THREADS", "zero")
-    with pytest.raises(ScheduleError):
-        resolve_threads()
-    monkeypatch.setenv("SMOOTHERLAB_THREADS", "0")
-    with pytest.raises(ScheduleError):
-        resolve_threads()
-    monkeypatch.delenv("SMOOTHERLAB_THREADS")
     assert resolve_threads() >= 1
     with pytest.raises(ScheduleError):
         resolve_threads(0)
