@@ -94,9 +94,6 @@ class BoostedModel:
         lids = [t.leaf_ids(X0) for t in self.trees[:upto]]
         return self.weights_from_leaf_ids(lids, X0.shape[0])
 
-    def weight_vector(self, x0: np.ndarray, upto: int | None = None) -> np.ndarray:
-        return self.weight_matrix(np.atleast_2d(x0), upto)[0]
-
     def train_weight_matrix(self, upto: int | None = None) -> np.ndarray:
         """Smoother rows at the training points after ``upto`` rounds."""
         upto = self._resolve_rounds(upto)

@@ -358,6 +358,10 @@ def _echo_config(out_dir: Path, command: str, config: dict) -> None:
 
 def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
     kind = cfg["kind"]
+    if kind in ("synthetic", "images"):  # sizes of the generated split
+        for key in ("n_train", "n_test"):
+            if cfg[key] < 1:
+                raise ValidationError(f"dataset.{key} must be >= 1, got {cfg[key]}")
     if kind == "idx":
         for key in ("images", "labels", "test_images", "test_labels"):
             if not cfg[key]:

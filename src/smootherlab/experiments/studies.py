@@ -46,6 +46,9 @@ def cond_study(
     most n - 1 independent directions), and singular values at or below the
     rank cutoff (linear.svd_cutoff), are rounding noise of a rank-deficient
     design: they get sigma_k = 0 and an infinite condition number.
+
+    This study takes a full SVD of its own rather than PCR's Gram route: it
+    needs every singular value, down to the smallest, at SVD accuracy.
     """
     rows = []
     for p_phi in p_phi_values:

@@ -34,9 +34,6 @@ class KnnSmoother:
         np.put_along_axis(W, nearest, 1.0 / self.k, axis=1)
         return W
 
-    def weight_vector(self, x0: np.ndarray) -> np.ndarray:
-        return self.weight_matrix(np.atleast_2d(x0))[0]
-
     def predict(self, X0: np.ndarray) -> np.ndarray:
         return self.weight_matrix(X0) @ self.targets
 

@@ -8,7 +8,11 @@ weights can be recovered for arbitrary inputs:
     over-determined  (p <  n):  s(x0) = phi(x0)' (Phi' Phi)^-1 Phi'
 
 both of which reduce to phi(x0)' V S^-1 U' on the compact SVD Phi = U S V'.
-All inversions go through the SVD with a relative singular-value cutoff.
+The OLS, min-norm and SVD-basis fits invert through that SVD with a relative
+singular-value cutoff (``svd_cutoff``). PCR needs only its top components:
+it takes them from one eigendecomposition of the Gram matrix of the
+standardized design's shorter side, solves the intercept in closed form,
+and floors the cutoff at the Gram's rounding level (see ``pcr_smoother``).
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ def svd_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:
     """Relative rank tolerance: max(n, p) * eps * largest singular value."""
     if s.size == 0:
         return 0.0
-    return max(shape) * np.finfo(float).eps * float(s[0])
+    return max(shape) * np.finfo(float).eps * float(s.max())
 
 
 def _masked_inverse(s: np.ndarray, cutoff: float) -> np.ndarray:
@@ -121,9 +125,6 @@ class LinearFit:
         if self.mode == "pcr":
             return self.pcr.weight_matrix(Phi0)
         return ((Phi0 @ self._Vt.T) * self._s_inv) @ self._U.T
-
-    def weight_vector(self, phi0: np.ndarray) -> np.ndarray:
-        return self.weight_matrix(np.atleast_2d(phi0))[0]
 
     def hat_matrix(self) -> np.ndarray:
         """Smoother matrix at the training points (n, n).
@@ -227,10 +228,24 @@ def pcr_smoother(Phi: np.ndarray, p_pc: int) -> PcrSmoother:
     """Fit the target-independent part of principal-component regression.
 
     Pipeline: standardize the columns (see ``standardize``), project onto the
-    top p_pc right singular vectors, append an intercept column, and form the
-    SVD cutoff pseudo-inverse of that (p_pc + 1)-column system. Near-square
+    top p_pc principal directions, append an intercept column, and form the
+    cutoff pseudo-inverse of that (p_pc + 1)-column system. Near-square
     designs are legitimately ill-conditioned here; their variance blow-up is
     something we measure rather than reject.
+
+    The principal directions come from one symmetric eigendecomposition of
+    the Gram matrix of the design's shorter side, Xs Xs' (n x n) when p >= n
+    and Xs' Xs (p x p) otherwise: sigma = sqrt(lambda), and the other factor
+    is one product away (V = Xs' U / sigma, or U = Xs V / sigma). The
+    centered columns Z = U sigma are orthogonal to the intercept, so [Z, 1]
+    has orthogonal columns with norms {sigma, sqrt(n)} and its pseudo-inverse
+    is [Z' / sigma^2 ; 1' / n] in closed form.
+
+    Gram eigenvalues carry an absolute rounding error of about
+    max(n, p) * eps * lambda_1, so a sigma below sqrt(max(n, p) * eps) *
+    sigma_1 cannot be told from zero. The rank cutoff is the larger of that
+    floor and ``svd_cutoff`` of [Z, 1]; without the floor, components past
+    the numerical rank (duplicated columns, say) would be inverted as noise.
     """
     Phi = np.asarray(Phi, dtype=float)
     if Phi.ndim != 2:
@@ -250,16 +265,23 @@ def pcr_smoother(Phi: np.ndarray, p_pc: int) -> PcrSmoother:
         )
     if not kept.any():
         raise ValidationError("all columns have zero variance")
-    U, s, Vt = np.linalg.svd(Xs, full_matrices=False)
-    k = min(p_pc, s.size)
-    Z = U[:, :k] * s[:k]
-    A = np.concatenate([Z, np.ones((n, 1))], axis=1)
-    Ua, sa, Vta = np.linalg.svd(A, full_matrices=False)
-    cut = svd_cutoff(sa, A.shape)
+    wide = Xs.shape[1] >= n
+    lam, Q = np.linalg.eigh(Xs @ Xs.T if wide else Xs.T @ Xs)
+    k = min(p_pc, lam.size)
+    top = Q[:, ::-1][:, :k]
+    sigma = np.sqrt(np.maximum(lam[::-1][:k], 0.0))
+    sa = np.append(sigma, np.sqrt(n))  # column norms of [Z, 1]
+    floor = np.sqrt(max(Xs.shape) * np.finfo(float).eps) * sigma[0]
+    cut = max(svd_cutoff(sa, (n, k + 1)), floor)
     sa_inv = _masked_inverse(sa, cut)
+    if wide:
+        Z, components = top * sigma, (Xs.T @ top) * sa_inv[:k]
+    else:
+        Z, components = Xs @ top, top
+    A = np.concatenate([Z, np.ones((n, 1))], axis=1)
     return PcrSmoother(
-        mean=mean, std=std, kept=kept, components=Vt[:k].T,
-        solver=(Vta.T * sa_inv) @ Ua.T, train_design=A, tolerance=cut,
+        mean=mean, std=std, kept=kept, components=components,
+        solver=(A * sa_inv**2).T, train_design=A, tolerance=cut,
         rank=int(np.count_nonzero(sa > cut)),
     )
 

@@ -137,9 +137,6 @@ class RegressionTree:
     def weight_matrix(self, X0: np.ndarray) -> np.ndarray:
         return self.leaf_weight_rows()[self.leaf_ids(X0)]
 
-    def weight_vector(self, x0: np.ndarray) -> np.ndarray:
-        return self.weight_matrix(np.atleast_2d(x0))[0]
-
 
 def fit_tree(
     X: np.ndarray,
@@ -264,9 +261,6 @@ class AveragedSmoother:
 
     def train_predictions(self, **kwargs) -> np.ndarray:
         return self._mean("train_predictions", **kwargs)
-
-    def weight_vector(self, x0: np.ndarray, **kwargs) -> np.ndarray:
-        return self.weight_matrix(np.atleast_2d(x0), **kwargs)[0]
 
 
 def fit_ensemble(

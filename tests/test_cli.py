@@ -106,6 +106,15 @@ def test_idx_kind_requires_all_four_paths(tmp_path, capsys):
     assert "dataset.images is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("n_train", -5), ("n_train", 0), ("n_test", 0)])
+def test_generated_split_sizes_must_be_positive(tmp_path, capsys, key, value):
+    rc = _run(["ingest", "--set", f"dataset.{key}={value}"], tmp_path / "a")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"dataset.{key}" in err
+    assert "Traceback" not in err
+
+
 def test_missing_idx_file_fails_cleanly(tmp_path, capsys):
     argv = ["ingest", "--set", "dataset.kind=idx"]
     for key in ("images", "labels", "test_images", "test_labels"):

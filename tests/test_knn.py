@@ -46,7 +46,7 @@ def test_duality_and_convexity():
     W = model.weight_matrix(X0)
     assert np.all(W >= 0) and np.allclose(W.sum(axis=1), 1.0, atol=1e-12)
     assert np.allclose(W @ y, model.predict(X0), atol=1e-12)
-    assert np.array_equal(model.weight_vector(X0[0]), W[0])
+    assert np.array_equal(model.weight_matrix(X0[0][None])[0], W[0])
 
 
 def test_distance_ties_resolve_deterministically():

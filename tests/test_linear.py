@@ -7,6 +7,7 @@ solvers; duality and hat-matrix identities pin the smoother-weight view.
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from smootherlab.linear import (
     fit_pcr,
     fit_svd_basis,
     pcr_smoother,
+    standardize,
+    svd_cutoff,
 )
 
 
@@ -245,11 +248,11 @@ def test_duality_property_ols(seed, n):
     assert np.allclose(fit.weight_matrix(X0) @ y, fit.predict(X0), atol=1e-8)
 
 
-def test_weight_vector_matches_matrix_row():
+def test_single_row_query_matches_batch_row():
     Phi, y = _instance(21, 10, 20)
     fit = fit_minnorm(Phi, y)
-    x0 = np.random.default_rng(22).normal(size=20)
-    assert np.allclose(fit.weight_vector(x0), fit.weight_matrix(x0[None, :])[0], atol=1e-12)
+    X0 = np.random.default_rng(22).normal(size=(5, 20))
+    assert np.allclose(fit.weight_matrix(X0[2][None])[0], fit.weight_matrix(X0)[2], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +324,65 @@ def test_pcr_zero_variance_column_warns_and_drops():
     X0_shift = X0.copy()
     X0_shift[:, 3] += 100.0
     assert np.allclose(fit.predict(X0_shift), preds, atol=1e-9)
+
+
+def _two_svd_pcr(Phi, p_pc):
+    """Reference PCR: an SVD of the standardized design, then a cutoff
+    pseudo-inverse through a second SVD of the projected design with its
+    intercept column. Returns (weights, hat matrix, rank, singular values)."""
+    Xs, mean, std, kept = standardize(Phi)
+    U, s, Vt = np.linalg.svd(Xs, full_matrices=False)
+    k = min(p_pc, s.size)
+    A = np.hstack([U[:, :k] * s[:k], np.ones((Phi.shape[0], 1))])
+    Ua, sa, Vta = np.linalg.svd(A, full_matrices=False)
+    keep = sa > svd_cutoff(sa, A.shape)
+    solver = (Vta[keep].T / sa[keep]) @ Ua[:, keep].T
+
+    def weights(Phi0):
+        Z0 = ((Phi0[:, kept] - mean) / std) @ Vt[:k].T
+        return np.hstack([Z0, np.ones((Phi0.shape[0], 1))]) @ solver
+
+    return weights, A @ solver, int(keep.sum()), s
+
+
+@st.composite
+def _pcr_cases(draw):
+    """Designs with p < n, p = n - 1, p >= n, or duplicated columns, the
+    last with p_pc past the numerical rank; some with a constant column."""
+    layout = draw(st.sampled_from(["tall", "n-1", "wide", "duplicated"]))
+    n = draw(st.integers(min_value=8, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if layout == "duplicated":
+        q = draw(st.integers(min_value=2, max_value=n // 2))
+        base = rng.normal(size=(n, q))
+        Phi = np.hstack([base, 2.0 * base + 1.0])  # numerical rank q
+        p_pc = draw(st.integers(min_value=q + 1, max_value=min(n - 1, 2 * q)))
+    else:
+        p = {
+            "tall": draw(st.integers(min_value=2, max_value=n - 2)),
+            "n-1": n - 1,
+            "wide": draw(st.integers(min_value=n, max_value=3 * n)),
+        }[layout]
+        Phi = rng.normal(size=(n, p))
+        p_pc = draw(st.integers(min_value=1, max_value=min(n - 1, p)))
+    if draw(st.booleans()):
+        Phi[:, 0] = 2.5
+    return Phi, p_pc, rng.normal(size=(5, Phi.shape[1]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=_pcr_cases())
+def test_pcr_smoother_matches_two_svd_oracle(case):
+    Phi, p_pc, X0 = case
+    weights, hat, rank, s = _two_svd_pcr(Phi, p_pc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the constant column's drop warning
+        sm = pcr_smoother(Phi, p_pc)
+    assert sm.rank == rank
+    if s[0] / s[rank - 2] <= 1e4:  # well conditioned over the kept components
+        W = weights(X0)
+        assert np.abs(sm.weight_matrix(X0) - W).max() <= 1e-8 * np.abs(W).max()
+        assert np.abs(sm.hat_matrix() - hat).max() <= 1e-8 * np.abs(hat).max()
 
 
 def test_pcr_component_count_validation():

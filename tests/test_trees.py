@@ -123,12 +123,12 @@ def test_duality_weights_times_targets():
     assert np.allclose(tree.weight_matrix(X0) @ y, tree.predict(X0), atol=1e-12)
 
 
-def test_weight_vector_matches_matrix():
+def test_single_row_query_matches_batch_row():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(15, 2))
     tree = fit_tree(X, rng.normal(size=15), max_leaves=4, seed=0)
-    x0 = rng.normal(size=2)
-    assert np.array_equal(tree.weight_vector(x0), tree.weight_matrix(x0[None, :])[0])
+    X0 = rng.normal(size=(5, 2))
+    assert np.array_equal(tree.weight_matrix(X0[2][None])[0], tree.weight_matrix(X0)[2])
 
 
 def test_leaf_partition_and_leaf_means():
