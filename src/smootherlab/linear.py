@@ -237,7 +237,11 @@ def pcr_smoother(Phi: np.ndarray, p_pc: int) -> PcrSmoother:
     the Gram matrix of the design's shorter side, Xs Xs' (n x n) when p >= n
     and Xs' Xs (p x p) otherwise: sigma = sqrt(lambda), and the other factor
     is one product away (V = Xs' U / sigma, or U = Xs V / sigma). The
-    centered columns Z = U sigma are orthogonal to the intercept, so [Z, 1]
+    training design is Z = Xs V, formed as for a query: the wide-case
+    shortcut U sigma differs from Xs V by the eigenvector rounding divided by
+    sigma, which breaks the weights-reproduce-fitted-values identity for
+    small kept sigma. The centered columns Z = U sigma are orthogonal to the
+    intercept, so [Z, 1]
     has orthogonal columns with norms {sigma, sqrt(n)} and its pseudo-inverse
     is [Z' / sigma^2 ; 1' / n] in closed form.
 
@@ -274,11 +278,10 @@ def pcr_smoother(Phi: np.ndarray, p_pc: int) -> PcrSmoother:
     floor = np.sqrt(max(Xs.shape) * np.finfo(float).eps) * sigma[0]
     cut = max(svd_cutoff(sa, (n, k + 1)), floor)
     sa_inv = _masked_inverse(sa, cut)
-    if wide:
-        Z, components = top * sigma, (Xs.T @ top) * sa_inv[:k]
-    else:
-        Z, components = Xs @ top, top
-    A = np.concatenate([Z, np.ones((n, 1))], axis=1)
+    components = (Xs.T @ top) * sa_inv[:k] if wide else top
+    # the training design goes through the same product as a query, so the
+    # fitted values equal the training-input weights times y to rounding
+    A = np.concatenate([Xs @ components, np.ones((n, 1))], axis=1)
     return PcrSmoother(
         mean=mean, std=std, kept=kept, components=components,
         solver=(A * sa_inv**2).T, train_design=A, tolerance=cut,
