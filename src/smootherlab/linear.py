@@ -241,9 +241,8 @@ def pcr_smoother(Phi: np.ndarray, p_pc: int) -> PcrSmoother:
     shortcut U sigma differs from Xs V by the eigenvector rounding divided by
     sigma, which breaks the weights-reproduce-fitted-values identity for
     small kept sigma. The centered columns Z = U sigma are orthogonal to the
-    intercept, so [Z, 1]
-    has orthogonal columns with norms {sigma, sqrt(n)} and its pseudo-inverse
-    is [Z' / sigma^2 ; 1' / n] in closed form.
+    intercept, so [Z, 1] has orthogonal columns with norms {sigma, sqrt(n)}
+    and its pseudo-inverse is [Z' / sigma^2 ; 1' / n] in closed form.
 
     Gram eigenvalues carry an absolute rounding error of about
     max(n, p) * eps * lambda_1, so a sigma below sqrt(max(n, p) * eps) *
