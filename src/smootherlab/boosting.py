@@ -53,7 +53,6 @@ class BoostedModel:
     learning_rate: float
     n_train: int
     train_mse_history: np.ndarray          # per-round training MSE
-    p_train_history: np.ndarray            # per-round squared Frobenius norm of the state
     train_weight_state: np.ndarray         # final (n, n) smoother rows at train points
 
     @property
@@ -143,7 +142,7 @@ def fit_boost(
     f = np.zeros(n)
     state = np.zeros((n, n))
     trees, weight_rows, corrections, leaf_ids = [], [], [], []
-    mse_hist, p_hist = [], []
+    mse_hist = []
     for p in range(1, n_rounds + 1):
         residual = y - f
         tree = fit_tree(X, residual, leaf_budget, seed=[seed, p],
@@ -160,7 +159,6 @@ def fit_boost(
         corrections.append(R)
         leaf_ids.append(lids)
         mse_hist.append(float(np.mean((y - f) ** 2)))
-        p_hist.append(float(np.einsum("ij,ij->", state, state)))
         if stop_tol is not None and mse_hist[-1] < stop_tol:
             break
     return BoostedModel(
@@ -171,7 +169,6 @@ def fit_boost(
         learning_rate=learning_rate,
         n_train=n,
         train_mse_history=np.asarray(mse_hist),
-        p_train_history=np.asarray(p_hist),
         train_weight_state=state,
     )
 

@@ -23,7 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .blas import one_blas_thread
-from .boosting import fit_boost, fit_boost_ensemble
+from .boosting import (
+    DEFAULT_LEAF_BUDGET,
+    DEFAULT_LEARNING_RATE,
+    DEFAULT_STOP_TOL,
+    fit_boost,
+    fit_boost_ensemble,
+)
 from .dataset import (
     Dataset,
     SyntheticSpec,
@@ -129,11 +135,12 @@ MODEL_DEFAULTS = {
              "class_index": 0},
     "forest": {"kind": "forest", "max_leaves": 10, "p_ens": 5, "seed": 1,
                "subset_size": None, "class_index": 0},
-    "boost": {"kind": "boost", "n_rounds": 100, "learning_rate": 0.85,
-              "leaf_budget": 10, "seed": 1, "stop_tol": 1e-4,
-              "subset_size": None, "class_index": 0},
+    "boost": {"kind": "boost", "n_rounds": 100, "learning_rate": DEFAULT_LEARNING_RATE,
+              "leaf_budget": DEFAULT_LEAF_BUDGET, "seed": 1,
+              "stop_tol": DEFAULT_STOP_TOL, "subset_size": None, "class_index": 0},
     "boost_ensemble": {"kind": "boost_ensemble", "n_rounds": 20, "p_ens": 5,
-                       "learning_rate": 0.85, "leaf_budget": 10, "seed": 1,
+                       "learning_rate": DEFAULT_LEARNING_RATE,
+                       "leaf_budget": DEFAULT_LEAF_BUDGET, "seed": 1,
                        "subset_size": None, "class_index": 0},
 }
 
@@ -395,11 +402,14 @@ def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
     if kind in ("synthetic", "images"):  # one generated set, split at n_train
         n = cfg["n_train"]
         return full.take(slice(None, n)), full.take(slice(n, None))
-    if cfg["n_train"] is not None:
-        train = subsample(train, cfg["n_train"], cfg["seed"], balanced=cfg["balanced"])
-    if cfg["n_test"] is not None:
-        test = subsample(test, cfg["n_test"], cfg["seed"] + 1, balanced=cfg["balanced"])
-    return train, test
+    drawn = []
+    for key, ds, seed in (("n_train", train, cfg["seed"]), ("n_test", test, cfg["seed"] + 1)):
+        if cfg[key] is not None:
+            if not 1 <= cfg[key] <= ds.n:
+                raise ValidationError(f"dataset.{key} must be in [1, {ds.n}], got {cfg[key]}")
+            ds = subsample(ds, cfg[key], seed, balanced=cfg["balanced"])
+        drawn.append(ds)
+    return tuple(drawn)
 
 
 # --------------------------------------------------------------------------- axis defaults
@@ -815,14 +825,15 @@ def main(argv=None) -> int:
         cfg = build_config(args.command, file_cfg, args.set,
                            full_scale=args.full_scale)
         if args.seed is not None:
-            path = _SEED_PATHS[args.command]
-            if path == ("model", "seed") and "seed" not in cfg["model"]:
-                # linear models draw their randomness from the feature map
-                path = ("model", "rff_seed")
             node = cfg
-            *head, last = path
+            *head, last = _SEED_PATHS[args.command]
             for part in head:
                 node = node[part]
+            if last not in node:
+                last = "rff_seed"  # linear models seed only their feature map
+            if last not in node:
+                raise ValidationError(f"--seed does not apply to {head[0]}.kind="
+                                      f"{node['kind']!r}, which has no seed")
             node[last] = args.seed
         out_dir = args.out if args.out is not None else Path("runs") / args.command
         out_dir.mkdir(parents=True, exist_ok=True)

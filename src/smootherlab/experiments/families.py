@@ -4,7 +4,12 @@ A family adapter prepares whatever is shared across a sweep (feature caches,
 prefit trees, boosted runs) and then evaluates individual (axis1, axis2)
 points. Evaluation is a pure function of the axis values and the shared
 config — never of the schedule position — so composite sweeps, grids and
-contour branches that visit the same point produce bit-identical records.
+contour branches that visit the same point produce bit-identical records,
+and the sweep can run every family's points in its process pool.
+
+Tree and boosting points share one evaluate: a point averages its seeded
+members' predictions and weight rows, and both p_train and p_test are p_eff
+of the averaged rows.
 
 Multiclass data is handled one-vs-all: C binary {0,1} tasks share the inputs,
 squared losses are summed across tasks, and the 0-1 error takes the argmax
@@ -14,6 +19,7 @@ for every task; trees and boosting adapt to their targets).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +44,16 @@ class PointEval:
 
 
 class _FamilyBase:
-    #: whether evaluate() calls may be dispatched concurrently
-    parallel_points = False
+    """Shared data and the prefit protocol.
+
+    A fitted family lists the keys it needs in ``_needed`` and fits one with
+    ``_prefit(key) -> (key, value)``; the sweep runs ``prefit_tasks()`` in
+    its pool and hands each result back through ``store``.
+    """
+
+    #: every family's points run in the pool; kept for perfbench's tracer,
+    #: nothing in the package branches on it
+    parallel_points = True
 
     def __init__(self, train: Dataset, test: Dataset, shared):
         if train.d != test.d:
@@ -57,14 +71,18 @@ class _FamilyBase:
             )
         self.Y_train = one_vs_all_targets(train, self.n_classes)
         self.Y_test = one_vs_all_targets(test, self.n_classes)
+        self._needed: list = []
+        self._cache: dict = {}
 
     def prefit_tasks(self):
-        return []
+        missing = [key for key in self._needed if key not in self._cache]
+        return [functools.partial(self._prefit, key) for key in missing]
 
-    def store(self, key, value):  # pragma: no cover - only fitted families store
-        raise NotImplementedError
+    def store(self, key, value):
+        self._cache[key] = value
 
-    def _errors(self, preds_train, preds_test) -> tuple[float, float, float]:
+    def _point(self, raw_params, preds_train, preds_test, W_train, W_test) -> PointEval:
+        """A point's record: the errors of its predictions, p0 of its weight rows."""
         train_mse = float(np.mean(np.sum((preds_train - self.Y_train) ** 2, axis=1)))
         test_mse = float(np.mean(np.sum((preds_test - self.Y_test) ** 2, axis=1)))
         if self.n_classes:
@@ -72,7 +90,9 @@ class _FamilyBase:
             zero_one = float(np.mean(picked != self.test.class_labels))
         else:
             zero_one = 0.0  # not meaningful for plain regression targets
-        return train_mse, test_mse, zero_one
+        n = self.train.n
+        return PointEval(raw_params, train_mse, test_mse, zero_one,
+                         p_eff(W_train, n), p_eff(W_test, n))
 
 
 # --------------------------------------------------------------------------- rff linear
@@ -80,8 +100,6 @@ class _FamilyBase:
 
 class RffLinearFamily(_FamilyBase):
     """Principal-component regression on a growing random cosine design."""
-
-    parallel_points = True
 
     def __init__(self, train, test, shared, states):
         super().__init__(train, test, shared)
@@ -105,28 +123,49 @@ class RffLinearFamily(_FamilyBase):
         sm = pcr_smoother(self.Phi_train[:, :p_phi], p_pc)
         W_train = sm.hat_matrix()
         W_test = sm.weight_matrix(self.Phi_test[:, :p_phi])
-        tr, te, zo = self._errors(W_train @ self.Y_train, W_test @ self.Y_train)
-        n = self.train.n
-        return PointEval(
-            raw_params=p_phi,
-            train_mse=tr,
-            test_mse=te,
-            test_zero_one=zo,
-            p_train=p_eff(W_train, n),
-            p_test=p_eff(W_test, n),
+        Y = self.Y_train
+        return self._point(p_phi, W_train @ Y, W_test @ Y, W_train, W_test)
+
+
+# --------------------------------------------------------------------------- averaged members
+
+
+def _sums(parts):
+    """Elementwise sums of tuples of arrays, added in the order given."""
+    return functools.reduce(lambda acc, part: tuple(a + b for a, b in zip(acc, part)), parts)
+
+
+class _AveragedFamily(_FamilyBase):
+    """A point averages p_ens seeded members, per one-vs-all class.
+
+    Subclasses give one member's train and test predictions,
+    ``_predictions(c, member, a1)``, and its train and test weight rows plus
+    its raw parameter count, ``_weights(c, member, a1)``. The mean of the
+    members' weight rows is the ensemble's smoother, so p_train and p_test
+    both come from p_eff.
+    """
+
+    def evaluate(self, a1: int, p_ens: int) -> PointEval:
+        members = range(1, p_ens + 1)
+        per_class = [
+            _sums(self._predictions(c, member, a1) for member in members)
+            for c in range(max(1, self.n_classes))
+        ]
+        preds_train, preds_test = (np.column_stack(p) / p_ens for p in zip(*per_class))
+        cls = self.shared.effparams_class if self.n_classes else 0
+        W_train, W_test, raw_params = _sums(
+            self._weights(cls, member, a1) for member in members
         )
+        return self._point(raw_params, preds_train, preds_test,
+                           W_train / p_ens, W_test / p_ens)
 
 
-# --------------------------------------------------------------------------- trees
-
-
-class TreeFamily(_FamilyBase):
+class TreeFamily(_AveragedFamily):
     """Best-first trees averaged over independently seeded members."""
 
     def __init__(self, train, test, shared, states):
         super().__init__(train, test, shared)
         self.order = presort(train.features)  # shared by every prefit tree
-        self._cache: dict[tuple[int, int, int], dict] = {}
         self._needed = sorted(
             {
                 (c, member, budget)
@@ -136,74 +175,29 @@ class TreeFamily(_FamilyBase):
             }
         )
 
-    def prefit_tasks(self):
-        def make(key):
-            c, member, budget = key
-
-            def task():
-                y = self.Y_train[:, c]
-                tree = fit_tree(
-                    self.train.features,
-                    y,
-                    budget,
-                    seed=self.shared.base_seed + member,
-                    subset_size=self.shared.tree_subset,
-                    order=self.order,
-                )
-                return key, {
-                    "tree": tree,
-                    "test_lids": tree.leaf_ids(self.test.features),
-                }
-
-            return task
-
-        return [make(k) for k in self._needed if k not in self._cache]
-
-    def store(self, key, value):
-        self._cache[key] = value
-
-    def evaluate(self, p_leaf: int, p_ens: int) -> PointEval:
-        n, m = self.train.n, self.test.n
-        C = max(1, self.n_classes)
-        preds_train = np.zeros((n, C))
-        preds_test = np.zeros((m, C))
-        raw_params = 0
-        p_train = p_test = 0.0
-        for c in range(C):
-            for member in range(1, p_ens + 1):
-                entry = self._cache[(c, member, p_leaf)]
-                tree = entry["tree"]
-                preds_train[:, c] += tree.leaf_values[tree.train_leaf]
-                preds_test[:, c] += tree.leaf_values[entry["test_lids"]]
-            preds_train[:, c] /= p_ens
-            preds_test[:, c] /= p_ens
-        cls = self.shared.effparams_class if self.n_classes else 0
-        W_train = np.zeros((n, n))
-        W_test = np.zeros((m, n))
-        for member in range(1, p_ens + 1):
-            entry = self._cache[(cls, member, p_leaf)]
-            tree = entry["tree"]
-            rows = tree.leaf_weight_rows()
-            W_train += rows[tree.train_leaf]
-            W_test += rows[entry["test_lids"]]
-            raw_params += tree.n_leaves
-        W_train /= p_ens
-        W_test /= p_ens
-        tr, te, zo = self._errors(preds_train, preds_test)
-        return PointEval(
-            raw_params=raw_params,
-            train_mse=tr,
-            test_mse=te,
-            test_zero_one=zo,
-            p_train=p_eff(W_train, n),
-            p_test=p_eff(W_test, n),
+    def _prefit(self, key):
+        c, member, budget = key
+        tree = fit_tree(
+            self.train.features,
+            self.Y_train[:, c],
+            budget,
+            seed=self.shared.base_seed + member,
+            subset_size=self.shared.tree_subset,
+            order=self.order,
         )
+        return key, (tree, tree.leaf_ids(self.test.features))
+
+    def _predictions(self, c, member, p_leaf):
+        tree, test_lids = self._cache[(c, member, p_leaf)]
+        return tree.leaf_values[tree.train_leaf], tree.leaf_values[test_lids]
+
+    def _weights(self, c, member, p_leaf):
+        tree, test_lids = self._cache[(c, member, p_leaf)]
+        rows = tree.leaf_weight_rows()
+        return rows[tree.train_leaf], rows[test_lids], tree.n_leaves
 
 
-# --------------------------------------------------------------------------- boosting
-
-
-class BoostFamily(_FamilyBase):
+class BoostFamily(_AveragedFamily):
     """Boosted residual trees, optionally averaged over seeded runs.
 
     Every (class, member) run is fitted once to the largest round count the
@@ -215,84 +209,40 @@ class BoostFamily(_FamilyBase):
         super().__init__(train, test, shared)
         self.order = presort(train.features)  # shared by every prefit run
         self.r_max = max(a1 for a1, _ in states)
-        self.e_max = max(a2 for _, a2 in states)
-        self._runs: dict[tuple[int, int], dict] = {}
         self._needed = sorted(
             (c, member)
-            for member in range(1, self.e_max + 1)
+            for member in range(1, max(a2 for _, a2 in states) + 1)
             for c in range(max(1, self.n_classes))
         )
 
-    def prefit_tasks(self):
-        def make(key):
-            c, member = key
+    def _prefit(self, key):
+        c, member = key
+        model = fit_boost(
+            self.train.features,
+            self.Y_train[:, c],
+            n_rounds=self.r_max,
+            learning_rate=self.shared.learning_rate,
+            leaf_budget=self.shared.boost_leaf_budget,
+            seed=self.shared.base_seed + member,
+            stop_tol=None,
+            subset_size=self.shared.tree_subset,
+            order=self.order,
+        )
+        return key, (model, [t.leaf_ids(self.test.features) for t in model.trees])
 
-            def task():
-                model = fit_boost(
-                    self.train.features,
-                    self.Y_train[:, c],
-                    n_rounds=self.r_max,
-                    learning_rate=self.shared.learning_rate,
-                    leaf_budget=self.shared.boost_leaf_budget,
-                    seed=self.shared.base_seed + member,
-                    stop_tol=None,
-                    subset_size=self.shared.tree_subset,
-                    order=self.order,
-                )
-                test_lids = [t.leaf_ids(self.test.features) for t in model.trees]
-                return key, {"model": model, "test_lids": test_lids}
+    def _predictions(self, c, member, p_boost):
+        model, test_lids = self._cache[(c, member)]
+        return (
+            model.train_predictions(upto=p_boost),
+            model.predictions_from_leaf_ids(test_lids[:p_boost], self.test.n),
+        )
 
-            return task
-
-        return [make(k) for k in self._needed if k not in self._runs]
-
-    def store(self, key, value):
-        self._runs[key] = value
-
-    def evaluate(self, p_boost: int, p_ens: int) -> PointEval:
-        n, m = self.train.n, self.test.n
-        C = max(1, self.n_classes)
-        preds_train = np.zeros((n, C))
-        preds_test = np.zeros((m, C))
-        raw_params = 0
-        for c in range(C):
-            for member in range(1, p_ens + 1):
-                entry = self._runs[(c, member)]
-                model = entry["model"]
-                preds_train[:, c] += model.train_predictions(upto=p_boost)
-                preds_test[:, c] += model.predictions_from_leaf_ids(
-                    entry["test_lids"][:p_boost], m
-                )
-            preds_train[:, c] /= p_ens
-            preds_test[:, c] /= p_ens
-        cls = self.shared.effparams_class if self.n_classes else 0
-        if p_ens == 1:
-            entry = self._runs[(cls, 1)]
-            model = entry["model"]
-            p_train = model.p_train_history[p_boost - 1]
-            W_test = model.weights_from_leaf_ids(entry["test_lids"][:p_boost], m)
-            raw_params = sum(t.n_leaves for t in model.trees[:p_boost])
-        else:
-            S_train = np.zeros((n, n))
-            W_test = np.zeros((m, n))
-            raw_params = 0
-            for member in range(1, p_ens + 1):
-                entry = self._runs[(cls, member)]
-                model = entry["model"]
-                S_train += model.train_weight_matrix(upto=p_boost)
-                W_test += model.weights_from_leaf_ids(entry["test_lids"][:p_boost], m)
-                raw_params += sum(t.n_leaves for t in model.trees[:p_boost])
-            S_train /= p_ens
-            W_test /= p_ens
-            p_train = float(np.einsum("ij,ij->", S_train, S_train))
-        tr, te, zo = self._errors(preds_train, preds_test)
-        return PointEval(
-            raw_params=raw_params,
-            train_mse=tr,
-            test_mse=te,
-            test_zero_one=zo,
-            p_train=float(p_train),
-            p_test=p_eff(W_test, n),
+    def _weights(self, c, member, p_boost):
+        model, test_lids = self._cache[(c, member)]
+        return (
+            model.train_weight_matrix(upto=p_boost),
+            model.weights_from_leaf_ids(test_lids[:p_boost], self.test.n),
+            sum(t.n_leaves for t in model.trees[:p_boost]),
         )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from ..boosting import DEFAULT_LEAF_BUDGET, DEFAULT_LEARNING_RATE
 from ..errors import ScheduleError
 from ..rff import DEFAULT_SCALE
 
@@ -45,8 +46,8 @@ class SweepConfig:
     base_seed: int = 0
     rff_seed: int | None = None      # defaults to base_seed
     rff_scale: float = DEFAULT_SCALE
-    learning_rate: float = 0.85
-    boost_leaf_budget: int = 10
+    learning_rate: float = DEFAULT_LEARNING_RATE
+    boost_leaf_budget: int = DEFAULT_LEAF_BUDGET
     tree_subset: int | None = None   # per-node feature subset, default sqrt(d)
     effparams_class: int = 0         # one-vs-all sub-problem used for p_train/p_test
     axis1_init: int | None = None    # starting axis-1 value if axis 2 moves first

@@ -138,20 +138,20 @@ class SweepResult:
 
 
 def _run_states(family, states, threads):
-    """Prefit (possibly in parallel), then evaluate each state, in order."""
-    tasks = family.prefit_tasks()
-    if tasks:
-        for key, value in _pool_map(lambda t: t(), tasks, threads):
-            family.store(key, value)
+    """Prefit, then evaluate each state; every family's points run in the pool.
+
+    The family's caches are filled before the evaluation pool forks, so the
+    workers inherit them; points run largest first, so no big one is left
+    to run alone at the end, and come back in input order.
+    """
+    for key, value in _pool_map(lambda task: task(), family.prefit_tasks(), threads):
+        family.store(key, value)
 
     def one(state):
         start = time.perf_counter()
         ev = family.evaluate(*state)
         return ev, time.perf_counter() - start
 
-    if not family.parallel_points:
-        return [one(state) for state in states]
-    # largest points first, so no big one is left to run alone at the end
     schedule = sorted(range(len(states)), key=lambda i: -sum(states[i]))
     done = _pool_map(one, [states[i] for i in schedule], threads)
     out = [None] * len(states)

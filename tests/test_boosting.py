@@ -109,7 +109,6 @@ def test_round_prefix_is_stable():
     assert np.array_equal(long.weight_matrix(X0, upto=3), short.weight_matrix(X0))
     assert np.array_equal(long.predict(X0, upto=3), short.predict(X0))
     assert np.array_equal(long.train_mse_history[:3], short.train_mse_history)
-    assert np.array_equal(long.p_train_history[:3], short.p_train_history)
     assert np.array_equal(long.train_weight_matrix(3), short.train_weight_state)
 
 
@@ -158,12 +157,13 @@ def test_history_lengths_and_state_norms():
                       stop_tol=None)
     assert model.n_rounds == 9
     assert model.train_mse_history.shape == (9,)
-    assert model.p_train_history.shape == (9,)
-    # the recorded complexity path is the squared Frobenius norm of the state
+    # the carried state has the norm of the replayed rows at its round count
     final = float(np.sum(model.train_weight_state ** 2))
-    assert model.p_train_history[-1] == pytest.approx(final, rel=1e-12)
-    mid = float(np.sum(model.train_weight_matrix(4) ** 2))
-    assert model.p_train_history[3] == pytest.approx(mid, rel=1e-12)
+    assert float(np.sum(model.train_weight_matrix(9) ** 2)) == pytest.approx(final, rel=1e-12)
+    short = fit_boost(X, y, n_rounds=4, learning_rate=0.5, leaf_budget=3, seed=0,
+                      stop_tol=None)
+    mid = float(np.sum(short.train_weight_state ** 2))
+    assert float(np.sum(model.train_weight_matrix(4) ** 2)) == pytest.approx(mid, rel=1e-12)
 
 
 def test_weights_from_leaf_ids_matches_weight_matrix():

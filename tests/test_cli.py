@@ -316,6 +316,16 @@ def test_seed_flag_reaches_the_tree_seed(tmp_path):
     assert _echoed(out)["config"]["model"]["seed"] == 4
 
 
+@pytest.mark.parametrize("command", ["fit", "effparams"])
+def test_seed_flag_on_a_seedless_model_exits_one_naming_it(tmp_path, capsys, command):
+    out = tmp_path / "a"
+    argv = [command, *TINY, "--set", "model.kind=knn", "--seed", "3"]
+    assert _run(argv, out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed" in err and "'knn'" in err
+    assert not (out / "config.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep family commands
 # ---------------------------------------------------------------------------
@@ -502,6 +512,21 @@ def test_csv_test_set_is_scaled_with_the_train_ranges(tmp_path):
     assert np.array_equal(tr.features, [[0.0, 0.0], [0.5, 1.0], [1.0, 0.5]])
     # a one-row test file keeps its position on the training scale
     assert np.array_equal(te.features, [[0.25, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "key, value", [("n_train", -5), ("n_train", 0), ("n_train", 5), ("n_test", 0),
+                   ("n_test", 3)]
+)
+def test_file_subsample_sizes_name_their_key(tmp_path, capsys, key, value):
+    train = _write_rows(tmp_path / "train.csv", [(i, i % 3, i % 2) for i in range(4)])
+    test = _write_rows(tmp_path / "test.csv", [(i, 1, i % 2) for i in range(2)])
+    sets = [*_csv_sets(train, test), f"dataset.{key}={value}"]
+    argv = ["ingest", *(a for expr in sets for a in ("--set", expr))]
+    assert _run(argv, tmp_path / "a") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dataset.{key} must be in [1, ")
+    assert "Traceback" not in err
 
 
 def test_test_label_outside_the_train_classes_exits_one(tmp_path, capsys):

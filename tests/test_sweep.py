@@ -14,6 +14,9 @@ import numpy as np
 import pytest
 
 from smootherlab import blas
+from smootherlab.boosting import fit_boost_ensemble
+from smootherlab.dataset import SyntheticSpec, one_vs_all_targets, synth_generate
+from smootherlab.effparams import p_eff
 from smootherlab.errors import ScheduleError
 from smootherlab.experiments.families import FAMILY_RUNNERS, RffLinearFamily
 from smootherlab.experiments.schedule import (
@@ -34,6 +37,7 @@ from smootherlab.experiments.sweep import (
     run_sweep,
     seed_standard_error,
 )
+from smootherlab.trees import fit_ensemble
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +88,39 @@ def test_tree_family_weights_stay_in_moving_average_range(toy_images):
     for r in result.records:
         assert 1.0 - 1e-9 <= r.p_train <= 60.0 + 1e-9
         assert 1.0 - 1e-9 <= r.p_test <= 60.0 + 1e-9
+
+
+@pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "regression"])
+@pytest.mark.parametrize("family", ["tree", "boosting"])
+def test_point_is_the_fitted_ensemble_read_through_the_protocol(
+    toy_images, family, labeled
+):
+    if labeled:
+        train, test = toy_images
+    else:
+        full = synth_generate(SyntheticSpec("sine", 100, 2, 0.1, seed=3))
+        train, test = full.take(slice(None, 40)), full.take(slice(40, None))
+    shared = SweepConfig(base_seed=2, effparams_class=1 if labeled else 0)
+    y = one_vs_all_targets(train, train.task_classes)[:, shared.effparams_class]
+    a1_values = [2, 5, 12] if family == "tree" else [1, 3, 6]
+    states = [(a1, p_ens) for a1 in a1_values for p_ens in (1, 2, 4)]
+    runner = FAMILY_RUNNERS[family](train, test, shared, states)
+    for task in runner.prefit_tasks():
+        runner.store(*task())
+    n = train.n
+    for a1, p_ens in states:
+        if family == "tree":
+            model = fit_ensemble(train.features, y, a1, p_ens, shared.base_seed)
+            read = {}
+        else:
+            model = fit_boost_ensemble(
+                train.features, y, max(a1_values), p_ens, shared.base_seed,
+                learning_rate=shared.learning_rate, leaf_budget=shared.boost_leaf_budget,
+            )
+            read = {"upto": a1}
+        ev = runner.evaluate(a1, p_ens)
+        assert ev.p_train == p_eff(model.weight_matrix(train.features, **read), n)
+        assert ev.p_test == p_eff(model.weight_matrix(test.features, **read), n)
 
 
 def test_infeasible_point_fails_before_any_fitting(toy_images):
