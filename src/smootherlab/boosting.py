@@ -13,12 +13,15 @@ weight vector obeys the recursion
 
 where s_corr_p(x) is row leaf_p(x) of the correction matrix R_p whose row j
 averages the previous round's weight rows over the training points in leaf j.
-The training-point weight state is carried across rounds in two (n, n)
-buffers (previous / current). Averages of boosted runs are
+``fit_boost`` fits the trees only. The recursion depends on nothing but the
+fitted trees, so a ``BoostedModel`` walks it forward once, on first use,
+carrying the (n, n) training-point weight state from round to round. Runs
+whose weights are never read never pay for it. Averages of boosted runs are
 ``trees.AveragedSmoother``s.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,16 +47,48 @@ def _round_step(prev, W, R, lids, lr):
     return prev + (lr * (W - R))[lids]
 
 
+def weight_recursion(trees, learning_rate, n):
+    """Per-round tree weight rows W_p and corrections R_p, (J_p, n) each, and
+    the final (n, n) smoother rows at the training points, in round order."""
+    state = np.zeros((n, n))
+    weight_rows, corrections = [], []
+    for tree in trees:
+        W = tree.leaf_weight_rows()
+        R = np.empty_like(W)
+        for j, members in enumerate(tree.leaf_members):
+            R[j] = state[members].sum(axis=0) / members.size
+        state = _round_step(state, W, R, tree.train_leaf, learning_rate)
+        weight_rows.append(W)
+        corrections.append(R)
+    return weight_rows, corrections, state
+
+
 @dataclass
 class BoostedModel:
     trees: list[RegressionTree]
-    tree_weight_rows: list[np.ndarray]     # W_p, (J_p, n)
-    corrections: list[np.ndarray]          # R_p, (J_p, n)
     train_leaf_ids: list[np.ndarray]       # leaf of each training point, per round
     learning_rate: float
     n_train: int
     train_mse_history: np.ndarray          # per-round training MSE
-    train_weight_state: np.ndarray         # final (n, n) smoother rows at train points
+
+    @functools.cached_property
+    def _recursion(self):
+        return weight_recursion(self.trees, self.learning_rate, self.n_train)
+
+    @property
+    def tree_weight_rows(self) -> list[np.ndarray]:
+        """W_p, (J_p, n): the tree's leaf weight rows, per round."""
+        return self._recursion[0]
+
+    @property
+    def corrections(self) -> list[np.ndarray]:
+        """R_p, (J_p, n): the previous state averaged over each leaf, per round."""
+        return self._recursion[1]
+
+    @property
+    def train_weight_state(self) -> np.ndarray:
+        """Final (n, n) smoother rows at the training points."""
+        return self._recursion[2]
 
     @property
     def n_rounds(self) -> int:
@@ -136,40 +171,25 @@ def fit_boost(
         raise ValidationError(f"n_rounds must be >= 1, got {n_rounds}")
     if not (0.0 < learning_rate <= 1.0):
         raise ValidationError(f"learning_rate must be in (0, 1], got {learning_rate}")
-    n = X.shape[0]
     if order is None:
         order = presort(X)
-    f = np.zeros(n)
-    state = np.zeros((n, n))
-    trees, weight_rows, corrections, leaf_ids = [], [], [], []
-    mse_hist = []
+    f = np.zeros(X.shape[0])
+    trees, leaf_ids, mse_hist = [], [], []
     for p in range(1, n_rounds + 1):
-        residual = y - f
-        tree = fit_tree(X, residual, leaf_budget, seed=[seed, p],
+        tree = fit_tree(X, y - f, leaf_budget, seed=[seed, p],
                         subset_size=subset_size, order=order)
-        W = tree.leaf_weight_rows()
-        R = np.empty_like(W)
-        for j, members in enumerate(tree.leaf_members):
-            R[j] = state[members].sum(axis=0) / members.size
-        lids = tree.train_leaf
-        state = _round_step(state, W, R, lids, learning_rate)
-        f = f + learning_rate * tree.leaf_values[lids]
+        f = f + learning_rate * tree.leaf_values[tree.train_leaf]
         trees.append(tree)
-        weight_rows.append(W)
-        corrections.append(R)
-        leaf_ids.append(lids)
+        leaf_ids.append(tree.train_leaf)
         mse_hist.append(float(np.mean((y - f) ** 2)))
         if stop_tol is not None and mse_hist[-1] < stop_tol:
             break
     return BoostedModel(
         trees=trees,
-        tree_weight_rows=weight_rows,
-        corrections=corrections,
         train_leaf_ids=leaf_ids,
         learning_rate=learning_rate,
-        n_train=n,
+        n_train=X.shape[0],
         train_mse_history=np.asarray(mse_hist),
-        train_weight_state=state,
     )
 
 

@@ -234,6 +234,10 @@ _SEED_PATHS = {
 
 # keys whose null default is derived from the data; set, they take a list of ints
 _LIST_KEYS = {"axis1_values", "axis2_values", "switches", "p_phi_values", "k_values"}
+# grids a command walks; empty, there is nothing to compute. An empty
+# axis2_values is an axis-1-only walk, and the grid command checks its own axes.
+_NONEMPTY_KEYS = {"axis1_values", "switches", "p_phi_values", "k_values",
+                  "leaf_grid", "lr_grid"}
 
 
 def _fits(default, value) -> bool:
@@ -276,6 +280,8 @@ def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
                 f"config key {path + key!r} must be {either}typed like "
                 f"{json.dumps(like)}, got {json.dumps(value)}"
             )
+        if key in _NONEMPTY_KEYS and value == []:
+            raise ValidationError(f"config key {path + key!r} must not be empty")
         out[key] = value
     return out
 

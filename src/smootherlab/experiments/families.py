@@ -7,9 +7,13 @@ config — never of the schedule position — so composite sweeps, grids and
 contour branches that visit the same point produce bit-identical records,
 and the sweep can run every family's points in its process pool.
 
-Tree and boosting points share one evaluate: a point averages its seeded
-members' predictions and weight rows, and both p_train and p_test are p_eff
-of the averaged rows.
+A tree or boosting point averages its seeded members' predictions and
+weight rows, and both p_train and p_test are p_eff of the averaged rows.
+Boosting computes weights only for the class they are read from, in one
+forward pass when its prefit results are stored: each member's rounds are
+stepped through once, and running member sums at every needed round count
+give every point's p0. Its prefit tasks send back prediction snapshots and,
+for that class only, the per-round recursion inputs; never the n×n state.
 
 Multiclass data is handled one-vs-all: C binary {0,1} tasks share the inputs,
 squared losses are summed across tasks, and the 0-1 error takes the argmax
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..boosting import fit_boost
+from ..boosting import _round_step, fit_boost
 from ..dataset import Dataset, one_vs_all_targets
 from ..effparams import p_eff
 from ..errors import ScheduleError, ValidationError
@@ -48,7 +52,7 @@ class _FamilyBase:
 
     A fitted family lists the keys it needs in ``_needed`` and fits one with
     ``_prefit(key) -> (key, value)``; the sweep runs ``prefit_tasks()`` in
-    its pool and hands each result back through ``store``.
+    its pool and hands the whole list of results to ``store``.
     """
 
     #: every family's points run in the pool; kept for perfbench's tracer,
@@ -69,6 +73,9 @@ class _FamilyBase:
                 f"effparams_class {shared.effparams_class} out of range "
                 f"[0, {self.n_classes})"
             )
+        self.classes = range(max(1, self.n_classes))
+        # the one-vs-all task whose weights p_train and p_test are read from
+        self.weights_class = shared.effparams_class if self.n_classes else 0
         self.Y_train = one_vs_all_targets(train, self.n_classes)
         self.Y_test = one_vs_all_targets(test, self.n_classes)
         self._needed: list = []
@@ -78,11 +85,11 @@ class _FamilyBase:
         missing = [key for key in self._needed if key not in self._cache]
         return [functools.partial(self._prefit, key) for key in missing]
 
-    def store(self, key, value):
-        self._cache[key] = value
+    def store(self, results):
+        self._cache.update(results)
 
-    def _point(self, raw_params, preds_train, preds_test, W_train, W_test) -> PointEval:
-        """A point's record: the errors of its predictions, p0 of its weight rows."""
+    def _point(self, raw_params, preds_train, preds_test, p_train, p_test) -> PointEval:
+        """A point's record: the errors of its predictions and its p0 values."""
         train_mse = float(np.mean(np.sum((preds_train - self.Y_train) ** 2, axis=1)))
         test_mse = float(np.mean(np.sum((preds_test - self.Y_test) ** 2, axis=1)))
         if self.n_classes:
@@ -90,9 +97,7 @@ class _FamilyBase:
             zero_one = float(np.mean(picked != self.test.class_labels))
         else:
             zero_one = 0.0  # not meaningful for plain regression targets
-        n = self.train.n
-        return PointEval(raw_params, train_mse, test_mse, zero_one,
-                         p_eff(W_train, n), p_eff(W_test, n))
+        return PointEval(raw_params, train_mse, test_mse, zero_one, p_train, p_test)
 
 
 # --------------------------------------------------------------------------- rff linear
@@ -123,8 +128,9 @@ class RffLinearFamily(_FamilyBase):
         sm = pcr_smoother(self.Phi_train[:, :p_phi], p_pc)
         W_train = sm.hat_matrix()
         W_test = sm.weight_matrix(self.Phi_test[:, :p_phi])
-        Y = self.Y_train
-        return self._point(p_phi, W_train @ Y, W_test @ Y, W_train, W_test)
+        Y, n = self.Y_train, self.train.n
+        return self._point(p_phi, W_train @ Y, W_test @ Y,
+                           p_eff(W_train, n), p_eff(W_test, n))
 
 
 # --------------------------------------------------------------------------- averaged members
@@ -135,33 +141,19 @@ def _sums(parts):
     return functools.reduce(lambda acc, part: tuple(a + b for a, b in zip(acc, part)), parts)
 
 
-class _AveragedFamily(_FamilyBase):
-    """A point averages p_ens seeded members, per one-vs-all class.
+def _mean_predictions(per_class, p_ens):
+    """Train and test predictions, (n, C) and (m, C), from each class's
+    iterable of member (train, test) prediction pairs, summed in member order."""
+    return (np.column_stack(p) / p_ens for p in zip(*(_sums(m) for m in per_class)))
 
-    Subclasses give one member's train and test predictions,
-    ``_predictions(c, member, a1)``, and its train and test weight rows plus
-    its raw parameter count, ``_weights(c, member, a1)``. The mean of the
-    members' weight rows is the ensemble's smoother, so p_train and p_test
-    both come from p_eff.
+
+class TreeFamily(_FamilyBase):
+    """Best-first trees averaged over independently seeded members.
+
+    A point averages p_ens seeded members, per one-vs-all class. The mean of
+    the members' weight rows is the ensemble's smoother, so p_train and
+    p_test both come from p_eff.
     """
-
-    def evaluate(self, a1: int, p_ens: int) -> PointEval:
-        members = range(1, p_ens + 1)
-        per_class = [
-            _sums(self._predictions(c, member, a1) for member in members)
-            for c in range(max(1, self.n_classes))
-        ]
-        preds_train, preds_test = (np.column_stack(p) / p_ens for p in zip(*per_class))
-        cls = self.shared.effparams_class if self.n_classes else 0
-        W_train, W_test, raw_params = _sums(
-            self._weights(cls, member, a1) for member in members
-        )
-        return self._point(raw_params, preds_train, preds_test,
-                           W_train / p_ens, W_test / p_ens)
-
-
-class TreeFamily(_AveragedFamily):
-    """Best-first trees averaged over independently seeded members."""
 
     def __init__(self, train, test, shared, states):
         super().__init__(train, test, shared)
@@ -171,7 +163,7 @@ class TreeFamily(_AveragedFamily):
                 (c, member, budget)
                 for budget, k in states
                 for member in range(1, k + 1)
-                for c in range(max(1, self.n_classes))
+                for c in self.classes
             }
         )
 
@@ -191,36 +183,54 @@ class TreeFamily(_AveragedFamily):
         tree, test_lids = self._cache[(c, member, p_leaf)]
         return tree.leaf_values[tree.train_leaf], tree.leaf_values[test_lids]
 
-    def _weights(self, c, member, p_leaf):
-        tree, test_lids = self._cache[(c, member, p_leaf)]
+    def _weights(self, member, p_leaf):
+        tree, test_lids = self._cache[(self.weights_class, member, p_leaf)]
         rows = tree.leaf_weight_rows()
         return rows[tree.train_leaf], rows[test_lids], tree.n_leaves
 
+    def evaluate(self, p_leaf: int, p_ens: int) -> PointEval:
+        members = range(1, p_ens + 1)
+        preds_train, preds_test = _mean_predictions(
+            ((self._predictions(c, m, p_leaf) for m in members) for c in self.classes),
+            p_ens,
+        )
+        W_train, W_test, raw_params = _sums(self._weights(m, p_leaf) for m in members)
+        n = self.train.n
+        return self._point(raw_params, preds_train, preds_test,
+                           p_eff(W_train / p_ens, n), p_eff(W_test / p_ens, n))
 
-class BoostFamily(_AveragedFamily):
+
+class BoostFamily(_FamilyBase):
     """Boosted residual trees, optionally averaged over seeded runs.
 
     Every (class, member) run is fitted once to the largest round count the
-    schedule needs; shorter points reuse round prefixes, which are identical
-    bit for bit because round p is seeded by (member seed, p).
+    schedule needs; shorter points read round prefixes, which are identical
+    bit for bit because round p is seeded by (member seed, p). A prefit task
+    sends back only what evaluation reads: snapshots of the member's running
+    train and test predictions and of its cumulative leaf count at each
+    needed round count, and, for the effparams class only, the per-round W_p,
+    R_p and train and test leaf ids. ``store`` then walks each of those
+    members' weights forward once and records p_train and p_test of every
+    point, so ``evaluate`` only averages snapshots.
     """
 
     def __init__(self, train, test, shared, states):
         super().__init__(train, test, shared)
         self.order = presort(train.features)  # shared by every prefit run
-        self.r_max = max(a1 for a1, _ in states)
+        self.states = set(states)
+        self.p_boosts = {a1 for a1, _ in states}
+        self.p_ens_max = max(a2 for _, a2 in states)
         self._needed = sorted(
-            (c, member)
-            for member in range(1, max(a2 for _, a2 in states) + 1)
-            for c in range(max(1, self.n_classes))
+            (c, member) for member in range(1, self.p_ens_max + 1) for c in self.classes
         )
+        self._p_values: dict = {}  # (p_boost, p_ens) -> (p_train, p_test)
 
     def _prefit(self, key):
         c, member = key
         model = fit_boost(
             self.train.features,
             self.Y_train[:, c],
-            n_rounds=self.r_max,
+            n_rounds=max(self.p_boosts),
             learning_rate=self.shared.learning_rate,
             leaf_budget=self.shared.boost_leaf_budget,
             seed=self.shared.base_seed + member,
@@ -228,22 +238,61 @@ class BoostFamily(_AveragedFamily):
             subset_size=self.shared.tree_subset,
             order=self.order,
         )
-        return key, (model, [t.leaf_ids(self.test.features) for t in model.trees])
+        test_lids = [t.leaf_ids(self.test.features) for t in model.trees]
+        # one running sum per side, the same float operations as
+        # BoostedModel.predictions_from_leaf_ids
+        f_train, f_test, leaves = np.zeros(self.train.n), np.zeros(self.test.n), 0
+        snapshots = {}
+        for p, (tree, lids) in enumerate(zip(model.trees, test_lids), start=1):
+            f_train += model.learning_rate * tree.leaf_values[tree.train_leaf]
+            f_test += model.learning_rate * tree.leaf_values[lids]
+            leaves += tree.n_leaves
+            if p in self.p_boosts:
+                snapshots[p] = (f_train.copy(), f_test.copy(), leaves)
+        rounds = None  # the recursion runs only for the class it is read from
+        if c == self.weights_class:
+            rounds = list(zip(model.tree_weight_rows, model.corrections,
+                              model.train_leaf_ids, test_lids))
+        return key, (snapshots, rounds)
 
-    def _predictions(self, c, member, p_boost):
-        model, test_lids = self._cache[(c, member)]
-        return (
-            model.train_predictions(upto=p_boost),
-            model.predictions_from_leaf_ids(test_lids[:p_boost], self.test.n),
-        )
+    def store(self, results):
+        """Store the prefit results, then walk the weights forward.
 
-    def _weights(self, c, member, p_boost):
-        model, test_lids = self._cache[(c, member)]
-        return (
-            model.train_weight_matrix(upto=p_boost),
-            model.weights_from_leaf_ids(test_lids[:p_boost], self.test.n),
-            sum(t.n_leaves for t in model.trees[:p_boost]),
+        Each effparams-class member's train (n, n) and test (m, n) rows are
+        stepped through its rounds once. At each needed p_boost they are
+        added into that p_boost's running member sum; once the member count
+        reaches a point's p_ens, p0 of the sum over p_ens is recorded.
+        """
+        super().store(results)
+        n, m, lr = self.train.n, self.test.n, self.shared.learning_rate
+        sums = {}
+        for member in range(1, self.p_ens_max + 1):
+            _, rounds = self._cache[(self.weights_class, member)]
+            acc_train, acc_test = np.zeros((n, n)), np.zeros((m, n))
+            for p, (W, R, train_lids, test_lids) in enumerate(rounds, start=1):
+                acc_train = _round_step(acc_train, W, R, train_lids, lr)
+                acc_test = _round_step(acc_test, W, R, test_lids, lr)
+                if p in self.p_boosts:
+                    pair = (acc_train, acc_test)
+                    sums[p] = _sums([sums[p], pair]) if member > 1 else pair
+            for p_boost in self.p_boosts:
+                if (p_boost, member) in self.states:
+                    W_train, W_test = sums[p_boost]
+                    self._p_values[(p_boost, member)] = (
+                        p_eff(W_train / member, n), p_eff(W_test / member, n)
+                    )
+
+    def evaluate(self, p_boost: int, p_ens: int) -> PointEval:
+        members = range(1, p_ens + 1)
+        preds_train, preds_test = _mean_predictions(
+            ((self._cache[(c, m)][0][p_boost][:2] for m in members) for c in self.classes),
+            p_ens,
         )
+        raw_params = sum(
+            self._cache[(self.weights_class, m)][0][p_boost][2] for m in members
+        )
+        return self._point(raw_params, preds_train, preds_test,
+                           *self._p_values[(p_boost, p_ens)])
 
 
 FAMILY_RUNNERS = {

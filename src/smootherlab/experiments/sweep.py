@@ -144,8 +144,7 @@ def _run_states(family, states, threads):
     workers inherit them; points run largest first, so no big one is left
     to run alone at the end, and come back in input order.
     """
-    for key, value in _pool_map(lambda task: task(), family.prefit_tasks(), threads):
-        family.store(key, value)
+    family.store(_pool_map(lambda task: task(), family.prefit_tasks(), threads))
 
     def one(state):
         start = time.perf_counter()

@@ -182,6 +182,27 @@ def test_mistyped_value_exits_one_naming_its_key(tmp_path, capsys, argv, key):
     assert "Traceback" not in err
 
 
+_EMPTY_GRIDS = [
+    (["back-to-u"], "axis1_values"),
+    (["sweep"], "axis1_values"),
+    (["grid", "--set", "family=tree"], "axis1_values"),
+    (["cond-study"], "p_phi_values"),
+    (["cond-study"], "k_values"),
+    (["peaks"], "switches"),
+    (["select"], "leaf_grid"),
+    (["select"], "lr_grid"),
+]
+
+
+@pytest.mark.parametrize("argv, key", _EMPTY_GRIDS,
+                         ids=[f"{argv[0]}-{key}" for argv, key in _EMPTY_GRIDS])
+def test_empty_grid_exits_one_naming_its_key(tmp_path, capsys, argv, key):
+    assert _run([*argv, *TINY, "--set", f"{key}=[]"], tmp_path / "a") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert "Traceback" not in err
+
+
 def test_set_overrides_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dataset": {"n_train": 40, "side": 6,

@@ -13,11 +13,12 @@ import os
 import numpy as np
 import pytest
 
-from smootherlab import blas
+from smootherlab import blas, boosting
 from smootherlab.boosting import fit_boost_ensemble
 from smootherlab.dataset import SyntheticSpec, one_vs_all_targets, synth_generate
 from smootherlab.effparams import p_eff
 from smootherlab.errors import ScheduleError
+from smootherlab.experiments import families
 from smootherlab.experiments.families import FAMILY_RUNNERS, RffLinearFamily
 from smootherlab.experiments.schedule import (
     SweepConfig,
@@ -37,7 +38,7 @@ from smootherlab.experiments.sweep import (
     run_sweep,
     seed_standard_error,
 )
-from smootherlab.trees import fit_ensemble
+from smootherlab.trees import RegressionTree, fit_ensemble
 
 
 # ---------------------------------------------------------------------------
@@ -105,22 +106,80 @@ def test_point_is_the_fitted_ensemble_read_through_the_protocol(
     a1_values = [2, 5, 12] if family == "tree" else [1, 3, 6]
     states = [(a1, p_ens) for a1 in a1_values for p_ens in (1, 2, 4)]
     runner = FAMILY_RUNNERS[family](train, test, shared, states)
-    for task in runner.prefit_tasks():
-        runner.store(*task())
+    runner.store([task() for task in runner.prefit_tasks()])
     n = train.n
-    for a1, p_ens in states:
+    Y_train = one_vs_all_targets(train, train.task_classes)
+    Y_test = one_vs_all_targets(test, train.task_classes)
+
+    def fitted(y, a1, p_ens):
         if family == "tree":
-            model = fit_ensemble(train.features, y, a1, p_ens, shared.base_seed)
-            read = {}
-        else:
-            model = fit_boost_ensemble(
-                train.features, y, max(a1_values), p_ens, shared.base_seed,
-                learning_rate=shared.learning_rate, leaf_budget=shared.boost_leaf_budget,
-            )
-            read = {"upto": a1}
+            return fit_ensemble(train.features, y, a1, p_ens, shared.base_seed), {}
+        model = fit_boost_ensemble(
+            train.features, y, max(a1_values), p_ens, shared.base_seed,
+            learning_rate=shared.learning_rate, leaf_budget=shared.boost_leaf_budget,
+        )
+        return model, {"upto": a1}
+
+    for a1, p_ens in states:
+        model, read = fitted(y, a1, p_ens)
         ev = runner.evaluate(a1, p_ens)
         assert ev.p_train == p_eff(model.weight_matrix(train.features, **read), n)
         assert ev.p_test == p_eff(model.weight_matrix(test.features, **read), n)
+        if family == "tree":
+            raw_params = sum(m.n_leaves for m in model.members)
+        else:
+            raw_params = sum(t.n_leaves for m in model.members for t in m.trees[:a1])
+        assert ev.raw_params == raw_params
+        per_class = [fitted(Y_train[:, c], a1, p_ens) for c in range(Y_train.shape[1])]
+        preds_train = np.column_stack([m.train_predictions(**r) for m, r in per_class])
+        preds_test = np.column_stack([m.predict(test.features, **r) for m, r in per_class])
+        assert ev.train_mse == float(np.mean(np.sum((preds_train - Y_train) ** 2, axis=1)))
+        assert ev.test_mse == float(np.mean(np.sum((preds_test - Y_test) ** 2, axis=1)))
+
+
+def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
+    from smootherlab.cli import command_defaults, load_datasets
+
+    train, test = load_datasets(command_defaults("sweep")["dataset"])  # desk scale
+    shared = SweepConfig(effparams_class=2)
+    Y = one_vs_all_targets(train, train.task_classes)
+    class_of, recursion_runs, prefit_values = {}, [], []
+    fit_boost, recursion, prefit = (
+        families.fit_boost, boosting.weight_recursion, families.BoostFamily._prefit
+    )
+
+    def counted_fit_boost(X, y, **kwargs):
+        model = fit_boost(X, y, **kwargs)
+        class_of[id(model.trees)] = [np.array_equal(y, col) for col in Y.T].index(True)
+        return model
+
+    def counted_recursion(trees, *args):
+        recursion_runs.append(class_of[id(trees)])
+        return recursion(trees, *args)
+
+    def recorded_prefit(self, key):
+        result = prefit(self, key)
+        prefit_values.append(result[1])
+        return result
+
+    monkeypatch.setattr(families, "fit_boost", counted_fit_boost)
+    monkeypatch.setattr(boosting, "weight_recursion", counted_recursion)
+    monkeypatch.setattr(families.BoostFamily, "_prefit", recorded_prefit)
+    schedule = composite_schedule("boosting", [1, 3, 6], [2, 4], shared=shared)
+    run_sweep(schedule, train, test, threads=1)
+    assert recursion_runs == [shared.effparams_class] * 4  # members 1..4
+    assert len(prefit_values) == 4 * train.task_classes
+
+    def leaves(value):
+        if isinstance(value, (tuple, list)):
+            return [x for v in value for x in leaves(v)]
+        if isinstance(value, dict):
+            return leaves(list(value.values()))
+        return [value]
+
+    for value in leaves(prefit_values):
+        assert not isinstance(value, (boosting.BoostedModel, RegressionTree))
+        assert np.size(value) < train.n * train.n
 
 
 def test_infeasible_point_fails_before_any_fitting(toy_images):
