@@ -13,11 +13,11 @@ weight vector obeys the recursion
 
 where s_corr_p(x) is row leaf_p(x) of the correction matrix R_p whose row j
 averages the previous round's weight rows over the training points in leaf j.
-``fit_boost`` fits the trees only. The recursion depends on nothing but the
-fitted trees, so a ``BoostedModel`` walks it forward once, on first use,
-carrying the (n, n) training-point weight state from round to round. Runs
-whose weights are never read never pay for it. Averages of boosted runs are
-``trees.AveragedSmoother``s.
+``fit_boost`` fits the trees only. The recursion needs only the rounds'
+training leaf ids; ``weight_steps`` walks it, the one place the (n, n)
+training-point state is stepped, and a ``BoostedModel`` collects that walk on
+first use, so runs whose weights are never read never pay for it. Round p is
+seeded by (seed, p): a run's first p rounds are the run with ``n_rounds=p``.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .trees import AveragedSmoother, RegressionTree, fit_tree, presort
+from .trees import AveragedSmoother, RegressionTree, fit_tree, leaf_rows, presort
 
 DEFAULT_LEARNING_RATE = 0.85
 DEFAULT_LEAF_BUDGET = 10
@@ -36,31 +36,25 @@ DEFAULT_MAX_ROUNDS = 500
 
 
 def _round_step(prev, W, R, lids, lr):
-    """One recursion step: prev + (lr * (W - R))[lids].
-
-    The difference and the scaling act on the (J, n) leaf rows before the
-    rows are gathered to the m queries: elementwise the same float
-    operations as prev + lr * (W[lids] - R[lids]), on J rows instead of m.
-    Shared by the training-time state update and the weight extraction for
-    new inputs so both paths perform bitwise-identical float operations.
-    """
+    """One recursion step, prev + (lr * (W - R))[lids]: elementwise the float
+    operations of prev + lr * (W[lids] - R[lids]), on the J leaf rows instead
+    of the m queries. Training and query rows both step here, bit for bit."""
     return prev + (lr * (W - R))[lids]
 
 
-def weight_recursion(trees, learning_rate, n):
-    """Per-round tree weight rows W_p and corrections R_p, (J_p, n) each, and
-    the final (n, n) smoother rows at the training points, in round order."""
+def weight_steps(train_leaf_ids, learning_rate, n):
+    """Yield, after each round of the training leaf ids, the tree's leaf weight
+    rows W_p and corrections R_p, (J_p, n) each, and the (n, n) weight rows at
+    the training points. Row j of R_p is the previous state summed over leaf
+    j's training points, in ascending order, over their count."""
     state = np.zeros((n, n))
-    weight_rows, corrections = [], []
-    for tree in trees:
-        W = tree.leaf_weight_rows()
-        R = np.empty_like(W)
-        for j, members in enumerate(tree.leaf_members):
-            R[j] = state[members].sum(axis=0) / members.size
-        state = _round_step(state, W, R, tree.train_leaf, learning_rate)
-        weight_rows.append(W)
-        corrections.append(R)
-    return weight_rows, corrections, state
+    for lids in train_leaf_ids:
+        counts = np.bincount(lids)
+        W = leaf_rows(lids, counts)
+        members = np.split(np.argsort(lids, kind="stable"), np.cumsum(counts)[:-1])
+        R = np.stack([state[rows].sum(axis=0) / rows.size for rows in members])
+        state = _round_step(state, W, R, lids, learning_rate)
+        yield W, R, state
 
 
 @dataclass
@@ -73,7 +67,12 @@ class BoostedModel:
 
     @functools.cached_property
     def _recursion(self):
-        return weight_recursion(self.trees, self.learning_rate, self.n_train)
+        weight_rows, corrections = [], []
+        for W, R, state in weight_steps(self.train_leaf_ids, self.learning_rate,
+                                        self.n_train):
+            weight_rows.append(W)
+            corrections.append(R)
+        return weight_rows, corrections, state
 
     @property
     def tree_weight_rows(self) -> list[np.ndarray]:
@@ -94,51 +93,30 @@ class BoostedModel:
     def n_rounds(self) -> int:
         return len(self.trees)
 
-    def _resolve_rounds(self, upto) -> int:
-        if upto is None:
-            return self.n_rounds
-        if not (1 <= upto <= self.n_rounds):
-            raise ValidationError(
-                f"upto must be in [1, {self.n_rounds}], got {upto}"
-            )
-        return upto
-
-    def predict(self, X0: np.ndarray, upto: int | None = None) -> np.ndarray:
-        upto = self._resolve_rounds(upto)
+    def predict(self, X0: np.ndarray) -> np.ndarray:
         X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-        lids = [t.leaf_ids(X0) for t in self.trees[:upto]]
+        lids = [t.leaf_ids(X0) for t in self.trees]
         return self.predictions_from_leaf_ids(lids, X0.shape[0])
 
-    def train_predictions(self, upto: int | None = None) -> np.ndarray:
-        """Fitted values at the training points after ``upto`` rounds."""
-        upto = self._resolve_rounds(upto)
-        return self.predictions_from_leaf_ids(self.train_leaf_ids[:upto], self.n_train)
+    def train_predictions(self) -> np.ndarray:
+        return self.predictions_from_leaf_ids(self.train_leaf_ids, self.n_train)
 
     def predictions_from_leaf_ids(self, lids_per_round, m) -> np.ndarray:
-        """Predictions for precomputed per-round leaf assignments; the same
-        float operations as the training-time update of the fitted values."""
+        """Predictions of m inputs after the rounds of their leaf ids; the
+        float operations of the training-time update of the fitted values."""
         out = np.zeros(m)
         for tree, lids in zip(self.trees, lids_per_round):
             out += self.learning_rate * tree.leaf_values[lids]
         return out
 
-    def weight_matrix(self, X0: np.ndarray, upto: int | None = None) -> np.ndarray:
-        upto = self._resolve_rounds(upto)
+    def weight_matrix(self, X0: np.ndarray) -> np.ndarray:
         X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-        lids = [t.leaf_ids(X0) for t in self.trees[:upto]]
+        lids = [t.leaf_ids(X0) for t in self.trees]
         return self.weights_from_leaf_ids(lids, X0.shape[0])
 
-    def train_weight_matrix(self, upto: int | None = None) -> np.ndarray:
-        """Smoother rows at the training points after ``upto`` rounds."""
-        upto = self._resolve_rounds(upto)
-        return self.weights_from_leaf_ids(self.train_leaf_ids[:upto], self.n_train)
-
     def weights_from_leaf_ids(self, lids_per_round, m) -> np.ndarray:
-        """Weight matrix for precomputed per-round leaf assignments.
-
-        Callers that evaluate many truncations of the same run can cache the
-        leaf ids once and replay the recursion from here.
-        """
+        """Weight rows of m inputs after the rounds of their leaf ids; a
+        prefix of the rounds gives the weights of that shorter run."""
         acc = np.zeros((m, self.n_train))
         for W, R, lids in zip(self.tree_weight_rows, self.corrections, lids_per_round):
             acc = _round_step(acc, W, R, lids, self.learning_rate)

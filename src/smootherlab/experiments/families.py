@@ -11,9 +11,10 @@ A tree or boosting point averages its seeded members' predictions and
 weight rows, and both p_train and p_test are p_eff of the averaged rows.
 Boosting computes weights only for the class they are read from, in one
 forward pass when its prefit results are stored: each member's rounds are
-stepped through once, and running member sums at every needed round count
-give every point's p0. Its prefit tasks send back prediction snapshots and,
-for that class only, the per-round recursion inputs; never the n×n state.
+stepped through once by ``boosting.weight_steps``, and running member sums at
+every needed round count give every point's p0. Its prefit tasks send back
+prediction snapshots and, for that class only, the per-round train and test
+leaf ids; no weight rows and never the n×n state.
 
 Multiclass data is handled one-vs-all: C binary {0,1} tasks share the inputs,
 squared losses are summed across tasks, and the 0-1 error takes the argmax
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..boosting import _round_step, fit_boost
+from ..boosting import _round_step, fit_boost, weight_steps
 from ..dataset import Dataset, one_vs_all_targets
 from ..effparams import p_eff
 from ..errors import ScheduleError, ValidationError
@@ -206,12 +207,12 @@ class BoostFamily(_FamilyBase):
     Every (class, member) run is fitted once to the largest round count the
     schedule needs; shorter points read round prefixes, which are identical
     bit for bit because round p is seeded by (member seed, p). A prefit task
-    sends back only what evaluation reads: snapshots of the member's running
-    train and test predictions and of its cumulative leaf count at each
-    needed round count, and, for the effparams class only, the per-round W_p,
-    R_p and train and test leaf ids. ``store`` then walks each of those
-    members' weights forward once and records p_train and p_test of every
-    point, so ``evaluate`` only averages snapshots.
+    sends back only what evaluation reads: the member's train and test
+    predictions and its cumulative leaf count at each needed round count,
+    and, for the effparams class only, the per-round train and test leaf ids.
+    ``store`` then walks each of those members' weights forward once and
+    records p_train and p_test of every point, so ``evaluate`` only averages
+    snapshots.
     """
 
     def __init__(self, train, test, shared, states):
@@ -238,40 +239,36 @@ class BoostFamily(_FamilyBase):
             subset_size=self.shared.tree_subset,
             order=self.order,
         )
+        train_lids = model.train_leaf_ids
         test_lids = [t.leaf_ids(self.test.features) for t in model.trees]
-        # one running sum per side, the same float operations as
-        # BoostedModel.predictions_from_leaf_ids
-        f_train, f_test, leaves = np.zeros(self.train.n), np.zeros(self.test.n), 0
-        snapshots = {}
-        for p, (tree, lids) in enumerate(zip(model.trees, test_lids), start=1):
-            f_train += model.learning_rate * tree.leaf_values[tree.train_leaf]
-            f_test += model.learning_rate * tree.leaf_values[lids]
-            leaves += tree.n_leaves
-            if p in self.p_boosts:
-                snapshots[p] = (f_train.copy(), f_test.copy(), leaves)
-        rounds = None  # the recursion runs only for the class it is read from
-        if c == self.weights_class:
-            rounds = list(zip(model.tree_weight_rows, model.corrections,
-                              model.train_leaf_ids, test_lids))
-        return key, (snapshots, rounds)
+        snapshots = {
+            p: (model.predictions_from_leaf_ids(train_lids[:p], self.train.n),
+                model.predictions_from_leaf_ids(test_lids[:p], self.test.n),
+                sum(t.n_leaves for t in model.trees[:p]))
+            for p in self.p_boosts
+        }
+        # store walks the weights, and only for the class they are read from
+        lids = (train_lids, test_lids) if c == self.weights_class else None
+        return key, (snapshots, lids)
 
     def store(self, results):
         """Store the prefit results, then walk the weights forward.
 
-        Each effparams-class member's train (n, n) and test (m, n) rows are
-        stepped through its rounds once. At each needed p_boost they are
-        added into that p_boost's running member sum; once the member count
-        reaches a point's p_ens, p0 of the sum over p_ens is recorded.
+        Each effparams-class member's train (n, n) rows, from
+        ``weight_steps``, and its test (m, n) rows are stepped through its
+        rounds once. At each needed p_boost they are added into that
+        p_boost's running member sum; once the member count reaches a
+        point's p_ens, p0 of the sum over p_ens is recorded.
         """
         super().store(results)
         n, m, lr = self.train.n, self.test.n, self.shared.learning_rate
         sums = {}
         for member in range(1, self.p_ens_max + 1):
-            _, rounds = self._cache[(self.weights_class, member)]
-            acc_train, acc_test = np.zeros((n, n)), np.zeros((m, n))
-            for p, (W, R, train_lids, test_lids) in enumerate(rounds, start=1):
-                acc_train = _round_step(acc_train, W, R, train_lids, lr)
-                acc_test = _round_step(acc_test, W, R, test_lids, lr)
+            train_lids, test_lids = self._cache[(self.weights_class, member)][1]
+            acc_test = np.zeros((m, n))
+            steps = zip(weight_steps(train_lids, lr, n), test_lids)
+            for p, ((W, R, acc_train), lids) in enumerate(steps, start=1):
+                acc_test = _round_step(acc_test, W, R, lids, lr)
                 if p in self.p_boosts:
                     pair = (acc_train, acc_test)
                     sums[p] = _sums([sums[p], pair]) if member > 1 else pair

@@ -19,7 +19,7 @@ from ..dataset import (
 )
 from ..effparams import p_eff
 from ..errors import PreconditionError, ValidationError
-from ..knn import KnnSmoother
+from ..knn import fit_knn
 from ..linear import LinearFit, fit_minnorm, standardize, svd_cutoff
 from ..rff import DEFAULT_SCALE, RffMap, sample_frequencies, transform
 
@@ -189,8 +189,7 @@ def _analytic_weights(config: AnalyticModelConfig, X: np.ndarray, X0: np.ndarray
         A0 = np.concatenate([np.ones((X0.shape[0], 1)), X0[:, : q - 1]], axis=1)
         return A0 @ np.linalg.pinv(A)
     if config.kind == "knn":
-        sm = KnnSmoother(features=X, targets=np.zeros(n), k=config.k)
-        return sm.weight_matrix(X0)
+        return fit_knn(X, np.zeros(n), config.k).weight_matrix(X0)
     if config.kind == "minnorm":
         p = 2 * n if config.rff_p is None else config.rff_p
         if p < n:
@@ -227,6 +226,8 @@ def bias_variance(
     """
     if n_resamples < 2:
         raise ValidationError("need at least 2 resamples")
+    if n_test_points < 1:
+        raise ValidationError(f"n_test_points must be >= 1, got {n_test_points}")
     base = synth_generate(spec)
     if base.true_values is None:
         raise ValidationError("spec generator must supply noise-free values")

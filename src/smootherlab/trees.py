@@ -82,6 +82,15 @@ def _best_split(X, y, idx, feats, order, mask):
     return float(best[col]), int(feats[col]), float(thr)
 
 
+def leaf_rows(train_leaf: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(J, n) leaf weight rows of a tree from the leaf of each training
+    point: row j puts 1 / counts[j] on each training point in leaf j."""
+    n = train_leaf.size
+    W = np.zeros((counts.size, n))
+    W[train_leaf, np.arange(n)] = 1.0 / counts[train_leaf]
+    return W
+
+
 @dataclass
 class RegressionTree:
     """Array-encoded tree; internal nodes have feature >= 0."""
@@ -128,10 +137,7 @@ class RegressionTree:
     def leaf_weight_rows(self) -> np.ndarray:
         """(n_leaves, n_train) matrix whose row j is the leaf-j weight vector."""
         if self._weight_rows is None:
-            W = np.zeros((self.n_leaves, self.n_train))
-            cols = np.arange(self.n_train)
-            W[self.train_leaf, cols] = 1.0 / self.leaf_counts[self.train_leaf]
-            self._weight_rows = W
+            self._weight_rows = leaf_rows(self.train_leaf, self.leaf_counts)
         return self._weight_rows
 
     def weight_matrix(self, X0: np.ndarray) -> np.ndarray:
@@ -235,11 +241,8 @@ def fit_tree(
 
 @dataclass
 class AveragedSmoother:
-    """Plain average of member smoothers (independently seeded, no bootstrap).
-
-    Keyword arguments such as a boosted member's ``upto`` are passed on to
-    every member.
-    """
+    """Plain average of member smoothers (independently seeded, no bootstrap):
+    trees for a forest, boosted runs for a boosted ensemble."""
 
     members: list
 
@@ -247,20 +250,20 @@ class AveragedSmoother:
     def n_train(self) -> int:
         return self.members[0].n_train
 
-    def _mean(self, method: str, *args, **kwargs) -> np.ndarray:
-        acc = getattr(self.members[0], method)(*args, **kwargs)
+    def _mean(self, method: str, *args) -> np.ndarray:
+        acc = getattr(self.members[0], method)(*args)
         for m in self.members[1:]:
-            acc = acc + getattr(m, method)(*args, **kwargs)
+            acc = acc + getattr(m, method)(*args)
         return acc / len(self.members)
 
-    def predict(self, X0: np.ndarray, **kwargs) -> np.ndarray:
-        return self._mean("predict", X0, **kwargs)
+    def predict(self, X0: np.ndarray) -> np.ndarray:
+        return self._mean("predict", X0)
 
-    def weight_matrix(self, X0: np.ndarray, **kwargs) -> np.ndarray:
-        return self._mean("weight_matrix", X0, **kwargs)
+    def weight_matrix(self, X0: np.ndarray) -> np.ndarray:
+        return self._mean("weight_matrix", X0)
 
-    def train_predictions(self, **kwargs) -> np.ndarray:
-        return self._mean("train_predictions", **kwargs)
+    def train_predictions(self) -> np.ndarray:
+        return self._mean("train_predictions")
 
 
 def fit_ensemble(

@@ -16,6 +16,7 @@ from smootherlab.boosting import (
     BoostedModel,
     fit_boost,
     fit_boost_ensemble,
+    weight_steps,
 )
 from smootherlab.errors import ValidationError
 from smootherlab.trees import AveragedSmoother, fit_tree
@@ -93,9 +94,10 @@ def test_duality_across_round_counts():
     model = fit_boost(X, y, n_rounds=25, learning_rate=0.85, leaf_budget=4, seed=1,
                       stop_tol=None)
     X0 = np.random.default_rng(6).normal(size=(10, 3))
-    for upto in (1, 5, 25):
-        via_weights = model.weight_matrix(X0, upto=upto) @ y
-        direct = model.predict(X0, upto=upto)
+    lids = [t.leaf_ids(X0) for t in model.trees]
+    for k in (1, 5, 25):
+        via_weights = model.weights_from_leaf_ids(lids[:k], 10) @ y
+        direct = model.predictions_from_leaf_ids(lids[:k], 10)
         assert np.max(np.abs(via_weights - direct) / (1.0 + np.abs(direct))) <= 1e-10
 
 
@@ -106,10 +108,12 @@ def test_round_prefix_is_stable():
     short = fit_boost(X, y, n_rounds=3, learning_rate=0.6, leaf_budget=3, seed=11,
                       stop_tol=None)
     X0 = np.random.default_rng(8).normal(size=(5, 3))
-    assert np.array_equal(long.weight_matrix(X0, upto=3), short.weight_matrix(X0))
-    assert np.array_equal(long.predict(X0, upto=3), short.predict(X0))
+    lids = [t.leaf_ids(X0) for t in long.trees[:3]]
+    assert np.array_equal(long.weights_from_leaf_ids(lids, 5), short.weight_matrix(X0))
+    assert np.array_equal(long.predictions_from_leaf_ids(lids, 5), short.predict(X0))
     assert np.array_equal(long.train_mse_history[:3], short.train_mse_history)
-    assert np.array_equal(long.train_weight_matrix(3), short.train_weight_state)
+    prefix = long.weights_from_leaf_ids(long.train_leaf_ids[:3], long.n_train)
+    assert np.array_equal(prefix, short.train_weight_state)
 
 
 def test_training_error_non_increasing():
@@ -143,7 +147,7 @@ def test_leaf_values_are_mean_residuals():
     model = fit_boost(X, y, n_rounds=8, learning_rate=0.85, leaf_budget=4, seed=7,
                       stop_tol=None)
     for p, tree in enumerate(model.trees, start=1):
-        prev = model.predict(X, upto=p - 1) if p > 1 else np.zeros(25)
+        prev = model.predictions_from_leaf_ids(model.train_leaf_ids[:p - 1], 25)
         residual = y - prev
         for j, members in enumerate(tree.leaf_members):
             assert tree.leaf_values[j] == pytest.approx(
@@ -158,12 +162,15 @@ def test_history_lengths_and_state_norms():
     assert model.n_rounds == 9
     assert model.train_mse_history.shape == (9,)
     # the carried state has the norm of the replayed rows at its round count
+    lids = model.train_leaf_ids
     final = float(np.sum(model.train_weight_state ** 2))
-    assert float(np.sum(model.train_weight_matrix(9) ** 2)) == pytest.approx(final, rel=1e-12)
+    replayed = model.weights_from_leaf_ids(lids, 18)
+    assert float(np.sum(replayed ** 2)) == pytest.approx(final, rel=1e-12)
     short = fit_boost(X, y, n_rounds=4, learning_rate=0.5, leaf_budget=3, seed=0,
                       stop_tol=None)
     mid = float(np.sum(short.train_weight_state ** 2))
-    assert float(np.sum(model.train_weight_matrix(4) ** 2)) == pytest.approx(mid, rel=1e-12)
+    replayed = model.weights_from_leaf_ids(lids[:4], 18)
+    assert float(np.sum(replayed ** 2)) == pytest.approx(mid, rel=1e-12)
 
 
 def test_weights_from_leaf_ids_matches_weight_matrix():
@@ -175,17 +182,23 @@ def test_weights_from_leaf_ids_matches_weight_matrix():
     rebuilt = model.weights_from_leaf_ids(lids, 7)
     assert np.array_equal(rebuilt, model.weight_matrix(X0))
     prefix = model.weights_from_leaf_ids(lids[:2], 7)
-    assert np.array_equal(prefix, model.weight_matrix(X0, upto=2))
-
-
-def test_upto_validation():
-    X, y = _toy()
-    model = fit_boost(X, y, n_rounds=3, learning_rate=0.5, leaf_budget=2, seed=0,
+    short = fit_boost(X, y, n_rounds=2, learning_rate=0.85, leaf_budget=4, seed=3,
                       stop_tol=None)
-    with pytest.raises(ValidationError):
-        model.predict(X, upto=0)
-    with pytest.raises(ValidationError):
-        model.predict(X, upto=4)
+    assert np.array_equal(prefix, short.weight_matrix(X0))
+
+
+def test_weight_steps_build_each_round_from_leaf_ids_as_the_tree_does():
+    X, y = _random_instance(22, n=26)
+    model = fit_boost(X, y, n_rounds=5, learning_rate=0.7, leaf_budget=5, seed=4,
+                      stop_tol=None)
+    state = np.zeros((26, 26))
+    steps = weight_steps(model.train_leaf_ids, 0.7, 26)
+    for tree, (W, R, next_state) in zip(model.trees, steps, strict=True):
+        assert np.array_equal(W, tree.leaf_weight_rows())
+        for j, members in enumerate(tree.leaf_members):
+            assert np.array_equal(R[j], state[members].sum(axis=0) / members.size)
+        state = next_state
+    assert np.array_equal(state, model.train_weight_state)
 
 
 def test_parameter_validation():
@@ -224,9 +237,15 @@ def test_boost_ensemble_averages_members():
     assert np.allclose(ens.predict(X0), mean_pred, atol=1e-12)
     mean_w = np.mean([m.weight_matrix(X0) for m in ens.members], axis=0)
     assert np.allclose(ens.weight_matrix(X0), mean_w, atol=1e-12)
-    # truncation applies member-wise
-    mean_pred3 = np.mean([m.predict(X0, upto=3) for m in ens.members], axis=0)
-    assert np.allclose(ens.predict(X0, upto=3), mean_pred3, atol=1e-12)
+    # a shorter ensemble averages the members' round prefixes
+    short = fit_boost_ensemble(X, y, n_rounds=3, p_ens=4, base_seed=0,
+                               learning_rate=0.5, leaf_budget=3)
+    mean_pred3 = np.mean(
+        [m.predictions_from_leaf_ids([t.leaf_ids(X0) for t in m.trees[:3]], 9)
+         for m in ens.members],
+        axis=0,
+    )
+    assert np.allclose(short.predict(X0), mean_pred3, atol=1e-12)
 
 
 def test_boost_ensemble_duality():

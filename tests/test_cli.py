@@ -501,6 +501,19 @@ def test_bias_variance_minnorm_defaults_to_width_twice_n(tmp_path):
     assert (a / table).read_bytes() == (b / table).read_bytes()
 
 
+@pytest.mark.parametrize("k", [0, 1000])  # spec.n is 40
+def test_bias_variance_knn_k_out_of_range_exits_one_naming_it(tmp_path, capsys, k):
+    argv = ["bias-variance", "--set", "model.kind=knn", "--set", f"model.k={k}"]
+    assert _run(argv, tmp_path / "a") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: k must be in [1, n=40]") and f"got {k}" in err
+
+
+def test_bias_variance_without_test_points_exits_one_naming_them(tmp_path, capsys):
+    assert _run(["bias-variance", "--set", "n_test_points=0"], tmp_path / "a") == 1
+    assert capsys.readouterr().err.startswith("error: n_test_points must be >= 1")
+
+
 def test_select_smoke(tmp_path, capsys):
     out = tmp_path / "a"
     argv = ["select", *TINY, "--set", 'leaf_grid=[2,"max"]',
@@ -568,3 +581,36 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=_src_env())
     assert done.stdout.strip() == str([False] * len(lazy))
+
+
+# ---------------------------------------------------------------------------
+# benchmark tooling
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "family, axes",
+    [
+        ("boosting", ["axis1_values=[1,3,6]", "axis2_values=[1,3]"]),
+        ("tree", ["axis1_values=[2,8,24]", "axis2_values=[1,3]"]),
+        ("rff_linear", ["axis1_values=[2,8,23]", "axis2_values=[0,24]"]),
+    ],
+)
+def test_traced_back_to_u_writes_the_untraced_csv(tmp_path, family, axes):
+    # perfbench/trace_cli.py wraps package functions by name; a renamed or
+    # removed one breaks the benchmark's traced mode
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "trace_cli.py"
+    argv = ["back-to-u", *TINY, "--set", f"family={family}", "--threads", "1"]
+    for item in axes:
+        argv += ["--set", item]
+    spans_path, traced, plain = tmp_path / "spans.json", tmp_path / "t", tmp_path / "p"
+    subprocess.run([sys.executable, str(tracer), str(spans_path), *argv,
+                    "--out", str(traced)],
+                   capture_output=True, check=True, env=_src_env())
+    assert _run(argv, plain) == 0
+    table = "back_to_u.csv"
+    assert (traced / table).read_bytes() == (plain / table).read_bytes()
+    names = {span["name"] for span in json.loads(spans_path.read_text())["spans"]}
+    assert "families.evaluate" in names
+    if family == "boosting":
+        assert "boosting.fit_boost" in names

@@ -113,26 +113,25 @@ def test_point_is_the_fitted_ensemble_read_through_the_protocol(
 
     def fitted(y, a1, p_ens):
         if family == "tree":
-            return fit_ensemble(train.features, y, a1, p_ens, shared.base_seed), {}
-        model = fit_boost_ensemble(
-            train.features, y, max(a1_values), p_ens, shared.base_seed,
+            return fit_ensemble(train.features, y, a1, p_ens, shared.base_seed)
+        return fit_boost_ensemble(
+            train.features, y, a1, p_ens, shared.base_seed,
             learning_rate=shared.learning_rate, leaf_budget=shared.boost_leaf_budget,
         )
-        return model, {"upto": a1}
 
     for a1, p_ens in states:
-        model, read = fitted(y, a1, p_ens)
+        model = fitted(y, a1, p_ens)
         ev = runner.evaluate(a1, p_ens)
-        assert ev.p_train == p_eff(model.weight_matrix(train.features, **read), n)
-        assert ev.p_test == p_eff(model.weight_matrix(test.features, **read), n)
+        assert ev.p_train == p_eff(model.weight_matrix(train.features), n)
+        assert ev.p_test == p_eff(model.weight_matrix(test.features), n)
         if family == "tree":
             raw_params = sum(m.n_leaves for m in model.members)
         else:
-            raw_params = sum(t.n_leaves for m in model.members for t in m.trees[:a1])
+            raw_params = sum(t.n_leaves for m in model.members for t in m.trees)
         assert ev.raw_params == raw_params
         per_class = [fitted(Y_train[:, c], a1, p_ens) for c in range(Y_train.shape[1])]
-        preds_train = np.column_stack([m.train_predictions(**r) for m, r in per_class])
-        preds_test = np.column_stack([m.predict(test.features, **r) for m, r in per_class])
+        preds_train = np.column_stack([m.train_predictions() for m in per_class])
+        preds_test = np.column_stack([m.predict(test.features) for m in per_class])
         assert ev.train_mse == float(np.mean(np.sum((preds_train - Y_train) ** 2, axis=1)))
         assert ev.test_mse == float(np.mean(np.sum((preds_test - Y_test) ** 2, axis=1)))
 
@@ -143,31 +142,39 @@ def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
     train, test = load_datasets(command_defaults("sweep")["dataset"])  # desk scale
     shared = SweepConfig(effparams_class=2)
     Y = one_vs_all_targets(train, train.task_classes)
-    class_of, recursion_runs, prefit_values = {}, [], []
-    fit_boost, recursion, prefit = (
-        families.fit_boost, boosting.weight_recursion, families.BoostFamily._prefit
+    class_of, step_runs, prefit_values, in_prefit = {}, [], [], []
+    fit_boost, steps, prefit = (
+        families.fit_boost, boosting.weight_steps, families.BoostFamily._prefit
     )
 
     def counted_fit_boost(X, y, **kwargs):
         model = fit_boost(X, y, **kwargs)
-        class_of[id(model.trees)] = [np.array_equal(y, col) for col in Y.T].index(True)
+        class_of[id(model.train_leaf_ids)] = [
+            np.array_equal(y, col) for col in Y.T
+        ].index(True)
         return model
 
-    def counted_recursion(trees, *args):
-        recursion_runs.append(class_of[id(trees)])
-        return recursion(trees, *args)
+    def counted_steps(train_leaf_ids, *args):
+        step_runs.append((class_of[id(train_leaf_ids)], bool(in_prefit)))
+        return steps(train_leaf_ids, *args)
 
     def recorded_prefit(self, key):
-        result = prefit(self, key)
+        in_prefit.append(key)
+        try:
+            result = prefit(self, key)
+        finally:
+            in_prefit.pop()
         prefit_values.append(result[1])
         return result
 
     monkeypatch.setattr(families, "fit_boost", counted_fit_boost)
-    monkeypatch.setattr(boosting, "weight_recursion", counted_recursion)
+    monkeypatch.setattr(boosting, "weight_steps", counted_steps)
+    monkeypatch.setattr(families, "weight_steps", counted_steps)
     monkeypatch.setattr(families.BoostFamily, "_prefit", recorded_prefit)
     schedule = composite_schedule("boosting", [1, 3, 6], [2, 4], shared=shared)
     run_sweep(schedule, train, test, threads=1)
-    assert recursion_runs == [shared.effparams_class] * 4  # members 1..4
+    # once per member 1..4, all in store, none in a prefit task
+    assert step_runs == [(shared.effparams_class, False)] * 4
     assert len(prefit_values) == 4 * train.task_classes
 
     def leaves(value):
@@ -180,6 +187,9 @@ def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
     for value in leaves(prefit_values):
         assert not isinstance(value, (boosting.BoostedModel, RegressionTree))
         assert np.size(value) < train.n * train.n
+        # no weight rows: those are formed only where they are read
+        array = np.asarray(value)
+        assert not (array.ndim == 2 and np.issubdtype(array.dtype, np.floating))
 
 
 def test_infeasible_point_fails_before_any_fitting(toy_images):
