@@ -439,8 +439,23 @@ def default_axis_values(family: str, n: int) -> tuple[list[int], list[int]]:
     return axis1, axis2
 
 
+# ranges of the shared sweep settings, checked for every family
+_SHARED_RANGES = {
+    "rff_scale": ("> 0", lambda v: v > 0),
+    "learning_rate": ("in (0, 1]", lambda v: 0 < v <= 1),
+    "boost_leaf_budget": (">= 1", lambda v: v >= 1),
+    "tree_subset": ("null or >= 1", lambda v: v is None or v >= 1),
+}
+
+
 def _sweep_inputs(cfg: dict):
     """train, test, axis-1 and axis-2 values, and the SweepConfig of a sweep command."""
+    for key, (bound, ok) in _SHARED_RANGES.items():
+        value = cfg["shared"][key]
+        if not ok(value):
+            raise ValidationError(
+                f"config key {'shared.' + key!r} must be {bound}, got {value!r}"
+            )
     train, test = load_datasets(cfg["dataset"])
     d1, d2 = default_axis_values(cfg["family"], train.n)
     axis1 = cfg["axis1_values"] if cfg["axis1_values"] is not None else d1

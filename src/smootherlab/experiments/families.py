@@ -2,10 +2,15 @@
 
 A family adapter prepares whatever is shared across a sweep (feature caches,
 prefit trees, boosted runs) and then evaluates individual (axis1, axis2)
-points. Evaluation is a pure function of the axis values and the shared
-config — never of the schedule position — so composite sweeps, grids and
-contour branches that visit the same point produce bit-identical records,
-and the sweep can run every family's points in its process pool.
+points. Preparation runs as prefit tasks in the sweep's pool. An rff_linear
+task computes one ``rff.BLOCK`` of cosine columns, standardizes it with
+train statistics, writes it into train and test caches in shared memory
+and sends back only the block's per-column means, scales and kept mask; a
+point fits PCR on column prefixes of those caches. Evaluation is a pure
+function of the axis values and the shared config — never of the schedule
+position — so composite sweeps, grids and contour branches that visit the
+same point produce bit-identical records, and the sweep can run every
+family's points in its process pool.
 
 A tree or boosting point averages its seeded members' predictions and
 weight rows, and both p_train and p_test are p_eff of the averaged rows.
@@ -25,6 +30,7 @@ for every task; trees and boosting adapt to their targets).
 from __future__ import annotations
 
 import functools
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +39,8 @@ from ..boosting import _round_step, fit_boost, weight_steps
 from ..dataset import Dataset, one_vs_all_targets
 from ..effparams import p_eff
 from ..errors import ScheduleError, ValidationError
-from ..linear import pcr_smoother
-from ..rff import BLOCK, sample_frequencies, transform
+from ..linear import pcr_smoother, standardize
+from ..rff import BLOCK, feature_block, sample_frequencies
 from ..trees import fit_tree, presort
 
 
@@ -105,7 +111,16 @@ class _FamilyBase:
 
 
 class RffLinearFamily(_FamilyBase):
-    """Principal-component regression on a growing random cosine design."""
+    """Principal-component regression on a growing random cosine design.
+
+    The train and test cosine designs are standardized once, with train
+    statistics, into caches in shared memory. Each prefit task fills one
+    ``rff.BLOCK`` of columns of both caches and sends back only that block's
+    means, scales and kept mask. A point fits on column prefixes of the
+    standardized caches, neither copied nor standardized again: every
+    statistic is per column, so a prefix holds what standardizing that
+    prefix alone would give.
+    """
 
     def __init__(self, train, test, shared, states):
         super().__init__(train, test, shared)
@@ -121,17 +136,46 @@ class RffLinearFamily(_FamilyBase):
         self.fmap = sample_frequencies(
             shared.resolved_rff_seed(), p_cache, train.d, shared.rff_scale
         )
-        self.Phi_train = transform(self.fmap, train.features, p_cache)
-        self.Phi_test = transform(self.fmap, test.features, p_cache)
+        self.Xs_train = _shared_zeros(train.n, p_cache)
+        self.Xs_test = _shared_zeros(test.n, p_cache)
+        self._needed = list(range(0, p_cache, BLOCK))
+
+    def _prefit(self, start):
+        cols = slice(start, start + BLOCK)
+        Xs, mean, std, kept = standardize(
+            feature_block(self.fmap, self.train.features, start)
+        )
+        self.Xs_train[:, cols][:, kept] = Xs
+        Phi_test = feature_block(self.fmap, self.test.features, start)
+        self.Xs_test[:, cols][:, kept] = (Phi_test[:, kept] - mean) / std
+        return start, (mean, std, kept)
+
+    def store(self, results):
+        """Store the blocks' statistics, joined in column order."""
+        super().store(results)
+        blocks = (self._cache[start] for start in self._needed)
+        self.mean, self.std, self.kept = map(np.concatenate, zip(*blocks))
 
     def evaluate(self, p_pc: int, p_ex: int) -> PointEval:
         p_phi = p_pc + p_ex
-        sm = pcr_smoother(self.Phi_train[:, :p_phi], p_pc)
+        kept = self.kept[:p_phi]
+        q = int(np.count_nonzero(kept))  # kept columns come first in mean, std
+        sm = pcr_smoother(self.Xs_train[:, :p_phi], p_pc,
+                          scaling=(self.mean[:q], self.std[:q], kept))
+        Xs_test = self.Xs_test[:, :p_phi]
         W_train = sm.hat_matrix()
-        W_test = sm.weight_matrix(self.Phi_test[:, :p_phi])
+        W_test = sm.standardized_weight_matrix(
+            Xs_test if q == p_phi else Xs_test[:, kept]
+        )
         Y, n = self.Y_train, self.train.n
         return self._point(p_phi, W_train @ Y, W_test @ Y,
                            p_eff(W_train, n), p_eff(W_test, n))
+
+
+def _shared_zeros(rows: int, cols: int) -> np.ndarray:
+    """A zeroed (rows, cols) float array in anonymous shared memory: writes
+    from processes forked after it is made reach the parent's pages."""
+    return np.frombuffer(mmap.mmap(-1, rows * cols * 8)).reshape(rows, cols)
 
 
 # --------------------------------------------------------------------------- averaged members

@@ -64,9 +64,11 @@ def _pool_map(fn, items, threads):
 
     The workers inherit fn and items through fork, closures and family
     caches included, so nothing is pickled on the way in; only results and
-    raised exceptions travel back. The pool forks every worker before it
-    starts its own manager thread. Runs serially for one worker or where
-    fork is unavailable.
+    raised exceptions travel back. Workers may also fill arrays that the
+    family made in shared memory before the fork (the rff_linear feature
+    caches); those writes reach the parent without being pickled. The pool
+    forks every worker before it starts its own manager thread. Runs
+    serially for one worker or where fork is unavailable.
     """
     workers = min(threads, len(items))
     if workers <= 1:

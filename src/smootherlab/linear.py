@@ -13,6 +13,9 @@ singular-value cutoff (``svd_cutoff``). PCR needs only its top components:
 it takes them from one eigendecomposition of the Gram matrix of the
 standardized design's shorter side, solves the intercept in closed form,
 and floors the cutoff at the Gram's rounding level (see ``pcr_smoother``).
+Callers that standardize their columns once for many fits (the sweep's
+cosine cache) pass the standardized design with its scaling, and get
+weights of standardized queries from ``PcrSmoother.standardized_weight_matrix``.
 """
 from __future__ import annotations
 
@@ -63,23 +66,41 @@ class PcrSmoother:
     def n_train(self) -> int:
         return self.train_design.shape[0]
 
-    def design(self, Phi0: np.ndarray) -> np.ndarray:
+    def scale(self, Phi0: np.ndarray) -> np.ndarray:
+        """The kept columns of raw queries, standardized with the training
+        means and scales."""
         Phi0 = np.atleast_2d(np.asarray(Phi0, dtype=float))
         if Phi0.shape[1] != self.kept.size:
             raise ValidationError(
                 f"query has {Phi0.shape[1]} columns, design had {self.kept.size}"
             )
-        Z0 = ((Phi0[:, self.kept] - self.mean) / self.std) @ self.components
-        return np.concatenate([Z0, np.ones((Z0.shape[0], 1))], axis=1)
+        return (Phi0[:, self.kept] - self.mean) / self.std
+
+    def design(self, Phi0: np.ndarray) -> np.ndarray:
+        return self._project(self.scale(Phi0))
+
+    def standardized_weight_matrix(self, Xs0: np.ndarray) -> np.ndarray:
+        """Weight rows of queries already standardized like ``scale`` does
+        (kept columns only), shape (m, n_train)."""
+        if Xs0.shape[1] != self.components.shape[0]:
+            raise ValidationError(
+                f"standardized query has {Xs0.shape[1]} columns, "
+                f"the fit kept {self.components.shape[0]}"
+            )
+        return self._project(Xs0) @ self.solver
 
     def weight_matrix(self, Phi0: np.ndarray) -> np.ndarray:
-        return self.design(Phi0) @ self.solver
+        return self.standardized_weight_matrix(self.scale(Phi0))
 
     def hat_matrix(self) -> np.ndarray:
         return self.train_design @ self.solver
 
     def coefficients(self, y: np.ndarray) -> np.ndarray:
         return self.solver @ np.asarray(y, dtype=float)
+
+    def _project(self, Xs0: np.ndarray) -> np.ndarray:
+        Z0 = Xs0 @ self.components
+        return np.concatenate([Z0, np.ones((Z0.shape[0], 1))], axis=1)
 
 
 @dataclass
@@ -215,7 +236,10 @@ def standardize(Phi: np.ndarray):
     """Center and scale the columns, dropping zero-variance ones.
 
     Returns (Xs, mean, std, kept): the standardized kept columns, their means
-    and scales, and the boolean kept-column mask.
+    and scales, and the boolean kept-column mask. A column is kept when its
+    scale exceeds 1e-12 * max(1, max |Phi|); every statistic is per column,
+    so for a design with |Phi| <= 1 each column's values, mean, scale and
+    mask are the same whichever other columns are standardized with it.
     """
     mean_all = Phi.mean(axis=0)
     std_all = Phi.std(axis=0)
@@ -224,7 +248,7 @@ def standardize(Phi: np.ndarray):
     return (Phi[:, kept] - mean_all[kept]) / std, mean_all[kept], std, kept
 
 
-def pcr_smoother(Phi: np.ndarray, p_pc: int) -> PcrSmoother:
+def pcr_smoother(Phi: np.ndarray, p_pc: int, scaling=None) -> PcrSmoother:
     """Fit the target-independent part of principal-component regression.
 
     Pipeline: standardize the columns (see ``standardize``), project onto the
@@ -232,6 +256,13 @@ def pcr_smoother(Phi: np.ndarray, p_pc: int) -> PcrSmoother:
     cutoff pseudo-inverse of that (p_pc + 1)-column system. Near-square
     designs are legitimately ill-conditioned here; their variance blow-up is
     something we measure rather than reject.
+
+    A caller that has standardized the design already passes it as Phi with
+    ``scaling = (mean, std, kept)`` as ``standardize`` returns them: Phi
+    keeps every original column, those ``kept`` selects hold the
+    standardized values, and the others are ignored. The fit is then the one
+    the raw design would give, and raw queries still go through
+    ``weight_matrix``.
 
     The principal directions come from one symmetric eigendecomposition of
     the Gram matrix of the design's shorter side, Xs Xs' (n x n) when p >= n
@@ -260,7 +291,13 @@ def pcr_smoother(Phi: np.ndarray, p_pc: int) -> PcrSmoother:
         raise ValidationError(
             f"p_pc must be in [1, min(n-1, p)] = [1, {min(n - 1, p)}], got {p_pc}"
         )
-    Xs, mean, std, kept = standardize(Phi)
+    if scaling is None:
+        Xs, mean, std, kept = standardize(Phi)
+    else:
+        mean, std, kept = scaling
+        if kept.shape != (p,):
+            raise ValidationError(f"kept mask has shape {kept.shape}, design has {p} columns")
+        Xs = Phi if kept.all() else Phi[:, kept]
     if not kept.all():
         warnings.warn(
             f"dropping {int((~kept).sum())} zero-variance column(s) before PCA",

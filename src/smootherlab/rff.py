@@ -4,10 +4,10 @@ Feature p of input x is cos(v_p . x) with v_p ~ N(0, scale^2 I_d) drawn
 independently per row. Row p is generated from a counter-based stream keyed by
 (seed, p), so the first p rows of a wider map equal a narrower map with the
 same seed bit for bit — growing the map never reshuffles earlier features.
-``transform`` computes the cosines in fixed blocks of BLOCK rows, so a
-feature's float value does not depend on how many columns are requested
-either. ``RffModel`` wraps a linear fit on these features as a smoother of
-raw inputs.
+``transform`` computes the cosines in fixed blocks of BLOCK rows
+(``feature_block``), so a feature's float value does not depend on how many
+columns are requested either. ``RffModel`` wraps a linear fit on these
+features as a smoother of raw inputs.
 """
 from __future__ import annotations
 
@@ -74,12 +74,17 @@ def transform(fmap: RffMap, X: np.ndarray, p_phi: int) -> np.ndarray:
         raise ValidationError(f"X has d={X.shape[1]}, map expects d={fmap.d}")
     if not (1 <= p_phi <= fmap.p_max):
         raise ValidationError(f"p_phi must be in [1, {fmap.p_max}], got {p_phi}")
-    V = fmap.frequencies
     blocks = [
-        np.cos(X @ V[start : start + BLOCK].T)[:, : p_phi - start]
+        feature_block(fmap, X, start)[:, : p_phi - start]
         for start in range(0, p_phi, BLOCK)
     ]
     return np.concatenate(blocks, axis=1)
+
+
+def feature_block(fmap: RffMap, X: np.ndarray, start: int) -> np.ndarray:
+    """Columns start .. start + BLOCK of the feature matrix (fewer where the
+    map ends), from one matrix product; ``transform`` is built from these."""
+    return np.cos(X @ fmap.frequencies[start : start + BLOCK].T)
 
 
 @dataclass

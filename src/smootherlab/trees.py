@@ -183,7 +183,7 @@ def fit_tree(
     heap: list = []
     push_count = 0
 
-    def new_node(idx) -> int:
+    def new_node(idx, search: bool) -> int:
         nonlocal push_count
         nid = len(feature)
         feature.append(-1)
@@ -191,23 +191,27 @@ def fit_tree(
         left.append(-1)
         right.append(-1)
         node_indices[nid] = idx
-        feats = np.sort(rng.choice(d, size=subset_size, replace=False))
-        cand = _best_split(X, y, idx, feats, order, mask)
-        if cand is not None:
-            heapq.heappush(heap, (-cand[0], push_count, nid, cand))
-            push_count += 1
+        if search:
+            feats = np.sort(rng.choice(d, size=subset_size, replace=False))
+            cand = _best_split(X, y, idx, feats, order, mask)
+            if cand is not None:
+                heapq.heappush(heap, (-cand[0], push_count, nid, cand))
+                push_count += 1
         return nid
 
-    new_node(np.arange(n))
+    # a node made once the budget is full is never split, so it draws no
+    # features and gets no split search; nothing draws after it, so the
+    # tree is the same as if it had
+    new_node(np.arange(n), search=max_leaves > 1)
     n_leaves = 1
     while n_leaves < max_leaves and heap:
         _, _, nid, (_, f, thr) = heapq.heappop(heap)
         idx = node_indices.pop(nid)
         go_left = X[idx, f] <= thr
         feature[nid], threshold[nid] = f, thr
-        left[nid] = new_node(idx[go_left])
-        right[nid] = new_node(idx[~go_left])
         n_leaves += 1
+        left[nid] = new_node(idx[go_left], search=n_leaves < max_leaves)
+        right[nid] = new_node(idx[~go_left], search=n_leaves < max_leaves)
 
     slots = np.full(len(feature), -1, dtype=np.intp)
     members, values, counts = [], [], []

@@ -182,6 +182,30 @@ def test_mistyped_value_exits_one_naming_its_key(tmp_path, capsys, argv, key):
     assert "Traceback" not in err
 
 
+_OUT_OF_RANGE = [
+    ("tree", "shared.rff_scale=-1"),
+    ("boosting", "shared.rff_scale=0"),
+    ("rff_linear", "shared.rff_scale=-0.5"),
+    ("boosting", "shared.learning_rate=0"),
+    ("boosting", "shared.learning_rate=1.5"),
+    ("boosting", "shared.boost_leaf_budget=0"),
+    ("tree", "shared.tree_subset=0"),
+    ("boosting", "shared.tree_subset=-2"),
+]
+
+
+@pytest.mark.parametrize("family, expr", _OUT_OF_RANGE,
+                         ids=[f"{f}-{e}" for f, e in _OUT_OF_RANGE])
+def test_shared_value_out_of_range_exits_one_naming_its_key(tmp_path, capsys, family, expr):
+    argv = ["sweep", *TINY, "--set", f"family={family}", "--set", "axis1_values=[2]",
+            "--set", "axis2_values=[2]", "--set", expr]
+    assert _run(argv, tmp_path / "a") == 1
+    err = capsys.readouterr().err
+    key = expr.partition("=")[0]
+    assert err.startswith("error:") and repr(key) in err
+    assert "Traceback" not in err
+
+
 _EMPTY_GRIDS = [
     (["back-to-u"], "axis1_values"),
     (["sweep"], "axis1_values"),
@@ -610,7 +634,14 @@ def test_traced_back_to_u_writes_the_untraced_csv(tmp_path, family, axes):
     assert _run(argv, plain) == 0
     table = "back_to_u.csv"
     assert (traced / table).read_bytes() == (plain / table).read_bytes()
-    names = {span["name"] for span in json.loads(spans_path.read_text())["spans"]}
+    spans = json.loads(spans_path.read_text())["spans"]
+    names = {span["name"] for span in spans}
     assert "families.evaluate" in names
     if family == "boosting":
         assert "boosting.fit_boost" in names
+    if family == "rff_linear":
+        assert "linear.pcr_smoother" in names
+        # the benchmark reads the cache rows off the sampling span's parent
+        by_id = {span["id"]: span for span in spans}
+        sampled = [s for s in spans if s["name"] == "rff.sample_frequencies"]
+        assert sampled and all(by_id[s["parent"]]["name"] == "families.init" for s in sampled)

@@ -9,6 +9,7 @@ give bitwise-identical numbers.
 from __future__ import annotations
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from smootherlab.experiments.sweep import (
     run_sweep,
     seed_standard_error,
 )
+from smootherlab.rff import BLOCK
 from smootherlab.trees import RegressionTree, fit_ensemble
 
 
@@ -246,16 +248,39 @@ def test_composite_walk_matches_grid_bitwise(toy_images, family, axis1, axis2, g
         assert r.p_test == g.p_test
 
 
+def _prefitted(family):
+    """The family with its prefit tasks run and stored, as the sweep does."""
+    family.store([task() for task in family.prefit_tasks()])
+    return family
+
+
 def test_rff_values_independent_of_cache_width(toy_images):
     train, test = toy_images
     shared = SweepConfig(base_seed=0)
-    narrow = RffLinearFamily(train, test, shared, [(10, 0)])
-    wide = RffLinearFamily(train, test, shared, [(10, 0), (59, 700)])
-    a = narrow.evaluate(10, 0)
-    b = wide.evaluate(10, 0)
-    assert (a.train_mse, a.test_mse, a.p_train, a.p_test) == (
-        b.train_mse, b.test_mse, b.p_train, b.p_test
-    )
+    # (2, 2n) is a wide point with few components, whose small products
+    # would show a dependence on the cache's row stride
+    points = [(10, 0), (2, 2 * train.n)]
+    narrow = _prefitted(RffLinearFamily(train, test, shared, points))
+    wide = _prefitted(RffLinearFamily(train, test, shared, points + [(59, 700)]))
+    assert narrow.Xs_train.shape[1] < wide.Xs_train.shape[1]
+    for point in points:
+        a, b = narrow.evaluate(*point), wide.evaluate(*point)
+        assert (a.train_mse, a.test_mse, a.p_train, a.p_test) == (
+            b.train_mse, b.test_mse, b.p_train, b.p_test
+        )
+
+
+def test_rff_prefit_values_hold_one_block_of_column_statistics(toy_images):
+    train, test = toy_images
+    family = RffLinearFamily(train, test, SweepConfig(), [(10, 0), (59, 700)])
+    # means, scales and kept mask of one full block; the standardized
+    # columns stay in the shared caches
+    bound = len(pickle.dumps((np.zeros(BLOCK), np.zeros(BLOCK), np.ones(BLOCK, bool))))
+    tasks = family.prefit_tasks()
+    assert len(tasks) == family.Xs_train.shape[1] // BLOCK
+    for task in tasks:
+        _, value = task()
+        assert len(pickle.dumps(value)) <= bound
 
 
 def test_rerun_is_bitwise_deterministic(toy_images, tmp_path):
@@ -460,7 +485,9 @@ def test_one_blas_thread_pins_and_restores(monkeypatch):
 @pytest.mark.parametrize(
     "family, axis1, axis2, runner",
     [
-        ("rff_linear", [2, 10, 30], [60], "sweep"),
+        # p_phi up to 730 spans three feature blocks: three prefit workers
+        # fill the shared caches
+        ("rff_linear", [2, 10, 30], [60, 700], "sweep"),
         ("tree", [2, 10, 30], [1, 3], "sweep"),
         ("boosting", [2, 5, 12], [1, 3], "sweep"),
         # contours revisit small points after large ones: out-of-order dispatch

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smootherlab import trees
 from smootherlab.errors import ValidationError
 from smootherlab.trees import (
     AveragedSmoother,
@@ -181,6 +182,23 @@ def test_validation():
     tree = fit_tree(X, y, max_leaves=2, seed=0)
     with pytest.raises(ValidationError):
         tree.predict(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 7, 20])
+def test_nodes_made_at_a_full_budget_get_no_split_search(monkeypatch, budget):
+    calls, search = [], trees._best_split
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(trees, "_best_split", counted)
+    rng = np.random.default_rng(11)
+    X, y = rng.normal(size=(40, 3)), rng.normal(size=40)
+    tree = fit_tree(X, y, max_leaves=budget, seed=2)
+    assert tree.n_leaves == budget
+    # the root, then two children per expansion but the last
+    assert len(calls) == (0 if budget == 1 else 2 * budget - 3)
 
 
 @settings(deadline=None, max_examples=25)
