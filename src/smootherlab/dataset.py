@@ -169,13 +169,15 @@ def load_idx(images_path, labels_path, name: str = "") -> Dataset:
 
 def load_csv(path, name: str = "", normalize: bool = True) -> Dataset:
     """Read a numeric CSV with a header row; last column is the class label."""
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        rows = list(reader)
+    try:
+        with open(path, newline="") as fh:
+            reader = _csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    if header is None:
+        raise FormatError(f"{path}: empty file")
     if not rows:
         raise FormatError(f"{path}: header but no data rows")
     width = len(header)
@@ -326,6 +328,12 @@ def synth_images(
     """
     if n_classes < 2:
         raise ValidationError("need at least 2 classes")
+    if side < 1:
+        raise ValidationError(f"side must be >= 1, got {side}")
+    if not noise_std >= 0:  # NaN included
+        raise ValidationError(f"noise_std must be >= 0, got {noise_std}")
+    if not 0 <= label_noise <= 1:
+        raise ValidationError(f"label_noise must be in [0, 1], got {label_noise}")
     rng = np.random.default_rng(seed)
     d = side * side
     protos = rng.uniform(0.15, 0.85, size=(n_classes, d))

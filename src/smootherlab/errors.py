@@ -18,6 +18,7 @@ class ScheduleError(ValidationError):
 
     def __init__(self, message: str, point_index: int | None = None):
         self.point_index = point_index
+        self.detail = message  # the message without its point prefix
         if point_index is not None:
             message = f"schedule point {point_index}: {message}"
         super().__init__(message)

@@ -133,9 +133,7 @@ class RffLinearFamily(_FamilyBase):
         # whole transform blocks, so every cached column comes from a
         # full-width block whatever the sweep's widest point is
         p_cache = -(-p_needed // BLOCK) * BLOCK
-        self.fmap = sample_frequencies(
-            shared.resolved_rff_seed(), p_cache, train.d, shared.rff_scale
-        )
+        self.fmap = sample_frequencies(shared.base_seed, p_cache, train.d, shared.rff_scale)
         self.Xs_train = _shared_zeros(train.n, p_cache)
         self.Xs_test = _shared_zeros(test.n, p_cache)
         self._needed = list(range(0, p_cache, BLOCK))

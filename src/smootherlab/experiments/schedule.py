@@ -44,16 +44,11 @@ class SweepConfig:
     """Hyperparameters shared by every point of a sweep."""
 
     base_seed: int = 0
-    rff_seed: int | None = None      # defaults to base_seed
     rff_scale: float = DEFAULT_SCALE
     learning_rate: float = DEFAULT_LEARNING_RATE
     boost_leaf_budget: int = DEFAULT_LEAF_BUDGET
     tree_subset: int | None = None   # per-node feature subset, default sqrt(d)
     effparams_class: int = 0         # one-vs-all sub-problem used for p_train/p_test
-    axis1_init: int | None = None    # starting axis-1 value if axis 2 moves first
-
-    def resolved_rff_seed(self) -> int:
-        return self.base_seed if self.rff_seed is None else self.rff_seed
 
 
 @dataclass
@@ -90,18 +85,16 @@ class SweepSchedule:
                     f"{pt.mechanism} must be >= {_AXIS_MIN[pt.mechanism]}, got {pt.value}",
                     point_index=i,
                 )
-        if self.shared.axis1_init is None and self.points[0].mechanism == ax2:
+        if self.points[0].mechanism == ax2:
             raise ScheduleError(
-                f"axis 2 ({ax2}) moves before axis 1 ({ax1}) has a value; "
-                "set shared.axis1_init",
+                f"axis 2 ({ax2}) moves before axis 1 ({ax1}) has a value",
                 point_index=0,
             )
 
     def expand(self) -> list[tuple[int, int]]:
         """Full (axis1, axis2) state after each point."""
         ax1, _ = AXES[self.family]
-        a1 = self.shared.axis1_init
-        a2 = AXIS2_INIT[self.family]
+        a1, a2 = None, AXIS2_INIT[self.family]  # the first point sets axis 1
         states = []
         for pt in self.points:
             if pt.mechanism == ax1:
@@ -134,9 +127,7 @@ def composite_schedule(
     shared: SweepConfig | None = None,
 ) -> SweepSchedule:
     """Grow axis 1 through its values, then axis 2 through its values."""
-    ax1, ax2 = AXES[family] if family in AXES else (None, None)
-    if ax1 is None:
-        raise ScheduleError(f"unknown family {family!r}; choose from {sorted(AXES)}")
-    points = [SweepPoint(ax1, int(v)) for v in axis1_values]
-    points += [SweepPoint(ax2, int(v)) for v in axis2_values]
+    ax1, ax2 = AXES.get(family, (None, None))  # SweepSchedule rejects the family
+    points = [SweepPoint(ax1, v) for v in axis1_values]
+    points += [SweepPoint(ax2, v) for v in axis2_values]
     return SweepSchedule(family=family, points=points, shared=shared or SweepConfig())

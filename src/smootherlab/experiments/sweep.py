@@ -112,9 +112,13 @@ class SweepRecord:
 
 @dataclass
 class SweepResult:
+    """A runner's records in evaluation order, and optionally a branch label
+    per record, written as a leading ``branch`` CSV column."""
+
     family: str
     schedule: SweepSchedule
     records: list[SweepRecord] = field(default_factory=list)
+    branches: list[str] | None = None
 
     @property
     def test_mse(self) -> np.ndarray:
@@ -132,8 +136,18 @@ class SweepResult:
     def p_train(self) -> np.ndarray:
         return np.array([r.p_train for r in self.records])
 
+    def branch(self, name: str) -> list[SweepRecord]:
+        return [r for b, r in zip(self.branches, self.records) if b == name]
+
+    def branch_names(self) -> list[str]:
+        return list(dict.fromkeys(self.branches))
+
     def write_csv(self, path) -> None:
-        write_csv(path, SWEEP_HEADER, [r.row() for r in self.records])
+        header, rows = SWEEP_HEADER, [r.row() for r in self.records]
+        if self.branches is not None:
+            header = ["branch", *header]
+            rows = [[b, *row] for b, row in zip(self.branches, rows)]
+        write_csv(path, header, rows)
 
 
 # --------------------------------------------------------------------------- running
@@ -168,32 +182,34 @@ def evaluate_states(
     test: Dataset,
     shared: SweepConfig,
     threads: int | None,
-) -> list[tuple[str, SweepRecord]]:
+) -> list[SweepRecord]:
     """The evaluation core behind every sweep runner.
 
-    Takes (label, (axis1, axis2)) pairs, builds the family runner over all
-    the states, runs them, and returns (label, record) pairs in input order;
-    records are numbered within their label. BLAS runs on one thread
+    Takes (label, (axis1, axis2)) pairs, builds one family runner over all
+    the states, runs them, and returns their records in input order.
+    Records, and the point index of a ScheduleError raised while the runner
+    is built, are numbered within their label. BLAS runs on one thread
     throughout, in the workers too, so the bits do not depend on
     OPENBLAS_NUM_THREADS or on `threads`.
     """
     threads = resolve_threads(threads)
+    labels = [label for label, _ in labeled_states]
     states = [state for _, state in labeled_states]
+    index = [labels[:i].count(label) for i, label in enumerate(labels)]
     with one_blas_thread():
-        runner = FAMILY_RUNNERS[family](train, test, shared, states)
+        try:
+            runner = FAMILY_RUNNERS[family](train, test, shared, states)
+        except ScheduleError as exc:
+            if exc.point_index is None:
+                raise
+            raise ScheduleError(exc.detail, index[exc.point_index]) from exc
         evaluated = _run_states(runner, states, threads)
     names = AXES[family]
-    index_in_label: dict[str, int] = {}
-    out = []
-    for (label, state), (ev, wall) in zip(labeled_states, evaluated):
-        i = index_in_label.get(label, 0)
-        index_in_label[label] = i + 1
-        record = SweepRecord(
-            i, names[0], state[0], names[1], state[1], **vars(ev),
-            seed=shared.base_seed, wall_time=wall,
-        )
-        out.append((label, record))
-    return out
+    return [
+        SweepRecord(i, names[0], a1, names[1], a2, **vars(ev),
+                    seed=shared.base_seed, wall_time=wall)
+        for i, (a1, a2), (ev, wall) in zip(index, states, evaluated)
+    ]
 
 
 def run_sweep(
@@ -205,10 +221,10 @@ def run_sweep(
     """Evaluate a composite schedule point by point, in schedule order."""
     schedule.validate()
     labeled = [("", state) for state in schedule.expand()]
-    evaluated = evaluate_states(
+    records = evaluate_states(
         schedule.family, labeled, train, test, schedule.shared, threads
     )
-    return SweepResult(schedule.family, schedule, [rec for _, rec in evaluated])
+    return SweepResult(schedule.family, schedule, records)
 
 
 def run_grid(
@@ -220,23 +236,15 @@ def run_grid(
     shared: SweepConfig | None = None,
     threads: int | None = None,
 ) -> SweepResult:
-    """Full cross product of the two axes, axis1-major point order."""
+    """Full cross product of the two axes, axis1-major point order; the
+    composite schedule over the same values validates them."""
     shared = shared if shared is not None else SweepConfig()
     if not len(axis1_values) or not len(axis2_values):
         raise ScheduleError("grid axes must both be non-empty")
-    names = AXES[family]
-    # A grid is not expressible as one composite walk, so build the state
-    # list directly and push the values through a schedule for validation.
+    schedule = composite_schedule(family, axis1_values, axis2_values, shared=shared)
     labeled = [("", (int(a1), int(a2))) for a1 in axis1_values for a2 in axis2_values]
-    probe = SweepSchedule(
-        family=family,
-        points=[(names[0], a1) for a1 in axis1_values]
-        + [(names[1], a2) for a2 in axis2_values],
-        shared=shared,
-    )
-    probe.validate()
-    evaluated = evaluate_states(family, labeled, train, test, shared, threads)
-    return SweepResult(family, probe, [rec for _, rec in evaluated])
+    records = evaluate_states(family, labeled, train, test, shared, threads)
+    return SweepResult(family, schedule, records)
 
 
 # --------------------------------------------------------------------------- composite studies
@@ -252,7 +260,7 @@ def peak_move(
     axis2_values=None,
     threads: int | None = None,
 ) -> list[SweepResult]:
-    """One composite sweep per switch point.
+    """One composite sweep per switch point, all evaluated by one family.
 
     Each sweep walks axis 1 up to its switch value, then continues along
     axis 2 with axis 1 pinned, so the interpolation peak sits wherever the
@@ -261,12 +269,19 @@ def peak_move(
     shared = shared if shared is not None else SweepConfig()
     if axis1_grid is None or axis2_values is None:
         raise ScheduleError("peak_move needs explicit axis1_grid and axis2_values")
-    results = []
-    for switch in switch_values:
-        axis1_leg = [v for v in axis1_grid if v < switch] + [int(switch)]
-        schedule = composite_schedule(family, axis1_leg, list(axis2_values), shared=shared)
-        results.append(run_sweep(schedule, train, test, threads=threads))
-    return results
+    schedules = [
+        composite_schedule(
+            family, [v for v in axis1_grid if v < switch] + [int(switch)],
+            list(axis2_values), shared=shared,
+        )
+        for switch in switch_values
+    ]
+    labeled = [(k, state) for k, s in enumerate(schedules) for state in s.expand()]
+    records = evaluate_states(family, labeled, train, test, shared, threads)
+    return [
+        SweepResult(family, s, [r for (i, _), r in zip(labeled, records) if i == k])
+        for k, s in enumerate(schedules)
+    ]
 
 
 def multiple_descent(
@@ -280,40 +295,11 @@ def multiple_descent(
     Requires at least two switch points; each return to the first axis sets
     up another ascent toward interpolation, hence another peak.
     """
-    schedule.validate()
     if len(schedule.switch_indices()) < 2:
         raise ScheduleError(
             "multiple descent needs a schedule with at least two axis switches"
         )
     return run_sweep(schedule, train, test, threads=threads)
-
-
-@dataclass
-class BranchRecord:
-    branch: str
-    record: SweepRecord
-
-    def row(self) -> list:
-        return [self.branch] + self.record.row()
-
-
-@dataclass
-class BackToUResult:
-    family: str
-    records: list[BranchRecord] = field(default_factory=list)
-
-    def branch(self, name: str) -> list[SweepRecord]:
-        return [br.record for br in self.records if br.branch == name]
-
-    def branch_names(self) -> list[str]:
-        seen = []
-        for br in self.records:
-            if br.branch not in seen:
-                seen.append(br.branch)
-        return seen
-
-    def write_csv(self, path) -> None:
-        write_csv(path, ["branch"] + SWEEP_HEADER, [br.row() for br in self.records])
 
 
 def back_to_u(
@@ -324,8 +310,8 @@ def back_to_u(
     axis2_values,
     shared: SweepConfig | None = None,
     threads: int | None = None,
-) -> BackToUResult:
-    """Composite sweep plus constant-axis-2 contours.
+) -> SweepResult:
+    """Composite sweep plus constant-axis-2 contours, as labeled branches.
 
     Branch "axis1" is the first leg of the composite walk, branch "axis2" the
     second. For every axis-2 value visited, a contour branch re-walks the
@@ -333,25 +319,16 @@ def back_to_u(
     family of classical U-shaped curves through the composite picture.
     """
     shared = shared if shared is not None else SweepConfig()
+    schedule = composite_schedule(family, axis1_values, axis2_values, shared=shared)
     axis1_values = [int(v) for v in axis1_values]
     axis2_values = [int(v) for v in axis2_values]
     names = AXES[family]
-    a2_init = AXIS2_INIT[family]
-    a1_top = axis1_values[-1]
-
-    labeled: list[tuple[str, tuple[int, int]]] = []
-    for a1 in axis1_values:
-        labeled.append(("axis1", (a1, a2_init)))
+    labeled = [("axis1", (a1, AXIS2_INIT[family])) for a1 in axis1_values]
+    labeled += [("axis2", (axis1_values[-1], a2)) for a2 in axis2_values]
     for a2 in axis2_values:
-        labeled.append(("axis2", (a1_top, a2)))
-    for a2 in axis2_values:
-        name = f"contour_{names[1]}={a2}"
-        for a1 in axis1_values:
-            labeled.append((name, (a1, a2)))
-
-    composite_schedule(family, axis1_values, axis2_values, shared=shared).validate()
-    evaluated = evaluate_states(family, labeled, train, test, shared, threads)
-    return BackToUResult(family, [BranchRecord(b, rec) for b, rec in evaluated])
+        labeled += [(f"contour_{names[1]}={a2}", (a1, a2)) for a1 in axis1_values]
+    records = evaluate_states(family, labeled, train, test, shared, threads)
+    return SweepResult(family, schedule, records, [branch for branch, _ in labeled])
 
 
 # --------------------------------------------------------------------------- noise band

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -17,10 +18,13 @@ import numpy as np
 import pytest
 
 import smootherlab
-from smootherlab.cli import build_config, load_datasets, main
+from smootherlab.boosting import fit_boost, fit_boost_ensemble
+from smootherlab.cli import MODEL_DEFAULTS, build_config, command_defaults, load_datasets, main
+from smootherlab.dataset import one_vs_all_targets
 from smootherlab.errors import SingularDesignError, ValidationError
 from smootherlab.experiments.families import FAMILY_RUNNERS, TreeFamily
 from smootherlab.experiments.sweep import SWEEP_HEADER
+from smootherlab.trees import fit_ensemble, fit_tree
 
 # small enough that every subcommand finishes in well under a second
 TINY = [
@@ -122,6 +126,29 @@ def test_missing_idx_file_fails_cleanly(tmp_path, capsys):
     rc = _run(argv, tmp_path / "a")
     assert rc == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_missing_csv_file_fails_cleanly(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    argv = ["ingest", "--set", "dataset.kind=csv",
+            "--set", f"dataset.train={missing}", "--set", f"dataset.test={missing}"]
+    rc = _run(argv, tmp_path / "a")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{missing}: cannot read" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("noise_std", -1), ("label_noise", 2), ("label_noise", -0.5), ("side", 0)],
+)
+def test_bad_image_generator_inputs_exit_one_naming_them(tmp_path, capsys, key, value):
+    rc = _run(["ingest", "--set", f"dataset.{key}={value}"], tmp_path / "a")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ")
+    assert "Traceback" not in err
 
 
 def test_malformed_set_expression(tmp_path, capsys):
@@ -227,6 +254,14 @@ def test_empty_grid_exits_one_naming_its_key(tmp_path, capsys, argv, key):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["rff_seed", "axis1_init"])
+def test_removed_shared_keys_are_unknown(tmp_path, capsys, key):
+    assert _run(["sweep", *TINY, "--set", f"shared.{key}=1"], tmp_path / "a") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown config key 'shared.{key}'")
+    assert "Traceback" not in err
+
+
 def test_set_overrides_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dataset": {"n_train": 40, "side": 6,
@@ -295,6 +330,60 @@ def test_fit_knn_on_synthetic_dataset(tmp_path):
     assert report["raw_params"] is None
     assert report["p_test"] == pytest.approx(30 / 3)
     assert report["effective_knn_test"] == pytest.approx(3.0)
+
+
+# the smallest change to each kind's defaults that fits the TINY train set
+_TINY_MODELS = {"ols": {"p_phi": 16}, "pcr": {"p_phi": 48, "p_pc": 8}}
+
+
+def _tiny_model(kind):
+    return [a for key, value in _TINY_MODELS.get(kind, {}).items()
+            for a in ("--set", f"model.{key}={value}")]
+
+
+def _fit_info(model, X, y):
+    """The size entries of a fit report, from the library's own fits."""
+    kind, seed, subset = model["kind"], model.get("seed"), model.get("subset_size")
+    if kind == "pcr":
+        return {"raw_params": model["p_pc"] + 1}  # components plus intercept
+    if kind in ("ols", "minnorm", "svd_basis"):
+        return {"raw_params": model["p_phi"]}
+    if kind == "knn":
+        return {"raw_params": None}
+    # a forest, or averaged boosting runs, sums its members' leaves
+    if kind == "tree":
+        trees = [fit_tree(X, y, model["max_leaves"], seed=seed, subset_size=subset)]
+    elif kind == "forest":
+        trees = fit_ensemble(X, y, model["max_leaves"], model["p_ens"], base_seed=seed,
+                             subset_size=subset).members
+    else:
+        boost = dict(learning_rate=model["learning_rate"],
+                     leaf_budget=model["leaf_budget"], subset_size=subset)
+        if kind == "boost":
+            fit = fit_boost(X, y, n_rounds=model["n_rounds"], seed=seed,
+                            stop_tol=model["stop_tol"], **boost)
+            return {"raw_params": sum(t.n_leaves for t in fit.trees),
+                    "rounds_used": fit.n_rounds}
+        runs = fit_boost_ensemble(X, y, model["n_rounds"], model["p_ens"],
+                                  base_seed=seed, **boost).members
+        trees = [t for run in runs for t in run.trees]
+    return {"raw_params": sum(t.n_leaves for t in trees)}
+
+
+@pytest.mark.parametrize("command", ["fit", "effparams"])
+@pytest.mark.parametrize("kind", sorted(MODEL_DEFAULTS))
+def test_every_model_kind_fits_with_its_defaults(tmp_path, command, kind):
+    out = tmp_path / "a"
+    argv = [command, *TINY, "--set", f"model.kind={kind}", *_tiny_model(kind)]
+    assert _run(argv, out) == 0
+    config = _echoed(out)["config"]
+    assert config["model"] == {**MODEL_DEFAULTS[kind], **_TINY_MODELS.get(kind, {})}
+    if command == "fit":
+        report = json.loads((out / "fit_report.json").read_text())
+        train, _ = load_datasets(config["dataset"])
+        y = one_vs_all_targets(train, train.task_classes, column=0)
+        expected = _fit_info(config["model"], train.features, y)
+        assert {key: report[key] for key in expected} == expected
 
 
 def test_rank_deficient_strict_fit_exits_two(tmp_path, capsys):
@@ -645,3 +734,19 @@ def test_traced_back_to_u_writes_the_untraced_csv(tmp_path, family, axes):
         by_id = {span["id"]: span for span in spans}
         sampled = [s for s in spans if s["name"] == "rff.sample_frequencies"]
         assert sampled and all(by_id[s["parent"]]["name"] == "families.init" for s in sampled)
+
+
+@pytest.mark.parametrize(
+    "script", ["run_rff_decomposition.py", "run_tree_boosting.py", "run_diagnostics.py"]
+)
+def test_scripts_run_every_step_at_tiny_scale(tmp_path, monkeypatch, script):
+    # the scripts chain CLI steps; a renamed or removed config key breaks them
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    steps = runpy.run_path(str(path))["STEPS"]
+    fixed = ["--set", "family=rff_linear"] if script == "run_rff_decomposition.py" else []
+    monkeypatch.chdir(tmp_path)
+    for step in steps:
+        defaults, tiny = command_defaults(step[0]), []
+        if "dataset" in defaults:
+            tiny = [*TINY, *_tiny_model(defaults.get("model", {}).get("kind"))]
+        assert main([*step, *fixed, *tiny, "--threads", "1"]) == 0, step

@@ -60,6 +60,12 @@ def test_non_integer_value():
         SweepSchedule(family="tree", points=[("p_leaf", 2.5)])
 
 
+def test_composite_values_are_validated_not_truncated():
+    with pytest.raises(ScheduleError) as err:
+        composite_schedule("tree", [2, 4.5], [3])
+    assert err.value.point_index == 1
+
+
 def test_axis_minima():
     with pytest.raises(ScheduleError):
         SweepSchedule(family="rff_linear", points=[("p_pc", 0)])
@@ -74,15 +80,15 @@ def test_axis_minima():
 
 
 def test_axis2_first_requires_initial_axis1():
+    # every walk starts on axis 1; an axis-2-first schedule is rejected
+    for points in ([("p_ens", 2)], [("p_ens", 2), ("p_boost", 4)]):
+        with pytest.raises(ScheduleError) as err:
+            SweepSchedule(family="boosting", points=points)
+        assert err.value.point_index == 0
+        assert "axis 2 (p_ens) moves before axis 1 (p_boost)" in str(err.value)
     with pytest.raises(ScheduleError) as err:
-        SweepSchedule(family="boosting", points=[("p_ens", 2)])
+        composite_schedule("tree", [], [2])
     assert err.value.point_index == 0
-    sched = SweepSchedule(
-        family="boosting",
-        points=[("p_ens", 2), ("p_ens", 4)],
-        shared=SweepConfig(axis1_init=5),
-    )
-    assert sched.expand() == [(5, 2), (5, 4)]
 
 
 def test_with_seed_changes_only_seed():
@@ -102,6 +108,3 @@ def test_shared_config_defaults():
     assert cfg.learning_rate == 0.85
     assert cfg.boost_leaf_budget == 10
     assert cfg.effparams_class == 0
-    assert cfg.resolved_rff_seed() == 0
-    assert SweepConfig(base_seed=4).resolved_rff_seed() == 4
-    assert SweepConfig(base_seed=4, rff_seed=9).resolved_rff_seed() == 9

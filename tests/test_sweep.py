@@ -336,6 +336,47 @@ def test_peak_move_places_switch_at_leg_end(toy_images):
     assert second.schedule.switch_indices() == [4]
 
 
+@pytest.mark.parametrize(
+    "family, axis1, switches, axis2",
+    [
+        ("rff_linear", [2, 10, 30, 48], [30, 48], [60, 120]),
+        ("tree", [2, 10, 25, 60], [10, 25, 60], [2, 4]),
+        ("boosting", [1, 3, 6, 12], [6, 12], [2, 3]),
+    ],
+)
+def test_peak_move_builds_one_family_for_all_switches(
+    toy_images, monkeypatch, family, axis1, switches, axis2
+):
+    train, test = toy_images
+    shared = SweepConfig(base_seed=1)
+    built = []
+
+    class Counted(FAMILY_RUNNERS[family]):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setitem(FAMILY_RUNNERS, family, Counted)
+    results = peak_move(family, switches, train, test, shared=shared,
+                        axis1_grid=axis1, axis2_values=axis2, threads=2)
+    assert len(built) == 1
+    monkeypatch.undo()
+    # each switch's records are those of its own sweep, bit for bit
+    for result in results:
+        alone = run_sweep(result.schedule, train, test, threads=1)
+        assert [r.row() for r in result.records] == [r.row() for r in alone.records]
+
+
+def test_peak_move_reports_the_index_within_the_switch(toy_images):
+    train, test = toy_images
+    with pytest.raises(ScheduleError) as err:
+        peak_move("rff_linear", [30, 70], train, test, axis1_grid=[2, 10, 30, 59],
+                  axis2_values=[60])
+    # the second walk is [2, 10, 30, 59, 70]; 70 exceeds n-1 = 59
+    assert err.value.point_index == 4
+    assert str(err.value) == "schedule point 4: p_pc=70 exceeds n-1=59"
+
+
 def test_peak_move_requires_grids(toy_images):
     train, test = toy_images
     with pytest.raises(ScheduleError):
@@ -502,7 +543,7 @@ def test_threaded_sweep_matches_serial(toy_images, family, axis1, axis2, runner)
     def run(threads):
         if runner == "back_to_u":
             result = back_to_u(family, train, test, axis1, axis2, shared, threads=threads)
-            return [br.record.row() for br in result.records]
+            return [r.row() for r in result.records]
         sched = composite_schedule(family, axis1, axis2, shared=shared)
         return [r.row() for r in run_sweep(sched, train, test, threads=threads).records]
 
