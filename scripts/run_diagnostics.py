@@ -3,6 +3,7 @@
 bias/variance against Monte Carlo, and effective-parameter reports."""
 from __future__ import annotations
 
+import shlex
 import sys
 
 from smootherlab.cli import main
@@ -22,6 +23,9 @@ STEPS = [
 
 if __name__ == "__main__":
     for step in STEPS:
-        code = main(step + EXTRA)
+        argv = step + EXTRA
+        code = main(argv)
         if code != 0:
+            print(f"step failed with exit code {code}: smootherlab {shlex.join(argv)}",
+                  file=sys.stderr)
             sys.exit(code)

@@ -6,6 +6,7 @@ Desk scale by default; pass --full-scale for the large preset (slow).
 """
 from __future__ import annotations
 
+import shlex
 import sys
 
 from smootherlab.cli import main
@@ -20,6 +21,9 @@ STEPS = [
 
 if __name__ == "__main__":
     for step in STEPS:
-        code = main(step + ["--set", "family=rff_linear"] + EXTRA)
+        argv = step + ["--set", "family=rff_linear"] + EXTRA
+        code = main(argv)
         if code != 0:
+            print(f"step failed with exit code {code}: smootherlab {shlex.join(argv)}",
+                  file=sys.stderr)
             sys.exit(code)

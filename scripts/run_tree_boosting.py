@@ -2,6 +2,7 @@
 """Tree and boosting families: composite sweeps and ensemble fold-back."""
 from __future__ import annotations
 
+import shlex
 import sys
 
 from smootherlab.cli import main
@@ -19,6 +20,9 @@ STEPS = [
 
 if __name__ == "__main__":
     for step in STEPS:
-        code = main(step + EXTRA)
+        argv = step + EXTRA
+        code = main(argv)
         if code != 0:
+            print(f"step failed with exit code {code}: smootherlab {shlex.join(argv)}",
+                  file=sys.stderr)
             sys.exit(code)

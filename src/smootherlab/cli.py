@@ -87,61 +87,32 @@ _DESK_IMAGES = {
 _FULL_IMAGES = {**_DESK_IMAGES, "n_train": 1000, "n_test": 2000, "side": 28,
                 "n_classes": 10}
 
+# keys shared by several kinds, written once
+_SUBSAMPLED = {"n_train": None, "n_test": None, "balanced": False, "seed": 0}
+_RFF = {"rff_seed": 0, "rff_scale": DEFAULT_SCALE, "class_index": 0}
+_TREE = {"max_leaves": 10, "seed": 1, "subset_size": None, "class_index": 0}
+_BOOST = {"learning_rate": DEFAULT_LEARNING_RATE, "leaf_budget": DEFAULT_LEAF_BUDGET,
+          "seed": 1, "subset_size": None, "class_index": 0}
+
 DATASET_DEFAULTS = {
-    "idx": {
-        "kind": "idx",
-        "images": "",
-        "labels": "",
-        "test_images": "",
-        "test_labels": "",
-        "n_train": None,
-        "n_test": None,
-        "balanced": False,
-        "seed": 0,
-    },
-    "csv": {
-        "kind": "csv",
-        "train": "",
-        "test": "",
-        "normalize": True,
-        "n_train": None,
-        "n_test": None,
-        "balanced": False,
-        "seed": 0,
-    },
-    "synthetic": {
-        "kind": "synthetic",
-        "generator": "sine",
-        "n_train": 200,
-        "n_test": 400,
-        "d": 2,
-        "noise_std": 0.1,
-        "seed": 0,
-    },
+    "idx": {"kind": "idx", "images": "", "labels": "", "test_images": "",
+            "test_labels": "", **_SUBSAMPLED},
+    "csv": {"kind": "csv", "train": "", "test": "", "normalize": True, **_SUBSAMPLED},
+    "synthetic": {"kind": "synthetic", "generator": "sine", "n_train": 200,
+                  "n_test": 400, "d": 2, "noise_std": 0.1, "seed": 0},
     "images": dict(_DESK_IMAGES),
 }
 
 MODEL_DEFAULTS = {
-    "ols": {"kind": "ols", "p_phi": 64, "rff_seed": 0, "rff_scale": DEFAULT_SCALE,
-            "class_index": 0},
-    "minnorm": {"kind": "minnorm", "p_phi": 600, "rff_seed": 0,
-                "rff_scale": DEFAULT_SCALE, "class_index": 0},
-    "svd_basis": {"kind": "svd_basis", "p_phi": 600, "rff_seed": 0,
-                  "rff_scale": DEFAULT_SCALE, "class_index": 0},
-    "pcr": {"kind": "pcr", "p_phi": 512, "p_pc": 128, "rff_seed": 0,
-            "rff_scale": DEFAULT_SCALE, "class_index": 0},
+    "ols": {"kind": "ols", "p_phi": 64, **_RFF},
+    "minnorm": {"kind": "minnorm", "p_phi": 600, **_RFF},
+    "svd_basis": {"kind": "svd_basis", "p_phi": 600, **_RFF},
+    "pcr": {"kind": "pcr", "p_phi": 512, "p_pc": 128, **_RFF},
     "knn": {"kind": "knn", "k": 5, "class_index": 0},
-    "tree": {"kind": "tree", "max_leaves": 10, "seed": 1, "subset_size": None,
-             "class_index": 0},
-    "forest": {"kind": "forest", "max_leaves": 10, "p_ens": 5, "seed": 1,
-               "subset_size": None, "class_index": 0},
-    "boost": {"kind": "boost", "n_rounds": 100, "learning_rate": DEFAULT_LEARNING_RATE,
-              "leaf_budget": DEFAULT_LEAF_BUDGET, "seed": 1,
-              "stop_tol": DEFAULT_STOP_TOL, "subset_size": None, "class_index": 0},
-    "boost_ensemble": {"kind": "boost_ensemble", "n_rounds": 20, "p_ens": 5,
-                       "learning_rate": DEFAULT_LEARNING_RATE,
-                       "leaf_budget": DEFAULT_LEAF_BUDGET, "seed": 1,
-                       "subset_size": None, "class_index": 0},
+    "tree": {"kind": "tree", **_TREE},
+    "forest": {"kind": "forest", "p_ens": 5, **_TREE},
+    "boost": {"kind": "boost", "n_rounds": 100, "stop_tol": DEFAULT_STOP_TOL, **_BOOST},
+    "boost_ensemble": {"kind": "boost_ensemble", "n_rounds": 20, "p_ens": 5, **_BOOST},
 }
 
 
@@ -234,10 +205,50 @@ _SEED_PATHS = {
 
 # keys whose null default is derived from the data; set, they take a list of ints
 _LIST_KEYS = {"axis1_values", "axis2_values", "switches", "p_phi_values", "k_values"}
-# grids a command walks; empty, there is nothing to compute. An empty
-# axis2_values is an axis-1-only walk, and the grid command checks its own axes.
-_NONEMPTY_KEYS = {"axis1_values", "switches", "p_phi_values", "k_values",
-                  "leaf_grid", "lr_grid"}
+
+
+def _grid(bound: str = "", ok=lambda v: True, may_be_empty: bool = False):
+    """The range of a list key: non-empty unless allowed, each element ok."""
+    text = ("a list" if may_be_empty else "a non-empty list") + (
+        f" of values {bound}" if bound else "")
+    return text, lambda vs: (may_be_empty or vs != []) and all(ok(v) for v in vs)
+
+
+# the range of every number or grid a user may set, by key name: each key
+# means the same wherever it appears. An empty axis2_values is an
+# axis-1-only walk, and the grid command checks its own axes.
+_RANGES = {
+    **dict.fromkeys(
+        ("seed", "rff_seed", "base_seed", "resample_seed", "class_index",
+         "effparams_class", "noise_std", "stop_tol", "loss_tol"),
+        (">= 0", lambda v: v >= 0)),
+    **dict.fromkeys(
+        ("n", "d", "n_train", "n_test", "side", "k", "p_phi", "p_pc", "max_leaves",
+         "p_ens", "n_rounds", "leaf_budget", "boost_leaf_budget", "subset_size",
+         "tree_subset", "n_features", "rff_p", "n_test_points", "max_rounds"),
+        (">= 1", lambda v: v >= 1)),
+    **dict.fromkeys(("n_classes", "n_resamples"), (">= 2", lambda v: v >= 2)),
+    **dict.fromkeys(("rff_scale", "interp_tol"), ("> 0", lambda v: v > 0)),
+    "learning_rate": ("in (0, 1]", lambda v: 0 < v <= 1),
+    "label_noise": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    **dict.fromkeys(("axis1_values", "switches"), _grid()),
+    **dict.fromkeys(("p_phi_values", "k_values"), _grid(">= 1", lambda v: v >= 1)),
+    "knn_k": _grid(">= 1", lambda v: v >= 1, may_be_empty=True),
+    "leaf_grid": _grid('>= 1 or "max"', lambda v: v == "max" or v >= 1),
+    "lr_grid": _grid("in (0, 1]", lambda v: 0 < v <= 1),
+}
+
+
+def _check_range(path: str, value, nullable: bool = False) -> None:
+    """Raise naming the dotted key `path` if its value is out of range."""
+    key = path.rpartition(".")[2]
+    if key in _RANGES and value is not None:
+        bound, ok = _RANGES[key]
+        if not ok(value):
+            either = "null or " if nullable else ""
+            raise ValidationError(
+                f"config key {path!r} must be {either}{bound}, got {json.dumps(value)}"
+            )
 
 
 def _fits(default, value) -> bool:
@@ -280,8 +291,7 @@ def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
                 f"config key {path + key!r} must be {either}typed like "
                 f"{json.dumps(like)}, got {json.dumps(value)}"
             )
-        if key in _NONEMPTY_KEYS and value == []:
-            raise ValidationError(f"config key {path + key!r} must not be empty")
+        _check_range(path + key, value, nullable=base is None)
         out[key] = value
     return out
 
@@ -371,10 +381,6 @@ def _echo_config(out_dir: Path, command: str, config: dict) -> None:
 
 def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
     kind = cfg["kind"]
-    if kind in ("synthetic", "images"):  # sizes of the generated split
-        for key in ("n_train", "n_test"):
-            if cfg[key] < 1:
-                raise ValidationError(f"dataset.{key} must be >= 1, got {cfg[key]}")
     if kind == "idx":
         for key in ("images", "labels", "test_images", "test_labels"):
             if not cfg[key]:
@@ -412,7 +418,8 @@ def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
     for key, ds, seed in (("n_train", train, cfg["seed"]), ("n_test", test, cfg["seed"] + 1)):
         if cfg[key] is not None:
             if not 1 <= cfg[key] <= ds.n:
-                raise ValidationError(f"dataset.{key} must be in [1, {ds.n}], got {cfg[key]}")
+                raise ValidationError(f"config key 'dataset.{key}' must be in "
+                                      f"[1, {ds.n}], got {cfg[key]}")
             ds = subsample(ds, cfg[key], seed, balanced=cfg["balanced"])
         drawn.append(ds)
     return tuple(drawn)
@@ -439,23 +446,8 @@ def default_axis_values(family: str, n: int) -> tuple[list[int], list[int]]:
     return axis1, axis2
 
 
-# ranges of the shared sweep settings, checked for every family
-_SHARED_RANGES = {
-    "rff_scale": ("> 0", lambda v: v > 0),
-    "learning_rate": ("in (0, 1]", lambda v: 0 < v <= 1),
-    "boost_leaf_budget": (">= 1", lambda v: v >= 1),
-    "tree_subset": ("null or >= 1", lambda v: v is None or v >= 1),
-}
-
-
 def _sweep_inputs(cfg: dict):
     """train, test, axis-1 and axis-2 values, and the SweepConfig of a sweep command."""
-    for key, (bound, ok) in _SHARED_RANGES.items():
-        value = cfg["shared"][key]
-        if not ok(value):
-            raise ValidationError(
-                f"config key {'shared.' + key!r} must be {bound}, got {value!r}"
-            )
     train, test = load_datasets(cfg["dataset"])
     d1, d2 = default_axis_values(cfg["family"], train.n)
     axis1 = cfg["axis1_values"] if cfg["axis1_values"] is not None else d1
@@ -855,6 +847,7 @@ def main(argv=None) -> int:
             if last not in node:
                 raise ValidationError(f"--seed does not apply to {head[0]}.kind="
                                       f"{node['kind']!r}, which has no seed")
+            _check_range(".".join([*head, last]), args.seed)
             node[last] = args.seed
         out_dir = args.out if args.out is not None else Path("runs") / args.command
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -186,7 +186,8 @@ def evaluate_states(
     """The evaluation core behind every sweep runner.
 
     Takes (label, (axis1, axis2)) pairs, builds one family runner over all
-    the states, runs them, and returns their records in input order.
+    the states, evaluates each distinct state once (evaluation is a pure
+    function of the state), and returns one record per pair in input order.
     Records, and the point index of a ScheduleError raised while the runner
     is built, are numbered within their label. BLAS runs on one thread
     throughout, in the workers too, so the bits do not depend on
@@ -203,12 +204,13 @@ def evaluate_states(
             if exc.point_index is None:
                 raise
             raise ScheduleError(exc.detail, index[exc.point_index]) from exc
-        evaluated = _run_states(runner, states, threads)
+        distinct = list(dict.fromkeys(states))
+        done = dict(zip(distinct, _run_states(runner, distinct, threads)))
     names = AXES[family]
     return [
         SweepRecord(i, names[0], a1, names[1], a2, **vars(ev),
                     seed=shared.base_seed, wall_time=wall)
-        for i, (a1, a2), (ev, wall) in zip(index, states, evaluated)
+        for i, (a1, a2), (ev, wall) in zip(index, states, map(done.get, states))
     ]
 
 

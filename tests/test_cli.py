@@ -19,7 +19,16 @@ import pytest
 
 import smootherlab
 from smootherlab.boosting import fit_boost, fit_boost_ensemble
-from smootherlab.cli import MODEL_DEFAULTS, build_config, command_defaults, load_datasets, main
+from smootherlab.cli import (
+    _COMMANDS,
+    _RANGES,
+    DATASET_DEFAULTS,
+    MODEL_DEFAULTS,
+    build_config,
+    command_defaults,
+    load_datasets,
+    main,
+)
 from smootherlab.dataset import one_vs_all_targets
 from smootherlab.errors import SingularDesignError, ValidationError
 from smootherlab.experiments.families import FAMILY_RUNNERS, TreeFamily
@@ -147,7 +156,7 @@ def test_bad_image_generator_inputs_exit_one_naming_them(tmp_path, capsys, key, 
     rc = _run(["ingest", "--set", f"dataset.{key}={value}"], tmp_path / "a")
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key} must be ")
+    assert err.startswith(f"error: config key 'dataset.{key}' must be ")
     assert "Traceback" not in err
 
 
@@ -252,6 +261,107 @@ def test_empty_grid_exits_one_naming_its_key(tmp_path, capsys, argv, key):
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
     assert "Traceback" not in err
+
+
+# one out-of-range value for every _RANGES key; the last --set names the key
+_BAD_VALUE = {
+    "seed": ["ingest", "--set", "dataset.seed=-1"],
+    "rff_seed": ["fit", "--set", "model.rff_seed=-1"],
+    "base_seed": ["sweep", "--set", "shared.base_seed=-1"],
+    "resample_seed": ["fixed-design", "--set", "resample_seed=-1"],
+    "class_index": ["fit", "--set", "model.class_index=-1"],
+    "effparams_class": ["sweep", "--set", "shared.effparams_class=-1"],
+    "noise_std": ["bias-variance", "--set", "spec.noise_std=-0.1"],
+    "stop_tol": ["fit", "--set", "model.kind=boost", "--set", "model.stop_tol=-1"],
+    "loss_tol": ["fixed-design", "--set", "loss_tol=-1e-8"],
+    "n": ["fixed-design", "--set", "n=0"],
+    "d": ["bias-variance", "--set", "spec.d=0"],
+    "n_train": ["ingest", "--set", "dataset.n_train=0"],
+    "n_test": ["ingest", "--set", "dataset.kind=synthetic", "--set", "dataset.n_test=0"],
+    "side": ["ingest", "--set", "dataset.side=0"],
+    "k": ["fit", "--set", "model.kind=knn", "--set", "model.k=0"],
+    "p_phi": ["fit", "--set", "model.p_phi=0"],
+    "p_pc": ["effparams", "--set", "model.p_pc=0"],
+    "max_leaves": ["fit", "--set", "model.kind=tree", "--set", "model.max_leaves=0"],
+    "p_ens": ["fit", "--set", "model.kind=forest", "--set", "model.p_ens=0"],
+    "n_rounds": ["fit", "--set", "model.kind=boost_ensemble", "--set", "model.n_rounds=0"],
+    "leaf_budget": ["fit", "--set", "model.kind=boost", "--set", "model.leaf_budget=0"],
+    "boost_leaf_budget": ["grid", "--set", "shared.boost_leaf_budget=0"],
+    "subset_size": ["effparams", "--set", "model.kind=tree", "--set", "model.subset_size=0"],
+    "tree_subset": ["back-to-u", "--set", "shared.tree_subset=-2"],
+    "n_features": ["bias-variance", "--set", "model.n_features=0"],
+    "rff_p": ["bias-variance", "--set", "model.kind=minnorm", "--set", "model.rff_p=0"],
+    "n_test_points": ["bias-variance", "--set", "n_test_points=0"],
+    "max_rounds": ["select", "--set", "max_rounds=0"],
+    "n_classes": ["ingest", "--set", "dataset.n_classes=1"],
+    "n_resamples": ["bias-variance", "--set", "n_resamples=1"],
+    "rff_scale": ["cond-study", "--set", "rff_scale=0"],
+    "interp_tol": ["fixed-design", "--set", "interp_tol=-1"],
+    "learning_rate": ["fit", "--set", "model.kind=boost", "--set", "model.learning_rate=1.5"],
+    "label_noise": ["ingest", "--set", "dataset.label_noise=2"],
+    "axis1_values": ["sweep", "--set", "axis1_values=[]"],
+    "switches": ["peaks", "--set", "switches=[]"],
+    "p_phi_values": ["cond-study", "--set", "p_phi_values=[8,0]"],
+    "k_values": ["cond-study", "--set", "k_values=[0]"],
+    "knn_k": ["effparams", "--set", "knn_k=[5,0]"],
+    "leaf_grid": ["select", "--set", 'leaf_grid=[2,"max",0]'],
+    "lr_grid": ["select", "--set", "lr_grid=[0]"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(_RANGES))
+def test_out_of_range_value_exits_one_naming_its_dotted_key(tmp_path, capsys, key):
+    argv = _BAD_VALUE[key]
+    dotted = argv[-1].partition("=")[0]
+    assert _run(argv, tmp_path / "a") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {dotted!r} must be ")
+    assert "Traceback" not in err
+
+
+def test_out_of_range_value_in_a_config_file_names_its_dotted_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"kind": "boost", "stop_tol": -1}}))
+    assert _run(["fit", "--config", str(cfg)], tmp_path / "a") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'model.stop_tol' must be >= 0, got -1")
+
+
+@pytest.mark.parametrize(
+    "command, dotted",
+    [("sweep", "shared.base_seed"), ("fit", "model.rff_seed"), ("ingest", "dataset.seed"),
+     ("cond-study", "rff_seed")],
+)
+def test_negative_seed_flag_exits_one_naming_its_key(tmp_path, capsys, command, dotted):
+    assert _run([command, "--seed", "-1"], tmp_path / "a") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {dotted!r} must be >= 0, got -1")
+    assert not (tmp_path / "a").exists()
+
+
+def _leaves(tree, path=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{path}{key}.")
+        else:
+            yield path + key, value
+
+
+def test_every_number_and_grid_default_has_a_range_it_passes():
+    trees = [command_defaults(c) for c in _COMMANDS]
+    trees += [*DATASET_DEFAULTS.values(), *MODEL_DEFAULTS.values()]
+    trees.append(build_config("ingest", {}, [], full_scale=True))
+    leaves = [leaf for tree in trees for leaf in _leaves(tree)]
+    assert set(_RANGES) <= {path.rpartition(".")[2] for path, _ in leaves}
+    for path, value in leaves:
+        key = path.rpartition(".")[2]
+        # a null default stands for a number or a list derived from the data
+        ranged = (isinstance(value, (int, float, list)) and not isinstance(value, bool)
+                  or value is None)
+        if ranged and key != "axis2_values":  # any axis-2 list is a valid walk
+            assert key in _RANGES, path
+        if key in _RANGES and value is not None:
+            assert _RANGES[key][1](value), path
 
 
 @pytest.mark.parametrize("key", ["rff_seed", "axis1_init"])
@@ -619,12 +729,15 @@ def test_bias_variance_knn_k_out_of_range_exits_one_naming_it(tmp_path, capsys, 
     argv = ["bias-variance", "--set", "model.kind=knn", "--set", f"model.k={k}"]
     assert _run(argv, tmp_path / "a") == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: k must be in [1, n=40]") and f"got {k}" in err
+    # below 1 is out of range wherever k is set; above n depends on the data
+    named = "config key 'model.k' must be >= 1" if k < 1 else "k must be in [1, n=40]"
+    assert err.startswith(f"error: {named}") and f"got {k}" in err
 
 
 def test_bias_variance_without_test_points_exits_one_naming_them(tmp_path, capsys):
     assert _run(["bias-variance", "--set", "n_test_points=0"], tmp_path / "a") == 1
-    assert capsys.readouterr().err.startswith("error: n_test_points must be >= 1")
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'n_test_points' must be >= 1")
 
 
 def test_select_smoke(tmp_path, capsys):
@@ -672,7 +785,7 @@ def test_file_subsample_sizes_name_their_key(tmp_path, capsys, key, value):
     argv = ["ingest", *(a for expr in sets for a in ("--set", expr))]
     assert _run(argv, tmp_path / "a") == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: dataset.{key} must be in [1, ")
+    assert err.startswith(f"error: config key 'dataset.{key}' must be ")
     assert "Traceback" not in err
 
 
@@ -750,3 +863,19 @@ def test_scripts_run_every_step_at_tiny_scale(tmp_path, monkeypatch, script):
         if "dataset" in defaults:
             tiny = [*TINY, *_tiny_model(defaults.get("model", {}).get("kind"))]
         assert main([*step, *fixed, *tiny, "--threads", "1"]) == 0, step
+
+
+@pytest.mark.parametrize(
+    "script", ["run_rff_decomposition.py", "run_tree_boosting.py", "run_diagnostics.py"]
+)
+def test_scripts_name_the_step_that_failed(tmp_path, monkeypatch, capsys, script):
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [script, "--seed", "-1"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(path), run_name="__main__")
+    assert done.value.code == 1
+    first = runpy.run_path(str(path))["STEPS"][0]
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("step failed with exit code 1: smootherlab " + " ".join(first))
+    assert last.endswith("--seed -1")

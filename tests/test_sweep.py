@@ -8,6 +8,7 @@ give bitwise-identical numbers.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 
@@ -473,6 +474,41 @@ def test_back_to_u_csv_layout(toy_images, tmp_path):
     assert lines[0] == "branch," + ",".join(SWEEP_HEADER)
     assert len(lines) == 1 + 2 + 2 + 4
     assert lines[1].startswith("axis1,0,")
+
+
+@pytest.mark.parametrize(
+    "family, axis1, axis2",
+    [
+        ("rff_linear", [2, 10, 30], [0, 60]),
+        ("tree", [2, 10, 30], [1, 3]),
+        ("boosting", [2, 5, 12], [1, 3]),
+    ],
+)
+def test_each_distinct_state_is_evaluated_once(toy_images, monkeypatch, family,
+                                               axis1, axis2):
+    train, test = toy_images
+    calls = []
+    evaluate = FAMILY_RUNNERS[family].evaluate
+
+    def counted(self, *state):
+        calls.append(state)
+        return evaluate(self, *state)
+
+    monkeypatch.setattr(FAMILY_RUNNERS[family], "evaluate", counted)
+    fold = back_to_u(family, train, test, axis1, axis2, threads=1)
+    n_fold = len(calls)
+    walks = peak_move(family, axis1[1:], train, test, axis1_grid=axis1,
+                      axis2_values=axis2[1:], threads=1)
+    runs = [(fold.records, calls[:n_fold]),
+            ([r for w in walks for r in w.records], calls[n_fold:])]
+    for records, evaluated in runs:
+        states = [(r.axis1_value, r.axis2_value) for r in records]
+        assert sorted(evaluated) == sorted(set(states)) and len(evaluated) < len(states)
+        # a repeated state repeats its record; only its place in the walk differs
+        first = {}
+        for r in records:
+            twin = first.setdefault((r.axis1_value, r.axis2_value), r)
+            assert dataclasses.replace(r, point_index=twin.point_index) == twin
 
 
 # ---------------------------------------------------------------------------
