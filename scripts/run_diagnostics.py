@@ -3,10 +3,9 @@
 bias/variance against Monte Carlo, and effective-parameter reports."""
 from __future__ import annotations
 
-import shlex
 import sys
 
-from smootherlab.cli import main
+from smootherlab.cli import run_steps
 
 EXTRA = sys.argv[1:]
 
@@ -22,10 +21,4 @@ STEPS = [
 ]
 
 if __name__ == "__main__":
-    for step in STEPS:
-        argv = step + EXTRA
-        code = main(argv)
-        if code != 0:
-            print(f"step failed with exit code {code}: smootherlab {shlex.join(argv)}",
-                  file=sys.stderr)
-            sys.exit(code)
+    run_steps(STEPS, EXTRA)

@@ -6,10 +6,9 @@ Desk scale by default; pass --full-scale for the large preset (slow).
 """
 from __future__ import annotations
 
-import shlex
 import sys
 
-from smootherlab.cli import main
+from smootherlab.cli import run_steps
 
 EXTRA = sys.argv[1:]  # e.g. --full-scale or --threads 8
 
@@ -20,10 +19,4 @@ STEPS = [
 ]
 
 if __name__ == "__main__":
-    for step in STEPS:
-        argv = step + ["--set", "family=rff_linear"] + EXTRA
-        code = main(argv)
-        if code != 0:
-            print(f"step failed with exit code {code}: smootherlab {shlex.join(argv)}",
-                  file=sys.stderr)
-            sys.exit(code)
+    run_steps(STEPS, ["--set", "family=rff_linear"] + EXTRA)

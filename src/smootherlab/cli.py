@@ -17,6 +17,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -73,16 +74,8 @@ from .trees import fit_ensemble, fit_tree
 
 # --------------------------------------------------------------------------- defaults
 
-_DESK_IMAGES = {
-    "kind": "images",
-    "n_train": 300,
-    "n_test": 600,
-    "side": 16,
-    "n_classes": 5,
-    "noise_std": 0.25,
-    "label_noise": 0.15,
-    "seed": 0,
-}
+_DESK_IMAGES = {"kind": "images", "n_train": 300, "n_test": 600, "side": 16,
+                "n_classes": 5, "noise_std": 0.25, "label_noise": 0.15, "seed": 0}
 
 _FULL_IMAGES = {**_DESK_IMAGES, "n_train": 1000, "n_test": 2000, "side": 28,
                 "n_classes": 10}
@@ -239,16 +232,14 @@ _RANGES = {
 }
 
 
-def _check_range(path: str, value, nullable: bool = False) -> None:
-    """Raise naming the dotted key `path` if its value is out of range."""
-    key = path.rpartition(".")[2]
-    if key in _RANGES and value is not None:
-        bound, ok = _RANGES[key]
-        if not ok(value):
-            either = "null or " if nullable else ""
-            raise ValidationError(
-                f"config key {path!r} must be {either}{bound}, got {json.dumps(value)}"
-            )
+def _check_range(path: str, value, either: str = "") -> None:
+    """Raise naming the dotted key `path` if its value is out of range;
+    `either` is "null or " where the key's default is null."""
+    bound, ok = _RANGES.get(path.rpartition(".")[2], ("", lambda v: True))
+    if value is not None and not ok(value):
+        raise ValidationError(
+            f"config key {path!r} must be {either}{bound}, got {json.dumps(value)}"
+        )
 
 
 def _fits(default, value) -> bool:
@@ -282,16 +273,15 @@ def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
         if isinstance(base, dict) and isinstance(value, dict):
             out[key] = _merge_strict(base, value, path + key + ".")
             continue
-        like = base
+        like, either = base, ""
         if base is None:  # derived from the data unless set
-            like = [0] if key in _LIST_KEYS else 0
+            like, either = [0] if key in _LIST_KEYS else 0, "null or "
         if not (_fits(like, value) or base is None and value is None):
-            either = "null or " if base is None else ""
             raise ValidationError(
                 f"config key {path + key!r} must be {either}typed like "
                 f"{json.dumps(like)}, got {json.dumps(value)}"
             )
-        _check_range(path + key, value, nullable=base is None)
+        _check_range(path + key, value, either)
         out[key] = value
     return out
 
@@ -417,7 +407,7 @@ def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
     drawn = []
     for key, ds, seed in (("n_train", train, cfg["seed"]), ("n_test", test, cfg["seed"] + 1)):
         if cfg[key] is not None:
-            if not 1 <= cfg[key] <= ds.n:
+            if cfg[key] > ds.n:  # >= 1 is checked at merge
                 raise ValidationError(f"config key 'dataset.{key}' must be in "
                                       f"[1, {ds.n}], got {cfg[key]}")
             ds = subsample(ds, cfg[key], seed, balanced=cfg["balanced"])
@@ -862,6 +852,15 @@ def main(argv=None) -> int:
     except (SingularDesignError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+
+
+def run_steps(steps: list[list[str]], extra: list[str]) -> None:
+    """Run CLI steps in order; exit with the first failing step's code, naming it."""
+    for argv in (step + extra for step in steps):
+        if code := main(argv):
+            print(f"step failed with exit code {code}: smootherlab {shlex.join(argv)}",
+                  file=sys.stderr)
+            sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

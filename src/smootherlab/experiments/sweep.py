@@ -104,7 +104,7 @@ class SweepRecord:
     p_train: float
     p_test: float
     seed: int
-    wall_time: float = 0.0  # kept in memory only, not serialized
+    wall_time: float = 0.0  # in memory only; 0 on a repeated state's later records
 
     def row(self) -> list:
         return [getattr(self, name) for name in SWEEP_HEADER]
@@ -205,12 +205,14 @@ def evaluate_states(
                 raise
             raise ScheduleError(exc.detail, index[exc.point_index]) from exc
         distinct = list(dict.fromkeys(states))
-        done = dict(zip(distinct, _run_states(runner, distinct, threads)))
+        evs, walls = zip(*_run_states(runner, distinct, threads))
+    evs, walls = dict(zip(distinct, evs)), dict(zip(distinct, walls))
     names = AXES[family]
+    # a state's first record carries its evaluation time, its repeats 0
     return [
-        SweepRecord(i, names[0], a1, names[1], a2, **vars(ev),
-                    seed=shared.base_seed, wall_time=wall)
-        for i, (a1, a2), (ev, wall) in zip(index, states, map(done.get, states))
+        SweepRecord(i, names[0], a1, names[1], a2, **vars(evs[a1, a2]),
+                    seed=shared.base_seed, wall_time=walls.pop((a1, a2), 0.0))
+        for i, (a1, a2) in zip(index, states)
     ]
 
 

@@ -504,11 +504,15 @@ def test_each_distinct_state_is_evaluated_once(toy_images, monkeypatch, family,
     for records, evaluated in runs:
         states = [(r.axis1_value, r.axis2_value) for r in records]
         assert sorted(evaluated) == sorted(set(states)) and len(evaluated) < len(states)
-        # a repeated state repeats its record; only its place in the walk differs
+        # a repeated state repeats its record; only its place in the walk
+        # differs, and its time is counted once, on the first record
         first = {}
         for r in records:
             twin = first.setdefault((r.axis1_value, r.axis2_value), r)
-            assert dataclasses.replace(r, point_index=twin.point_index) == twin
+            if r is not twin:
+                assert r.wall_time == 0.0 < twin.wall_time
+            assert dataclasses.replace(r, point_index=twin.point_index,
+                                       wall_time=twin.wall_time) == twin
 
 
 # ---------------------------------------------------------------------------
