@@ -232,10 +232,19 @@ _RANGES = {
 }
 
 
-def _check_range(path: str, value, either: str = "") -> None:
-    """Raise naming the dotted key `path` if its value is out of range;
-    `either` is "null or " where the key's default is null."""
-    bound, ok = _RANGES.get(path.rpartition(".")[2], ("", lambda v: True))
+def _within(lo: int, hi: int | None = None):
+    """The range [lo, hi], or >= lo, of a bound that depends on the data."""
+    if hi is None:
+        return f">= {lo}", lambda v: v >= lo
+    return f"in [{lo}, {hi}]", lambda v: lo <= v <= hi
+
+
+def _check_range(path: str, value, either: str = "", rng=None) -> None:
+    """Raise naming the dotted key `path` if its value is out of range: the
+    key's ``_RANGES`` entry, or `rng` for a bound that depends on the data
+    and is checked where the data is; `either` is "null or " where the
+    key's default is null."""
+    bound, ok = rng or _RANGES.get(path.rpartition(".")[2], ("", lambda v: True))
     if value is not None and not ok(value):
         raise ValidationError(
             f"config key {path!r} must be {either}{bound}, got {json.dumps(value)}"
@@ -407,9 +416,7 @@ def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
     drawn = []
     for key, ds, seed in (("n_train", train, cfg["seed"]), ("n_test", test, cfg["seed"] + 1)):
         if cfg[key] is not None:
-            if cfg[key] > ds.n:  # >= 1 is checked at merge
-                raise ValidationError(f"config key 'dataset.{key}' must be in "
-                                      f"[1, {ds.n}], got {cfg[key]}")
+            _check_range(f"dataset.{key}", cfg[key], rng=_within(1, ds.n))
             ds = subsample(ds, cfg[key], seed, balanced=cfg["balanced"])
         drawn.append(ds)
     return tuple(drawn)
@@ -439,6 +446,9 @@ def default_axis_values(family: str, n: int) -> tuple[list[int], list[int]]:
 def _sweep_inputs(cfg: dict):
     """train, test, axis-1 and axis-2 values, and the SweepConfig of a sweep command."""
     train, test = load_datasets(cfg["dataset"])
+    if train.task_classes:
+        _check_range("shared.effparams_class", cfg["shared"]["effparams_class"],
+                     rng=_within(0, train.task_classes - 1))
     d1, d2 = default_axis_values(cfg["family"], train.n)
     axis1 = cfg["axis1_values"] if cfg["axis1_values"] is not None else d1
     axis2 = cfg["axis2_values"] if cfg["axis2_values"] is not None else d2
@@ -455,10 +465,29 @@ def _composite_axis2(family: str, values: list[int]) -> list[int]:
 
 # --------------------------------------------------------------------------- model fitting (fit / effparams)
 
+# the model key whose range depends on the training size n, by kind
+_MODEL_BOUNDS = {
+    "ols": ("p_phi", lambda cfg, n: _within(1, n - 1)),
+    "minnorm": ("p_phi", lambda cfg, n: _within(n)),
+    "pcr": ("p_pc", lambda cfg, n: _within(1, min(n - 1, cfg["p_phi"]))),
+    "knn": ("k", lambda cfg, n: _within(1, n)),
+}
+
+
+def _class_index(cfg: dict, train: Dataset) -> int:
+    """model.class_index, checked against the training set's classes."""
+    c = cfg["model"]["class_index"]
+    if train.task_classes:
+        _check_range("model.class_index", c, rng=_within(0, train.task_classes - 1))
+    return c
+
 
 def _fit_model(cfg: dict, X: np.ndarray, y: np.ndarray):
     """Returns (smoother on raw inputs, info dict)."""
     kind = cfg["kind"]
+    if kind in _MODEL_BOUNDS:
+        key, bound = _MODEL_BOUNDS[kind]
+        _check_range(f"model.{key}", cfg[key], rng=bound(cfg, X.shape[0]))
     if kind in ("ols", "minnorm", "svd_basis", "pcr"):
         fmap = sample_frequencies(cfg["rff_seed"], cfg["p_phi"], X.shape[1],
                                   cfg["rff_scale"])
@@ -530,7 +559,7 @@ def _cmd_ingest(cfg, out, args) -> str:
 
 def _cmd_fit(cfg, out, args) -> str:
     train, test = load_datasets(cfg["dataset"])
-    c, n_classes = cfg["model"]["class_index"], train.task_classes
+    c, n_classes = _class_index(cfg, train), train.task_classes
     y_tr = one_vs_all_targets(train, n_classes, column=c)
     y_te = one_vs_all_targets(test, n_classes, column=c)
     model, info = _fit_model(cfg["model"], train.features, y_tr)
@@ -647,8 +676,8 @@ def _cmd_back_to_u(cfg, out, args) -> str:
 
 def _cmd_effparams(cfg, out, args) -> str:
     train, test = load_datasets(cfg["dataset"])
-    y = one_vs_all_targets(train, train.task_classes,
-                           column=cfg["model"]["class_index"])
+    _check_range("knn_k", cfg["knn_k"], rng=_grid(*_within(1, train.n), may_be_empty=True))
+    y = one_vs_all_targets(train, train.task_classes, column=_class_index(cfg, train))
     model, _ = _fit_model(cfg["model"], train.features, y)
     kind = cfg["model"]["kind"]
     rows = [
@@ -725,8 +754,13 @@ def _cmd_fixed_design(cfg, out, args) -> str:
 
 
 def _cmd_bias_variance(cfg, out, args) -> str:
-    report = bias_variance(SyntheticSpec(**cfg["spec"]),
-                           AnalyticModelConfig(**cfg["model"]),
+    spec, model, n = cfg["spec"], cfg["model"], cfg["spec"]["n"]
+    bounds = {"ols": ("n_features", _within(1, min(n - 1, spec["d"] + 1))),
+              "knn": ("k", _within(1, n)), "minnorm": ("rff_p", _within(n))}
+    if model["kind"] in bounds:
+        key, rng = bounds[model["kind"]]
+        _check_range(f"model.{key}", model[key], rng=rng)
+    report = bias_variance(SyntheticSpec(**spec), AnalyticModelConfig(**model),
                            n_resamples=cfg["n_resamples"],
                            n_test_points=cfg["n_test_points"])
     # one column per per-point array of the report

@@ -7,11 +7,14 @@ input set I0 = {x0_1 .. x0_m} is
 
     p0 = (n / m) * sum_j || s(x0_j) ||^2
 
-which ``p_eff`` reduces from a weight matrix; every p0 in the package goes
-through it. It is calibrated so a k-nearest-neighbour smoother scores n/k
-regardless of the input set; n/p0 is therefore the "effective k" of any
-smoother. Unlike the classical train-time counts it needs no hat matrix and
-can be evaluated anywhere in input space.
+which ``p_eff_of_sq_norms`` reduces from the squared row norms; every p0 in
+the package goes through it. ``p_eff`` feeds it the rows of a weight
+matrix, and PCR sweep points feed it norms read off their projection
+coefficients (``linear.PcrSmoother.sq_norms``) without forming rows. It is
+calibrated so a k-nearest-neighbour smoother scores n/k regardless of the
+input set; n/p0 is therefore the "effective k" of any smoother. Unlike the
+classical train-time counts it needs no hat matrix and can be evaluated
+anywhere in input space.
 """
 from __future__ import annotations
 
@@ -34,9 +37,14 @@ class EffParamsReport:
     per_point_sq_norms: np.ndarray
 
 
+def p_eff_of_sq_norms(sq_norms: np.ndarray, n: int) -> float:
+    """p0 from the squared weight-row norms ||s(x0_j)||^2: n times their mean."""
+    return float(n * np.mean(sq_norms))
+
+
 def p_eff(W: np.ndarray, n: int) -> float:
-    """p0 of the weight rows W (m, n_train): n times the mean squared row norm."""
-    return float(n * np.mean(np.sum(W * W, axis=1)))
+    """p0 of the weight rows W (m, n_train)."""
+    return p_eff_of_sq_norms(np.sum(W * W, axis=1), n)
 
 
 def generalized_eff_params(model, inputs: np.ndarray, set_name: str = "") -> EffParamsReport:
@@ -45,15 +53,16 @@ def generalized_eff_params(model, inputs: np.ndarray, set_name: str = "") -> Eff
     if inputs.shape[0] < 1:
         raise ValidationError("need at least one evaluation input")
     W = model.weight_matrix(inputs)
+    sq_norms = np.sum(W * W, axis=1)
     n = model.n_train
-    p0 = p_eff(W, n)
+    p0 = p_eff_of_sq_norms(sq_norms, n)
     return EffParamsReport(
         set_name=set_name,
         n_train=n,
         n_inputs=inputs.shape[0],
         p_generalized=p0,
         effective_knn=float(n / p0) if p0 > 0 else float("inf"),
-        per_point_sq_norms=np.sum(W * W, axis=1),
+        per_point_sq_norms=sq_norms,
     )
 
 

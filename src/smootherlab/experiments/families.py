@@ -10,7 +10,9 @@ point fits PCR on column prefixes of those caches. Evaluation is a pure
 function of the axis values and the shared config — never of the schedule
 position — so composite sweeps, grids and contour branches that visit the
 same point produce bit-identical records, and the sweep can run every
-family's points in its process pool.
+family's points in its process pool. An rff_linear point forms no weight
+rows: its p0 values are sums over the projection coefficients of its train
+and test designs (``linear.PcrSmoother.sq_norms``).
 
 A tree or boosting point averages its seeded members' predictions and
 weight rows, and both p_train and p_test are p_eff of the averaged rows.
@@ -37,7 +39,7 @@ import numpy as np
 
 from ..boosting import _round_step, fit_boost, weight_steps
 from ..dataset import Dataset, one_vs_all_targets
-from ..effparams import p_eff
+from ..effparams import p_eff, p_eff_of_sq_norms
 from ..errors import ScheduleError, ValidationError
 from ..linear import pcr_smoother, standardize
 from ..rff import BLOCK, feature_block, sample_frequencies
@@ -120,6 +122,12 @@ class RffLinearFamily(_FamilyBase):
     standardized caches, neither copied nor standardized again: every
     statistic is per column, so a prefix holds what standardizing that
     prefix alone would give.
+
+    A point never forms its (n, n) hat matrix or (m, n) test weights. It
+    projects the test prefix onto the fit's components, predicts through
+    the coefficients, and takes p_train and p_test from the squared norms
+    that the orthogonal columns of [Z, 1] give in closed form; p_train is
+    summed from the training design, not assumed to be the rank.
     """
 
     def __init__(self, train, test, shared, states):
@@ -161,13 +169,12 @@ class RffLinearFamily(_FamilyBase):
         sm = pcr_smoother(self.Xs_train[:, :p_phi], p_pc,
                           scaling=(self.mean[:q], self.std[:q], kept))
         Xs_test = self.Xs_test[:, :p_phi]
-        W_train = sm.hat_matrix()
-        W_test = sm.standardized_weight_matrix(
-            Xs_test if q == p_phi else Xs_test[:, kept]
-        )
-        Y, n = self.Y_train, self.train.n
-        return self._point(p_phi, W_train @ Y, W_test @ Y,
-                           p_eff(W_train, n), p_eff(W_test, n))
+        A = sm.train_design
+        A0 = sm.standardized_design(Xs_test if q == p_phi else Xs_test[:, kept])
+        beta, n = sm.coefficients(self.Y_train), self.train.n
+        return self._point(p_phi, A @ beta, A0 @ beta,
+                           p_eff_of_sq_norms(sm.sq_norms(A), n),
+                           p_eff_of_sq_norms(sm.sq_norms(A0), n))
 
 
 def _shared_zeros(rows: int, cols: int) -> np.ndarray:

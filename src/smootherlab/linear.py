@@ -13,9 +13,15 @@ singular-value cutoff (``svd_cutoff``). PCR needs only its top components:
 it takes them from one eigendecomposition of the Gram matrix of the
 standardized design's shorter side, solves the intercept in closed form,
 and floors the cutoff at the Gram's rounding level (see ``pcr_smoother``).
+
+A PCR smoother projects onto [Z, 1], whose columns are orthogonal, so the
+squared norm of a weight row is a sum over the query's projection
+coefficients (``PcrSmoother.sq_norms``) and p0 needs no weight rows.
 Callers that standardize their columns once for many fits (the sweep's
-cosine cache) pass the standardized design with its scaling, and get
-weights of standardized queries from ``PcrSmoother.standardized_weight_matrix``.
+cosine cache) pass the standardized design with its scaling, project
+standardized queries with ``PcrSmoother.standardized_design`` and read p0
+that way; ``weight_matrix`` and ``hat_matrix`` still form explicit rows for
+the single fits of ``fit``, ``effparams`` and ``bias-variance``.
 """
 from __future__ import annotations
 
@@ -59,6 +65,7 @@ class PcrSmoother:
     components: np.ndarray    # (p_kept, p_pc) right singular vectors
     solver: np.ndarray        # (p_pc + 1, n): beta = solver @ y
     train_design: np.ndarray  # (n, p_pc + 1) projected columns + intercept
+    sa_inv_sq: np.ndarray     # (p_pc + 1,) 1 / column norm^2 of [Z, 1]; 0 past the cutoff
     tolerance: float
     rank: int
 
@@ -77,30 +84,40 @@ class PcrSmoother:
         return (Phi0[:, self.kept] - self.mean) / self.std
 
     def design(self, Phi0: np.ndarray) -> np.ndarray:
-        return self._project(self.scale(Phi0))
+        return self.standardized_design(self.scale(Phi0))
 
-    def standardized_weight_matrix(self, Xs0: np.ndarray) -> np.ndarray:
-        """Weight rows of queries already standardized like ``scale`` does
-        (kept columns only), shape (m, n_train)."""
+    def standardized_design(self, Xs0: np.ndarray) -> np.ndarray:
+        """Projection coefficients [Z0, 1] of queries already standardized
+        like ``scale`` does (kept columns only), shape (m, p_pc + 1)."""
         if Xs0.shape[1] != self.components.shape[0]:
             raise ValidationError(
                 f"standardized query has {Xs0.shape[1]} columns, "
                 f"the fit kept {self.components.shape[0]}"
             )
-        return self._project(Xs0) @ self.solver
+        Z0 = Xs0 @ self.components
+        return np.concatenate([Z0, np.ones((Z0.shape[0], 1))], axis=1)
 
     def weight_matrix(self, Phi0: np.ndarray) -> np.ndarray:
-        return self.standardized_weight_matrix(self.scale(Phi0))
+        return self.design(Phi0) @ self.solver
 
     def hat_matrix(self) -> np.ndarray:
         return self.train_design @ self.solver
 
+    def sq_norms(self, A0: np.ndarray) -> np.ndarray:
+        """||s(x0)||^2 of each row a0 of A0, projected queries as ``design``
+        or ``standardized_design`` return them, without forming the weights.
+
+        The weight row a0 diag(sa_inv_sq) A' has squared norm
+        a0 diag(sa_inv_sq) A'A diag(sa_inv_sq) a0', and A'A is diagonal with
+        entries 1 / sa_inv_sq on the kept columns, so it is
+        sum_j a0_j^2 sa_inv_sq_j. It differs from the explicit rows only by
+        A's rounding away from orthogonality, of order
+        eps * sigma_1^2 / sigma_j^2 relative in component j.
+        """
+        return (A0 * A0) @ self.sa_inv_sq
+
     def coefficients(self, y: np.ndarray) -> np.ndarray:
         return self.solver @ np.asarray(y, dtype=float)
-
-    def _project(self, Xs0: np.ndarray) -> np.ndarray:
-        Z0 = Xs0 @ self.components
-        return np.concatenate([Z0, np.ones((Z0.shape[0], 1))], axis=1)
 
 
 @dataclass
@@ -273,7 +290,12 @@ def pcr_smoother(Phi: np.ndarray, p_pc: int, scaling=None) -> PcrSmoother:
     sigma, which breaks the weights-reproduce-fitted-values identity for
     small kept sigma. The centered columns Z = U sigma are orthogonal to the
     intercept, so [Z, 1] has orthogonal columns with norms {sigma, sqrt(n)}
-    and its pseudo-inverse is [Z' / sigma^2 ; 1' / n] in closed form.
+    and its pseudo-inverse is [Z' / sigma^2 ; 1' / n] in closed form. The
+    smoother keeps those inverse squared norms as ``sa_inv_sq``, so the
+    squared norm of a query's weight row is sum_j a0_j^2 sa_inv_sq_j over
+    its projection coefficients a0 (``PcrSmoother.sq_norms``); this is the
+    degrees-of-freedom identity of projection smoothers, and p0 read this
+    way needs no (m, n) weight matrix.
 
     Gram eigenvalues carry an absolute rounding error of about
     max(n, p) * eps * lambda_1, so a sigma below sqrt(max(n, p) * eps) *
@@ -318,10 +340,11 @@ def pcr_smoother(Phi: np.ndarray, p_pc: int, scaling=None) -> PcrSmoother:
     # the training design goes through the same product as a query, so the
     # fitted values equal the training-input weights times y to rounding
     A = np.concatenate([Xs @ components, np.ones((n, 1))], axis=1)
+    sa_inv_sq = sa_inv**2
     return PcrSmoother(
         mean=mean, std=std, kept=kept, components=components,
-        solver=(A * sa_inv**2).T, train_design=A, tolerance=cut,
-        rank=int(np.count_nonzero(sa > cut)),
+        solver=(A * sa_inv_sq).T, train_design=A, sa_inv_sq=sa_inv_sq,
+        tolerance=cut, rank=int(np.count_nonzero(sa > cut)),
     )
 
 

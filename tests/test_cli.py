@@ -319,6 +319,41 @@ def test_out_of_range_value_exits_one_naming_its_dotted_key(tmp_path, capsys, ke
     assert "Traceback" not in err
 
 
+# bounds that depend on the data, checked where the data is: desk data has
+# n_train = 300 and 5 classes, bias-variance's spec n = 40 and d = 1
+_DATA_BOUNDS = [
+    (["fit", "--set", "model.class_index=5"], "model.class_index", "in [0, 4]", 5),
+    (["effparams", "--set", "model.p_pc=400"], "model.p_pc", "in [1, 299]", 400),
+    (["sweep", "--set", "shared.effparams_class=7"], "shared.effparams_class",
+     "in [0, 4]", 7),
+    (["bias-variance", "--set", "model.kind=knn", "--set", "model.k=1000"], "model.k",
+     "in [1, 40]", 1000),
+    (["fit", "--set", "model.kind=knn", "--set", "model.k=1000"], "model.k",
+     "in [1, 300]", 1000),
+    (["effparams", "--set", "knn_k=[1,1000]"], "knn_k",
+     "a list of values in [1, 300]", [1, 1000]),
+    (["fit", "--set", "model.kind=ols", "--set", "model.p_phi=300"], "model.p_phi",
+     "in [1, 299]", 300),
+    (["effparams", "--set", "model.kind=minnorm", "--set", "model.p_phi=299"],
+     "model.p_phi", ">= 300", 299),
+    (["bias-variance", "--set", "model.n_features=40"], "model.n_features", "in [1, 2]", 40),
+    (["bias-variance", "--set", "model.kind=minnorm", "--set", "model.rff_p=39"],
+     "model.rff_p", ">= 40", 39),
+]
+
+
+@pytest.mark.parametrize("argv, dotted, bound, value", _DATA_BOUNDS,
+                         ids=[f"{argv[0]}-{dotted}" for argv, dotted, *_ in _DATA_BOUNDS])
+def test_data_dependent_bound_exits_one_naming_its_dotted_key(
+    tmp_path, capsys, argv, dotted, bound, value
+):
+    assert _run(argv, tmp_path / "a") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: config key {dotted!r} must be {bound}, got {json.dumps(value)}\n"
+    )
+
+
 def test_out_of_range_value_in_a_config_file_names_its_dotted_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": {"kind": "boost", "stop_tol": -1}}))
@@ -730,8 +765,8 @@ def test_bias_variance_knn_k_out_of_range_exits_one_naming_it(tmp_path, capsys, 
     assert _run(argv, tmp_path / "a") == 1
     err = capsys.readouterr().err
     # below 1 is out of range wherever k is set; above n depends on the data
-    named = "config key 'model.k' must be >= 1" if k < 1 else "k must be in [1, n=40]"
-    assert err.startswith(f"error: {named}") and f"got {k}" in err
+    bound = ">= 1" if k < 1 else "in [1, 40]"
+    assert err.startswith(f"error: config key 'model.k' must be {bound}, got {k}")
 
 
 def test_bias_variance_without_test_points_exits_one_naming_them(tmp_path, capsys):

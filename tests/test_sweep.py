@@ -11,11 +11,12 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
-from smootherlab import blas, boosting
+from smootherlab import blas, boosting, linear
 from smootherlab.boosting import fit_boost_ensemble
 from smootherlab.dataset import SyntheticSpec, one_vs_all_targets, synth_generate
 from smootherlab.effparams import p_eff
@@ -40,6 +41,7 @@ from smootherlab.experiments.sweep import (
     run_sweep,
     seed_standard_error,
 )
+from smootherlab.linear import pcr_smoother
 from smootherlab.rff import BLOCK
 from smootherlab.trees import RegressionTree, fit_ensemble
 
@@ -269,6 +271,77 @@ def test_rff_values_independent_of_cache_width(toy_images):
         assert (a.train_mse, a.test_mse, a.p_train, a.p_test) == (
             b.train_mse, b.test_mse, b.p_train, b.p_test
         )
+
+
+def _explicit_point(family, p_pc, p_ex):
+    """A point's (train_mse, test_mse, p_train, p_test) read off explicit
+    weight rows of a PCR fit on the raw cosine columns, and that fit."""
+    train, test = family.train, family.test
+    p_phi, starts = p_pc + p_ex, range(0, family.Xs_train.shape[1], BLOCK)
+    raw = [np.hstack([families.feature_block(family.fmap, ds.features, s)
+                      for s in starts])[:, :p_phi] for ds in (train, test)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a zero-variance column's drop warning
+        sm = pcr_smoother(raw[0], p_pc)
+    W_train, W_test = sm.hat_matrix(), sm.weight_matrix(raw[1])
+    Y, n = family.Y_train, train.n
+    values = (
+        np.mean(np.sum((W_train @ Y - Y) ** 2, axis=1)),
+        np.mean(np.sum((W_test @ Y - family.Y_test) ** 2, axis=1)),
+        p_eff(W_train, n),
+        p_eff(W_test, n),
+    )
+    return values, sm
+
+
+def _masking_block(block):
+    """Cosine block with column 1 a copy of column 0 and column 2 constant."""
+    def patched(fmap, X, start):
+        Phi = block(fmap, X, start).copy()
+        Phi[:, 1], Phi[:, 2] = Phi[:, 0], 0.5
+        return Phi
+    return patched
+
+
+@pytest.mark.parametrize(
+    "p_pc, p_ex, masked",
+    [(8, 0, False), (8, 100, False), (59, 0, False), (20, 0, True)],
+    ids=["narrow", "wide", "interpolating", "masked-component"],
+)
+def test_rff_point_p0_closed_form_matches_explicit_rows(
+    toy_images, monkeypatch, p_pc, p_ex, masked
+):
+    train, test = toy_images
+    if masked:
+        monkeypatch.setattr(families, "feature_block",
+                            _masking_block(families.feature_block))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        family = _prefitted(RffLinearFamily(train, test, SweepConfig(), [(p_pc, p_ex)]))
+        got = family.evaluate(p_pc, p_ex)
+    want, sm = _explicit_point(family, p_pc, p_ex)
+    # the cutoff masks the duplicated direction, and only there
+    assert (sm.rank < sm.train_design.shape[1]) == masked
+    # an interpolating point's train_mse is rounding noise far below 1e-20
+    np.testing.assert_allclose(
+        [got.train_mse, got.test_mse, got.p_train, got.p_test], want,
+        rtol=1e-9, atol=1e-20,
+    )
+    if p_pc == train.n - 1 and p_ex == 0:
+        assert abs(got.p_train - train.n) <= 1e-9 * train.n
+
+
+def test_rff_sweep_forms_no_weight_matrices(toy_images, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an rff_linear point formed explicit weight rows")
+
+    for name in ("hat_matrix", "weight_matrix"):
+        monkeypatch.setattr(linear.PcrSmoother, name, refuse)
+    train, test = toy_images
+    schedule = composite_schedule("rff_linear", [2, 8, 59], [60], shared=SweepConfig())
+    result = run_sweep(schedule, train, test, threads=1)
+    assert len(result.records) == 4
+    assert all(np.isfinite(r.p_test) and r.p_test > 0 for r in result.records)
 
 
 def test_rff_prefit_values_hold_one_block_of_column_statistics(toy_images):
