@@ -15,13 +15,16 @@ rows: its p0 values are sums over the projection coefficients of its train
 and test designs (``linear.PcrSmoother.sq_norms``).
 
 A tree or boosting point averages its seeded members' predictions and
-weight rows, and both p_train and p_test are p_eff of the averaged rows.
-Boosting computes weights only for the class they are read from, in one
-forward pass when its prefit results are stored: each member's rounds are
-stepped through once by ``boosting.weight_steps``, and running member sums at
-every needed round count give every point's p0. Its prefit tasks send back
-prediction snapshots and, for that class only, the per-round train and test
-leaf ids; no weight rows and never the n×n state.
+weight rows, and both p_train and p_test are p0 of the averaged rows.
+Boosting computes weights only for the class they are read from, in two
+prefit rounds. A run task sends back prediction snapshots and, for that
+class only, the per-round train and test leaf ids; its member's recursion is
+stepped through once by ``boosting.weight_steps``, whose per-round
+corrections go to an array in shared memory. Then one task per block of
+training or test rows steps its rows through every member's rounds, with
+running member sums at every needed round count, and sends back each row's
+squared norm per point. No task sends back weight rows or the n×n state;
+the parent only joins the blocks' norms into p0.
 
 Multiclass data is handled one-vs-all: C binary {0,1} tasks share the inputs,
 squared losses are summed across tasks, and the 0-1 error takes the argmax
@@ -32,6 +35,7 @@ for every task; trees and boosting adapt to their targets).
 from __future__ import annotations
 
 import functools
+import math
 import mmap
 from dataclasses import dataclass
 
@@ -43,7 +47,7 @@ from ..effparams import p_eff, p_eff_of_sq_norms
 from ..errors import ScheduleError, ValidationError
 from ..linear import pcr_smoother, standardize
 from ..rff import BLOCK, feature_block, sample_frequencies
-from ..trees import fit_tree, presort
+from ..trees import fit_tree, leaf_rows, presort
 
 
 @dataclass
@@ -60,8 +64,10 @@ class _FamilyBase:
     """Shared data and the prefit protocol.
 
     A fitted family lists the keys it needs in ``_needed`` and fits one with
-    ``_prefit(key) -> (key, value)``; the sweep runs ``prefit_tasks()`` in
-    its pool and hands the whole list of results to ``store``.
+    ``_prefit(key) -> (key, value)``. The sweep prefits in rounds: it runs
+    ``prefit_tasks()`` in its pool and hands that round's list of results to
+    ``store``, until ``prefit_tasks()`` is empty. ``store`` may list more
+    keys, whose tasks read the stored results (boosting's row blocks).
     """
 
     #: every family's points run in the pool; kept for perfbench's tracer,
@@ -177,10 +183,10 @@ class RffLinearFamily(_FamilyBase):
                            p_eff_of_sq_norms(sm.sq_norms(A0), n))
 
 
-def _shared_zeros(rows: int, cols: int) -> np.ndarray:
-    """A zeroed (rows, cols) float array in anonymous shared memory: writes
-    from processes forked after it is made reach the parent's pages."""
-    return np.frombuffer(mmap.mmap(-1, rows * cols * 8)).reshape(rows, cols)
+def _shared_zeros(*shape: int) -> np.ndarray:
+    """A zeroed float array in anonymous shared memory: writes from
+    processes forked after it is made reach the parent's pages."""
+    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8)).reshape(shape)
 
 
 # --------------------------------------------------------------------------- averaged members
@@ -250,18 +256,33 @@ class TreeFamily(_FamilyBase):
                            p_eff(W_train / p_ens, n), p_eff(W_test / p_ens, n))
 
 
+#: training or test rows per stage-2 boosting task; a row's weights and
+#: squared norm are the same bits in any block
+ROW_BLOCK = 128
+
+
 class BoostFamily(_FamilyBase):
     """Boosted residual trees, optionally averaged over seeded runs.
 
     Every (class, member) run is fitted once to the largest round count the
     schedule needs; shorter points read round prefixes, which are identical
-    bit for bit because round p is seeded by (member seed, p). A prefit task
-    sends back only what evaluation reads: the member's train and test
+    bit for bit because round p is seeded by (member seed, p). A run's prefit
+    task sends back only what evaluation reads: the member's train and test
     predictions and its cumulative leaf count at each needed round count,
     and, for the effparams class only, the per-round train and test leaf ids.
-    ``store`` then walks each of those members' weights forward once and
-    records p_train and p_test of every point, so ``evaluate`` only averages
-    snapshots.
+
+    p0 is read off the weights in two stages, both in the sweep's pool. In
+    stage 1 each effparams-class run task walks its member's recursion once
+    with ``weight_steps`` and writes every round's corrections R_p into
+    ``corrections``, an array in shared memory. Once the runs are stored,
+    the family asks for a second prefit round: one task per ``ROW_BLOCK``
+    training or test rows. Stage 2 steps its block through every member's
+    rounds, in member order, with W_p rebuilt from the leaf ids and R_p read
+    from ``corrections``, keeps running member sums at the needed round
+    counts, and sends back only each row's squared norm at every state.
+    ``store`` joins the blocks in row order into p_train and p_test, so
+    ``evaluate`` only averages snapshots. A row's float operations do not
+    depend on its block.
     """
 
     def __init__(self, train, test, shared, states):
@@ -273,9 +294,20 @@ class BoostFamily(_FamilyBase):
         self._needed = sorted(
             (c, member) for member in range(1, self.p_ens_max + 1) for c in self.classes
         )
+        self._blocks = [
+            (side, start)
+            for side, rows in (("train", train.n), ("test", test.n))
+            for start in range(0, rows, ROW_BLOCK)
+        ]
+        # R_p of each effparams member and round, zero past the tree's leaves
+        self.corrections = _shared_zeros(
+            self.p_ens_max, max(self.p_boosts), shared.boost_leaf_budget, train.n
+        )
         self._p_values: dict = {}  # (p_boost, p_ens) -> (p_train, p_test)
 
     def _prefit(self, key):
+        if key in self._blocks:
+            return key, self._block_sq_norms(*key)
         c, member = key
         model = fit_boost(
             self.train.features,
@@ -296,37 +328,52 @@ class BoostFamily(_FamilyBase):
                 sum(t.n_leaves for t in model.trees[:p]))
             for p in self.p_boosts
         }
-        # store walks the weights, and only for the class they are read from
-        lids = (train_lids, test_lids) if c == self.weights_class else None
-        return key, (snapshots, lids)
+        if c != self.weights_class:
+            return key, (snapshots, None)
+        # stage 1: weights only for the class they are read from
+        steps = weight_steps(train_lids, self.shared.learning_rate, self.train.n)
+        for p, (_, R, _) in enumerate(steps):
+            self.corrections[member - 1, p, :len(R)] = R
+        return key, (snapshots, (train_lids, test_lids))
 
-    def store(self, results):
-        """Store the prefit results, then walk the weights forward.
-
-        Each effparams-class member's train (n, n) rows, from
-        ``weight_steps``, and its test (m, n) rows are stepped through its
-        rounds once. At each needed p_boost they are added into that
-        p_boost's running member sum; once the member count reaches a
-        point's p_ens, p0 of the sum over p_ens is recorded.
-        """
-        super().store(results)
-        n, m, lr = self.train.n, self.test.n, self.shared.learning_rate
-        sums = {}
+    def _block_sq_norms(self, side, start):
+        """Stage 2: {(p_boost, p_ens): squared norms} of the weight rows of
+        training or test rows start .. start + ROW_BLOCK, at every state."""
+        n, lr = self.train.n, self.shared.learning_rate
+        rows = slice(start, start + ROW_BLOCK)
+        sums, sq_norms = {}, {}
         for member in range(1, self.p_ens_max + 1):
             train_lids, test_lids = self._cache[(self.weights_class, member)][1]
-            acc_test = np.zeros((m, n))
-            steps = zip(weight_steps(train_lids, lr, n), test_lids)
-            for p, ((W, R, acc_train), lids) in enumerate(steps, start=1):
-                acc_test = _round_step(acc_test, W, R, lids, lr)
+            queries = train_lids if side == "train" else test_lids
+            acc = np.zeros((len(queries[0][rows]), n))
+            for p, (lids, query) in enumerate(zip(train_lids, queries), start=1):
+                W = leaf_rows(lids, np.bincount(lids))
+                R = self.corrections[member - 1, p - 1, :len(W)]
+                acc = _round_step(acc, W, R, query[rows], lr)
                 if p in self.p_boosts:
-                    pair = (acc_train, acc_test)
-                    sums[p] = _sums([sums[p], pair]) if member > 1 else pair
+                    sums[p] = sums[p] + acc if member > 1 else acc
             for p_boost in self.p_boosts:
                 if (p_boost, member) in self.states:
-                    W_train, W_test = sums[p_boost]
-                    self._p_values[(p_boost, member)] = (
-                        p_eff(W_train / member, n), p_eff(W_test / member, n)
-                    )
+                    W = sums[p_boost] / member
+                    sq_norms[(p_boost, member)] = np.sum(W * W, axis=1)
+        return sq_norms
+
+    def store(self, results):
+        """Store one prefit round. After the runs, ask for the row blocks;
+        after the blocks, record p_train and p_test of every state."""
+        super().store(results)
+        if self._blocks[0] not in self._cache:
+            self._needed += self._blocks
+            return
+        n = self.train.n
+        for state in self.states:
+            train_sq, test_sq = (
+                np.concatenate([self._cache[key][state] for key in self._blocks
+                                if key[0] == side])
+                for side in ("train", "test")
+            )
+            self._p_values[state] = (p_eff_of_sq_norms(train_sq, n),
+                                     p_eff_of_sq_norms(test_sq, n))
 
     def evaluate(self, p_boost: int, p_ens: int) -> PointEval:
         members = range(1, p_ens + 1)

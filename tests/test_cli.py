@@ -31,7 +31,7 @@ from smootherlab.cli import (
 )
 from smootherlab.dataset import one_vs_all_targets
 from smootherlab.errors import SingularDesignError, ValidationError
-from smootherlab.experiments.families import FAMILY_RUNNERS, TreeFamily
+from smootherlab.experiments.families import FAMILY_RUNNERS, ROW_BLOCK, TreeFamily
 from smootherlab.experiments.sweep import SWEEP_HEADER
 from smootherlab.trees import fit_ensemble, fit_tree
 
@@ -645,6 +645,21 @@ def test_tree_family_sweeps_are_thread_independent(tmp_path, family, axes):
     assert _run([*argv, "--threads", "1"], a) == 0
     assert _run([*argv, "--threads", "3"], b) == 0
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
+def test_boosting_back_to_u_over_several_row_blocks_is_thread_independent(tmp_path):
+    # more training and test rows than one block, so the p0 row blocks run
+    # in separate workers and are joined in row order
+    argv = ["back-to-u",
+            "--set", f"dataset.n_train={ROW_BLOCK + 21}",
+            "--set", f"dataset.n_test={2 * ROW_BLOCK + 9}",
+            "--set", "dataset.side=6", "--set", "dataset.n_classes=3",
+            "--set", "family=boosting",
+            "--set", "axis1_values=[1,3]", "--set", "axis2_values=[1,3]"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert _run([*argv, "--threads", "1"], a) == 0
+    assert _run([*argv, "--threads", "3"], b) == 0
+    assert (a / "back_to_u.csv").read_bytes() == (b / "back_to_u.csv").read_bytes()
 
 
 def test_sweep_bytes_do_not_depend_on_the_blas_threads(tmp_path):

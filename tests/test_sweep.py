@@ -9,6 +9,7 @@ give bitwise-identical numbers.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import pickle
 import warnings
@@ -96,6 +97,14 @@ def test_tree_family_weights_stay_in_moving_average_range(toy_images):
         assert 1.0 - 1e-9 <= r.p_test <= 60.0 + 1e-9
 
 
+def _prefitted(family):
+    """The family with its prefit rounds run and stored, as the sweep does:
+    until it lists no more tasks."""
+    while tasks := family.prefit_tasks():
+        family.store([task() for task in tasks])
+    return family
+
+
 @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "regression"])
 @pytest.mark.parametrize("family", ["tree", "boosting"])
 def test_point_is_the_fitted_ensemble_read_through_the_protocol(
@@ -110,8 +119,7 @@ def test_point_is_the_fitted_ensemble_read_through_the_protocol(
     y = one_vs_all_targets(train, train.task_classes)[:, shared.effparams_class]
     a1_values = [2, 5, 12] if family == "tree" else [1, 3, 6]
     states = [(a1, p_ens) for a1 in a1_values for p_ens in (1, 2, 4)]
-    runner = FAMILY_RUNNERS[family](train, test, shared, states)
-    runner.store([task() for task in runner.prefit_tasks()])
+    runner = _prefitted(FAMILY_RUNNERS[family](train, test, shared, states))
     n = train.n
     Y_train = one_vs_all_targets(train, train.task_classes)
     Y_test = one_vs_all_targets(test, train.task_classes)
@@ -141,16 +149,40 @@ def test_point_is_the_fitted_ensemble_read_through_the_protocol(
         assert ev.test_mse == float(np.mean(np.sum((preds_test - Y_test) ** 2, axis=1)))
 
 
+def test_boosting_p0_does_not_depend_on_the_row_blocks(monkeypatch):
+    full = synth_generate(SyntheticSpec("sine", 101, 2, 0.1, seed=4))
+    train, test = full.take(slice(None, 38)), full.take(slice(38, None))  # 38 and 63 rows
+    shared = SweepConfig(base_seed=3)
+    states = [(a1, p_ens) for a1 in (1, 4) for p_ens in (1, 3)]
+    values = {}
+    for block in (5, 8):  # several blocks each, neither dividing 38 nor 63
+        monkeypatch.setattr(families, "ROW_BLOCK", block)
+        runner = _prefitted(families.BoostFamily(train, test, shared, states))
+        for side, ds in (("train", train), ("test", test)):
+            assert sum(key[0] == side for key in runner._cache) == math.ceil(ds.n / block)
+        values[block] = [runner.evaluate(*state) for state in states]
+    for state, ev in zip(states, values[5]):
+        model = fit_boost_ensemble(
+            train.features, train.targets, state[0], state[1], shared.base_seed,
+            learning_rate=shared.learning_rate, leaf_budget=shared.boost_leaf_budget,
+        )
+        assert ev.p_train == p_eff(model.weight_matrix(train.features), train.n)
+        assert ev.p_test == p_eff(model.weight_matrix(test.features), train.n)
+    assert values[5] == values[8]
+
+
 def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
     from smootherlab.cli import command_defaults, load_datasets
 
     train, test = load_datasets(command_defaults("sweep")["dataset"])  # desk scale
     shared = SweepConfig(effparams_class=2)
     Y = one_vs_all_targets(train, train.task_classes)
-    class_of, step_runs, prefit_values, in_prefit = {}, [], [], []
-    fit_boost, steps, prefit = (
-        families.fit_boost, boosting.weight_steps, families.BoostFamily._prefit
+    class_of, step_runs, prefit_values, in_prefit, in_store = {}, [], {}, [], []
+    fit_boost, steps, prefit, store = (
+        families.fit_boost, boosting.weight_steps,
+        families.BoostFamily._prefit, families.BoostFamily.store,
     )
+    round_step = boosting._round_step
 
     def counted_fit_boost(X, y, **kwargs):
         model = fit_boost(X, y, **kwargs)
@@ -160,8 +192,13 @@ def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
         return model
 
     def counted_steps(train_leaf_ids, *args):
-        step_runs.append((class_of[id(train_leaf_ids)], bool(in_prefit)))
+        assert not in_store, "store stepped a weight recursion"
+        step_runs.append((class_of[id(train_leaf_ids)], in_prefit[-1] if in_prefit else None))
         return steps(train_leaf_ids, *args)
+
+    def checked_round_step(*args):
+        assert not in_store, "store stepped weight rows"
+        return round_step(*args)
 
     def recorded_prefit(self, key):
         in_prefit.append(key)
@@ -169,18 +206,35 @@ def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
             result = prefit(self, key)
         finally:
             in_prefit.pop()
-        prefit_values.append(result[1])
+        prefit_values[key] = result[1]
         return result
+
+    def guarded_store(self, results):
+        in_store.append(True)
+        try:
+            return store(self, results)
+        finally:
+            in_store.pop()
 
     monkeypatch.setattr(families, "fit_boost", counted_fit_boost)
     monkeypatch.setattr(boosting, "weight_steps", counted_steps)
     monkeypatch.setattr(families, "weight_steps", counted_steps)
+    monkeypatch.setattr(boosting, "_round_step", checked_round_step)
+    monkeypatch.setattr(families, "_round_step", checked_round_step)
     monkeypatch.setattr(families.BoostFamily, "_prefit", recorded_prefit)
+    monkeypatch.setattr(families.BoostFamily, "store", guarded_store)
     schedule = composite_schedule("boosting", [1, 3, 6], [2, 4], shared=shared)
     run_sweep(schedule, train, test, threads=1)
-    # once per member 1..4, all in store, none in a prefit task
-    assert step_runs == [(shared.effparams_class, False)] * 4
-    assert len(prefit_values) == 4 * train.task_classes
+    # once per member 1..4, each inside that member's effparams-class run task
+    c = shared.effparams_class
+    assert step_runs == [(c, (c, member)) for member in range(1, 5)]
+    runs = [key for key in prefit_values if not isinstance(key[0], str)]
+    blocks = [key for key in prefit_values if isinstance(key[0], str)]
+    assert len(runs) == 4 * train.task_classes
+    # the row blocks cover the training and the test rows, after the runs
+    assert list(prefit_values) == runs + blocks
+    assert {side for side, _ in blocks} == {"train", "test"}
+    assert len(blocks) == sum(math.ceil(ds.n / families.ROW_BLOCK) for ds in (train, test))
 
     def leaves(value):
         if isinstance(value, (tuple, list)):
@@ -189,7 +243,7 @@ def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
             return leaves(list(value.values()))
         return [value]
 
-    for value in leaves(prefit_values):
+    for value in leaves(list(prefit_values.values())):
         assert not isinstance(value, (boosting.BoostedModel, RegressionTree))
         assert np.size(value) < train.n * train.n
         # no weight rows: those are formed only where they are read
@@ -249,12 +303,6 @@ def test_composite_walk_matches_grid_bitwise(toy_images, family, axis1, axis2, g
         assert r.test_zero_one == g.test_zero_one
         assert r.p_train == g.p_train
         assert r.p_test == g.p_test
-
-
-def _prefitted(family):
-    """The family with its prefit tasks run and stored, as the sweep does."""
-    family.store([task() for task in family.prefit_tasks()])
-    return family
 
 
 def test_rff_values_independent_of_cache_width(toy_images):
