@@ -48,7 +48,7 @@ from .effparams import (
     train_eff_params_classical,
     write_effparams_csv,
 )
-from .errors import SingularDesignError, ValidationError
+from .errors import SingularDesignError, ValidationError, WorkerDiedError
 from .experiments import (
     AXIS2_INIT,
     AnalyticModelConfig,
@@ -886,6 +886,9 @@ def main(argv=None) -> int:
     except (SingularDesignError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+    except WorkerDiedError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return 3
 
 
 def run_steps(steps: list[list[str]], extra: list[str]) -> None:

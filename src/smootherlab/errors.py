@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Validation-style problems (bad configs, malformed files, bad arguments)
-exit the CLI with code 1; numerical failures exit with code 2.
+exit the CLI with code 1; numerical failures exit with code 2; a sweep
+worker process that dies (a signal, the OOM killer) exits it with code 3.
 """
 
 
@@ -30,3 +31,7 @@ class PreconditionError(ValidationError):
 
 class SingularDesignError(RuntimeError):
     """A solve required full rank but the design is numerically rank deficient."""
+
+
+class WorkerDiedError(RuntimeError):
+    """A sweep worker process died before returning its results."""

@@ -163,10 +163,13 @@ class RffLinearFamily(_FamilyBase):
         return start, (mean, std, kept)
 
     def store(self, results):
-        """Store the blocks' statistics, joined in column order."""
+        """Store the blocks' statistics, joined in column order, and drop the
+        frequency bank: every block is cached, so the evaluation workers
+        need not inherit it."""
         super().store(results)
         blocks = (self._cache[start] for start in self._needed)
         self.mean, self.std, self.kept = map(np.concatenate, zip(*blocks))
+        del self.fmap
 
     def evaluate(self, p_pc: int, p_ex: int) -> PointEval:
         p_phi = p_pc + p_ex

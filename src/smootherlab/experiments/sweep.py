@@ -17,7 +17,7 @@ import numpy as np
 
 from ..blas import one_blas_thread
 from ..dataset import Dataset
-from ..errors import ScheduleError
+from ..errors import ScheduleError, WorkerDiedError
 from ..tableio import write_csv
 from .families import FAMILY_RUNNERS
 from .schedule import AXES, AXIS2_INIT, SweepConfig, SweepSchedule, composite_schedule
@@ -59,7 +59,7 @@ def _run_item(i):
     return fn(items[i])
 
 
-def _pool_map(fn, items, threads):
+def _pool_map(fn, items, threads, stage):
     """[fn(item) for item in items], in up to `threads` forked worker processes.
 
     The workers inherit fn and items through fork, closures and family
@@ -68,7 +68,9 @@ def _pool_map(fn, items, threads):
     family made in shared memory before the fork (the rff_linear feature
     caches); those writes reach the parent without being pickled. The pool
     forks every worker before it starts its own manager thread. Runs
-    serially for one worker or where fork is unavailable.
+    serially for one worker or where fork is unavailable. A worker that
+    dies (a signal, the OOM killer, ``os._exit``) raises WorkerDiedError
+    naming `stage`.
     """
     workers = min(threads, len(items))
     if workers <= 1:
@@ -80,11 +82,17 @@ def _pool_map(fn, items, threads):
     except ValueError:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     with ProcessPoolExecutor(
         workers, mp_context=context, initializer=_init_worker, initargs=(fn, items)
     ) as pool:
-        return list(pool.map(_run_item, range(len(items))))
+        try:
+            return list(pool.map(_run_item, range(len(items))))
+        except BrokenProcessPool as exc:
+            raise WorkerDiedError(
+                f"a sweep worker process died during the {stage} stage"
+            ) from exc
 
 
 # --------------------------------------------------------------------------- records
@@ -165,7 +173,7 @@ def _run_states(family, states, threads):
     to run alone at the end, and come back in input order.
     """
     while tasks := family.prefit_tasks():
-        family.store(_pool_map(lambda task: task(), tasks, threads))
+        family.store(_pool_map(lambda task: task(), tasks, threads, "prefit"))
 
     def one(state):
         start = time.perf_counter()
@@ -173,7 +181,7 @@ def _run_states(family, states, threads):
         return ev, time.perf_counter() - start
 
     schedule = sorted(range(len(states)), key=lambda i: -sum(states[i]))
-    done = _pool_map(one, [states[i] for i in schedule], threads)
+    done = _pool_map(one, [states[i] for i in schedule], threads, "evaluate")
     out = [None] * len(states)
     for i, result in zip(schedule, done):
         out[i] = result

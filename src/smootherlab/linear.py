@@ -22,6 +22,13 @@ cosine cache) pass the standardized design with its scaling, project
 standardized queries with ``PcrSmoother.standardized_design`` and read p0
 that way; ``weight_matrix`` and ``hat_matrix`` still form explicit rows for
 the single fits of ``fit``, ``effparams`` and ``bias-variance``.
+
+A sweep point's memory is dominated by the (p, p_pc) components and the
+(rows, p_pc + 1) designs, so PCR makes no second copy of them: the
+components are scaled in place, the designs are written straight into
+their final arrays, squared norms are summed over row blocks, and the
+(p_pc + 1, n) solver is formed only when asked for. Each gives the same
+bits as the plain expression it replaces.
 """
 from __future__ import annotations
 
@@ -40,6 +47,12 @@ def svd_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:
     return max(shape) * np.finfo(float).eps * float(s.max())
 
 
+#: rows per block of ``PcrSmoother.sq_norms``; a multiple of every BLAS
+#: gemv row group, so each row's dot product runs the same kernel as it would
+#: over the whole matrix
+_SQ_ROWS = 256
+
+
 def _masked_inverse(s: np.ndarray, cutoff: float) -> np.ndarray:
     inv = np.zeros_like(s)
     keep = s > cutoff
@@ -54,16 +67,18 @@ def _masked_inverse(s: np.ndarray, cutoff: float) -> np.ndarray:
 class PcrSmoother:
     """The y-independent half of a PCR fit.
 
-    Holds the standardization + projection pipeline and the pseudo-inverse
-    solver, so weight matrices (and fits for many target vectors at once) can
-    be produced without refactoring the design per target.
+    Holds the standardization + projection pipeline and what the
+    pseudo-inverse of [Z, 1] needs (the training design and its inverse
+    squared column norms), so weight matrices and fits for many target
+    vectors at once can be produced without refactoring the design per
+    target. The solver is formed on demand, not stored: a sweep point uses
+    it once, through ``coefficients``.
     """
 
     mean: np.ndarray          # per kept column
     std: np.ndarray           # per kept column
     kept: np.ndarray          # boolean mask over original columns
     components: np.ndarray    # (p_kept, p_pc) right singular vectors
-    solver: np.ndarray        # (p_pc + 1, n): beta = solver @ y
     train_design: np.ndarray  # (n, p_pc + 1) projected columns + intercept
     sa_inv_sq: np.ndarray     # (p_pc + 1,) 1 / column norm^2 of [Z, 1]; 0 past the cutoff
     tolerance: float
@@ -94,8 +109,12 @@ class PcrSmoother:
                 f"standardized query has {Xs0.shape[1]} columns, "
                 f"the fit kept {self.components.shape[0]}"
             )
-        Z0 = Xs0 @ self.components
-        return np.concatenate([Z0, np.ones((Z0.shape[0], 1))], axis=1)
+        return _project(Xs0, self.components)
+
+    @property
+    def solver(self) -> np.ndarray:
+        """(p_pc + 1, n) pseudo-inverse of [Z, 1]: beta = solver @ y."""
+        return (self.train_design * self.sa_inv_sq).T
 
     def weight_matrix(self, Phi0: np.ndarray) -> np.ndarray:
         return self.design(Phi0) @ self.solver
@@ -114,7 +133,17 @@ class PcrSmoother:
         A's rounding away from orthogonality, of order
         eps * sigma_1^2 / sigma_j^2 relative in component j.
         """
-        return (A0 * A0) @ self.sa_inv_sq
+        m = A0.shape[0]
+        out = np.empty(m)
+        # blocks of _SQ_ROWS rows, so no (m, p_pc + 1) square is formed; a
+        # lone trailing row joins the last block, because numpy takes a
+        # one-row product through BLAS dot, whose bits differ from gemv's
+        start = 0
+        for end in [*range(_SQ_ROWS, m - 1, _SQ_ROWS), m]:
+            rows = A0[start:end]
+            out[start:end] = (rows * rows) @ self.sa_inv_sq
+            start = end
+        return out
 
     def coefficients(self, y: np.ndarray) -> np.ndarray:
         return self.solver @ np.asarray(y, dtype=float)
@@ -336,16 +365,30 @@ def pcr_smoother(Phi: np.ndarray, p_pc: int, scaling=None) -> PcrSmoother:
     floor = np.sqrt(max(Xs.shape) * np.finfo(float).eps) * sigma[0]
     cut = max(svd_cutoff(sa, (n, k + 1)), floor)
     sa_inv = _masked_inverse(sa, cut)
-    components = (Xs.T @ top) * sa_inv[:k] if wide else top
+    if wide:
+        components = Xs.T @ top
+        components *= sa_inv[:k]
+        del Q, top  # the (n, n) eigenvectors are not needed past here
+    else:
+        components = top
     # the training design goes through the same product as a query, so the
     # fitted values equal the training-input weights times y to rounding
-    A = np.concatenate([Xs @ components, np.ones((n, 1))], axis=1)
-    sa_inv_sq = sa_inv**2
     return PcrSmoother(
         mean=mean, std=std, kept=kept, components=components,
-        solver=(A * sa_inv_sq).T, train_design=A, sa_inv_sq=sa_inv_sq,
+        train_design=_project(Xs, components), sa_inv_sq=sa_inv**2,
         tolerance=cut, rank=int(np.count_nonzero(sa > cut)),
     )
+
+
+def _project(Xs: np.ndarray, components: np.ndarray) -> np.ndarray:
+    """[Xs @ components, 1], with the product written straight into the
+    first columns of the result: a strided ``out`` gives the same bits as
+    the product on its own, and no (rows, k) temporary is copied."""
+    k = components.shape[1]
+    A = np.empty((Xs.shape[0], k + 1))
+    np.matmul(Xs, components, out=A[:, :k])
+    A[:, k] = 1.0
+    return A
 
 
 def fit_pcr(Phi: np.ndarray, y: np.ndarray, p_pc: int) -> LinearFit:

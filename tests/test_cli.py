@@ -753,6 +753,23 @@ def test_fixed_design_report(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("fixed-design: models=5")
 
 
+def test_dead_sweep_worker_exits_three_with_one_line(tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+
+    class Dying(FAMILY_RUNNERS["rff_linear"]):
+        def evaluate(self, *state):
+            if os.getpid() != parent:
+                os._exit(1)
+            return super().evaluate(*state)
+
+    monkeypatch.setitem(FAMILY_RUNNERS, "rff_linear", Dying)
+    code = _run(["sweep", *TINY, *TINY_AXES, "--threads", "2"], tmp_path)
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "worker error: a sweep worker process died during the evaluate stage"
+    ]
+
+
 def test_bias_variance_smoke(tmp_path, capsys):
     out = tmp_path / "a"
     argv = ["bias-variance", "--set", "spec.n=15",

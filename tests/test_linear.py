@@ -385,6 +385,44 @@ def test_pcr_smoother_matches_two_svd_oracle(case):
         assert np.abs(sm.hat_matrix() - hat).max() <= 1e-8 * np.abs(hat).max()
 
 
+@pytest.mark.parametrize("m", [1, 257, 600])
+@pytest.mark.parametrize(
+    "n, p, p_pc, masked",
+    [(300, 40, 30, False), (50, 400, 40, False), (60, 30, 29, True)],
+    ids=["narrow", "wide", "masked"],
+)
+def test_pcr_products_keep_the_bits_of_the_plain_expressions(n, p, p_pc, masked, m):
+    """The designs are written into place, the squared norms summed over row
+    blocks and the solver formed on demand; each gives exactly the bits of
+    the plain expression: the concatenation, (A0 * A0) @ sa_inv_sq and
+    (A * sa_inv_sq).T @ y. m = 257 leaves a lone row past the last block."""
+    rng = np.random.default_rng(n + p)
+    Phi, X0 = rng.normal(size=(n, p)), rng.normal(size=(m, p))
+    if masked:
+        Phi[:, 1] = Phi[:, 0]  # a direction the cutoff masks
+        Phi[:, 2] = 2.5  # a column the kept mask drops
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sm = pcr_smoother(Phi, p_pc)
+    k = sm.components.shape[1]
+    assert (sm.rank < k + 1) == masked
+
+    def concatenated(Xs):
+        return np.concatenate([Xs @ sm.components, np.ones((Xs.shape[0], 1))], axis=1)
+
+    A, A0 = sm.train_design, sm.standardized_design(sm.scale(X0))
+    assert np.array_equal(A, concatenated(sm.scale(Phi)))
+    assert np.array_equal(A0, concatenated(sm.scale(X0)))
+    assert np.array_equal(sm.design(X0), A0)
+    for D in (A, A0):
+        assert np.array_equal(sm.sq_norms(D), (D * D) @ sm.sa_inv_sq)
+    solver = (A * sm.sa_inv_sq).T
+    assert np.array_equal(sm.solver, solver)
+    y, Y = rng.normal(size=n), rng.normal(size=(n, 3))
+    assert np.array_equal(sm.coefficients(y), solver @ y)
+    assert np.array_equal(sm.coefficients(Y), solver @ Y)
+
+
 def test_pcr_component_count_validation():
     Phi, y = _instance(34, 10, 6)
     with pytest.raises(ValidationError):

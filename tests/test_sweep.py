@@ -12,6 +12,7 @@ import dataclasses
 import math
 import os
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,9 +20,14 @@ import pytest
 
 from smootherlab import blas, boosting, linear
 from smootherlab.boosting import fit_boost_ensemble
-from smootherlab.dataset import SyntheticSpec, one_vs_all_targets, synth_generate
+from smootherlab.dataset import (
+    SyntheticSpec,
+    one_vs_all_targets,
+    synth_generate,
+    synth_images,
+)
 from smootherlab.effparams import p_eff
-from smootherlab.errors import ScheduleError
+from smootherlab.errors import ScheduleError, WorkerDiedError
 from smootherlab.experiments import families
 from smootherlab.experiments.families import FAMILY_RUNNERS, RffLinearFamily
 from smootherlab.experiments.schedule import (
@@ -43,7 +49,7 @@ from smootherlab.experiments.sweep import (
     seed_standard_error,
 )
 from smootherlab.linear import pcr_smoother
-from smootherlab.rff import BLOCK
+from smootherlab.rff import BLOCK, RffMap, sample_frequencies
 from smootherlab.trees import RegressionTree, fit_ensemble
 
 
@@ -324,10 +330,12 @@ def test_rff_values_independent_of_cache_width(toy_images):
 def _explicit_point(family, p_pc, p_ex):
     """A point's (train_mse, test_mse, p_train, p_test) read off explicit
     weight rows of a PCR fit on the raw cosine columns, and that fit."""
-    train, test = family.train, family.test
-    p_phi, starts = p_pc + p_ex, range(0, family.Xs_train.shape[1], BLOCK)
-    raw = [np.hstack([families.feature_block(family.fmap, ds.features, s)
-                      for s in starts])[:, :p_phi] for ds in (train, test)]
+    train, test, shared = family.train, family.test, family.shared
+    p_phi, p_cache = p_pc + p_ex, family.Xs_train.shape[1]
+    fmap = sample_frequencies(shared.base_seed, p_cache, train.d, shared.rff_scale)
+    raw = [np.hstack([families.feature_block(fmap, ds.features, s)
+                      for s in range(0, p_cache, BLOCK)])[:, :p_phi]
+           for ds in (train, test)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a zero-variance column's drop warning
         sm = pcr_smoother(raw[0], p_pc)
@@ -390,6 +398,42 @@ def test_rff_sweep_forms_no_weight_matrices(toy_images, monkeypatch):
     result = run_sweep(schedule, train, test, threads=1)
     assert len(result.records) == 4
     assert all(np.isfinite(r.p_test) and r.p_test > 0 for r in result.records)
+
+
+def test_rff_family_drops_its_frequency_bank_once_the_blocks_are_stored(toy_images):
+    train, test = toy_images
+    family = RffLinearFamily(train, test, SweepConfig(), [(10, 0), (59, 700)])
+    assert isinstance(family.fmap, RffMap)
+    _prefitted(family)
+    # the evaluation workers fork after store and so inherit no bank
+    assert not any(isinstance(value, RffMap) for value in vars(family).values())
+
+
+def test_rff_wide_point_peak_memory_is_bounded():
+    """One wide point's evaluate holds at most one (p, k) components array,
+    one (n, k+1) training design, one (m, k+1) test design and one
+    ``sq_norms`` block of min(m, 256) rows by k+1, so at most two (m, k+1)
+    arrays, plus 64 KiB for the predictions and small products. At this
+    point, scaling the components out of place, concatenating the designs,
+    keeping the solver or squaring the whole test design each exceed the
+    bound by 75 KiB or more."""
+    full = synth_images(720, side=6, n_classes=3, noise_std=0.25, seed=7,
+                        label_noise=0.15)
+    train, test = full.take(slice(None, 120)), full.take(slice(120, None))
+    p_pc, p_ex = 119, 900
+    family = _prefitted(RffLinearFamily(train, test, SweepConfig(), [(p_pc, p_ex)]))
+    p, k, n, m = p_pc + p_ex, p_pc, train.n, test.n
+    floats = p * k + n * (k + 1) + m * (k + 1) + min(m, 256) * (k + 1)
+    bound = 8 * floats + 64 * 1024
+    family.evaluate(p_pc, p_ex)  # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        family.evaluate(p_pc, p_ex)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
 
 
 def test_rff_prefit_values_hold_one_block_of_column_statistics(toy_images):
@@ -734,3 +778,26 @@ def test_pooled_errors_cross_the_process_boundary(toy_images, monkeypatch):
     message = str(err.value)
     assert message.startswith("schedule point 1: raised in process ")
     assert int(message.rsplit(" ", 1)[1]) != os.getpid()
+
+
+@pytest.mark.parametrize("stage", ["prefit", "evaluate"])
+def test_a_dead_worker_is_named_with_its_stage(toy_images, monkeypatch, stage):
+    train, test = toy_images
+    parent = os.getpid()
+
+    class Dying(RffLinearFamily):
+        def _prefit(self, start):
+            if stage == "prefit" and os.getpid() != parent:
+                os._exit(1)
+            return super()._prefit(start)
+
+        def evaluate(self, p_pc, p_ex):
+            if stage == "evaluate" and os.getpid() != parent:
+                os._exit(1)
+            return super().evaluate(p_pc, p_ex)
+
+    monkeypatch.setitem(FAMILY_RUNNERS, "rff_linear", Dying)
+    # p_phi up to 730 spans three feature blocks, so both stages pool
+    sched = composite_schedule("rff_linear", [2, 10, 30], [60, 700], shared=SweepConfig())
+    with pytest.raises(WorkerDiedError, match=f"died during the {stage} stage"):
+        run_sweep(sched, train, test, threads=2)
