@@ -4,7 +4,7 @@
 
 Extracts the committed files of ``--base`` (``git archive``) into a
 temporary directory and runs ``perfbench/run.py --trace 0`` there and in
-this working tree, in ``--pairs`` alternating pairs per workload: the base
+this working tree, in ``PAIRS`` alternating pairs per workload: the base
 ("parent") runs first on even pair indices and the working tree ("change")
 on odd ones, and pair i uses seed i. Workloads, run length and the
 direction in which each metric is better come from BENCHMARK.json. Each
@@ -29,6 +29,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+#: ten alternating pairs per workload, the fewest a gain claim rests on
+PAIRS = 10
 
 
 def checkout(rev: str, dest: Path) -> str:
@@ -40,7 +42,9 @@ def checkout(rev: str, dest: Path) -> str:
     archive = dest / "base.tar"
     subprocess.run(["git", "archive", "--output", str(archive), sha], cwd=ROOT, check=True)
     with tarfile.open(archive) as tar:
-        tar.extractall(dest / "tree", filter="data")
+        # the "data" filter exists from Python 3.10.12 and 3.11.4 on
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        tar.extractall(dest / "tree", **safe)
     archive.unlink()
     return sha
 
@@ -109,7 +113,6 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="the parent commit to compare against")
     parser.add_argument("--name", required=True, help="writes BENCH_<name>.json")
     parser.add_argument("--what", default="", help="what the change does, for the record")
-    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     out = ROOT / f"BENCH_{args.name}.json"
@@ -117,7 +120,7 @@ def main(argv=None) -> int:
         sha = checkout(args.base, Path(tmp))
         roots = {"parent": Path(tmp) / "tree", "change": ROOT}
         runs: dict = {w["name"]: [] for w in bench["workloads"]}
-        for seed in range(args.pairs):
+        for seed in range(PAIRS):
             for workload, pairs in runs.items():
                 order = SIDES if seed % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}

@@ -26,9 +26,8 @@ the single fits of ``fit``, ``effparams`` and ``bias-variance``.
 A sweep point's memory is dominated by the (p, p_pc) components and the
 (rows, p_pc + 1) designs, so PCR makes no second copy of them: the
 components are scaled in place, the designs are written straight into
-their final arrays, squared norms are summed over row blocks, and the
-(p_pc + 1, n) solver is formed only when asked for. Each gives the same
-bits as the plain expression it replaces.
+their final arrays, and the (p_pc + 1, n) solver is formed only when asked
+for. Each gives the same bits as the plain expression it replaces.
 """
 from __future__ import annotations
 
@@ -45,12 +44,6 @@ def svd_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:
     if s.size == 0:
         return 0.0
     return max(shape) * np.finfo(float).eps * float(s.max())
-
-
-#: rows per block of ``PcrSmoother.sq_norms``; a multiple of every BLAS
-#: gemv row group, so each row's dot product runs the same kernel as it would
-#: over the whole matrix
-_SQ_ROWS = 256
 
 
 def _masked_inverse(s: np.ndarray, cutoff: float) -> np.ndarray:
@@ -133,17 +126,7 @@ class PcrSmoother:
         A's rounding away from orthogonality, of order
         eps * sigma_1^2 / sigma_j^2 relative in component j.
         """
-        m = A0.shape[0]
-        out = np.empty(m)
-        # blocks of _SQ_ROWS rows, so no (m, p_pc + 1) square is formed; a
-        # lone trailing row joins the last block, because numpy takes a
-        # one-row product through BLAS dot, whose bits differ from gemv's
-        start = 0
-        for end in [*range(_SQ_ROWS, m - 1, _SQ_ROWS), m]:
-            rows = A0[start:end]
-            out[start:end] = (rows * rows) @ self.sa_inv_sq
-            start = end
-        return out
+        return (A0 * A0) @ self.sa_inv_sq
 
     def coefficients(self, y: np.ndarray) -> np.ndarray:
         return self.solver @ np.asarray(y, dtype=float)

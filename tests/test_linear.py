@@ -7,6 +7,7 @@ solvers; duality and hat-matrix identities pin the smoother-weight view.
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -392,10 +393,9 @@ def test_pcr_smoother_matches_two_svd_oracle(case):
     ids=["narrow", "wide", "masked"],
 )
 def test_pcr_products_keep_the_bits_of_the_plain_expressions(n, p, p_pc, masked, m):
-    """The designs are written into place, the squared norms summed over row
-    blocks and the solver formed on demand; each gives exactly the bits of
-    the plain expression: the concatenation, (A0 * A0) @ sa_inv_sq and
-    (A * sa_inv_sq).T @ y. m = 257 leaves a lone row past the last block."""
+    """The designs are written into place and the solver formed on demand;
+    each gives exactly the bits of the plain expression: the concatenation,
+    (A0 * A0) @ sa_inv_sq and (A * sa_inv_sq).T @ y."""
     rng = np.random.default_rng(n + p)
     Phi, X0 = rng.normal(size=(n, p)), rng.normal(size=(m, p))
     if masked:
@@ -421,6 +421,23 @@ def test_pcr_products_keep_the_bits_of_the_plain_expressions(n, p, p_pc, masked,
     y, Y = rng.normal(size=n), rng.normal(size=(n, 3))
     assert np.array_equal(sm.coefficients(y), solver @ y)
     assert np.array_equal(sm.coefficients(Y), solver @ Y)
+
+
+def test_pcr_query_design_is_written_into_its_final_array():
+    """Projecting m queries allocates the (m, p_pc + 1) design and nothing of
+    its size besides: no (m, p_pc) product is copied into it."""
+    rng = np.random.default_rng(3)
+    sm = pcr_smoother(rng.normal(size=(60, 400)), 40)
+    Xs0 = sm.scale(rng.normal(size=(500, 400)))
+    sm.standardized_design(Xs0)  # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sm.standardized_design(Xs0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 500 * 41 + 4096, peak
 
 
 def test_pcr_component_count_validation():

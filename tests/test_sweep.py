@@ -411,19 +411,17 @@ def test_rff_family_drops_its_frequency_bank_once_the_blocks_are_stored(toy_imag
 
 def test_rff_wide_point_peak_memory_is_bounded():
     """One wide point's evaluate holds at most one (p, k) components array,
-    one (n, k+1) training design, one (m, k+1) test design and one
-    ``sq_norms`` block of min(m, 256) rows by k+1, so at most two (m, k+1)
-    arrays, plus 64 KiB for the predictions and small products. At this
-    point, scaling the components out of place, concatenating the designs,
-    keeping the solver or squaring the whole test design each exceed the
-    bound by 75 KiB or more."""
-    full = synth_images(720, side=6, n_classes=3, noise_std=0.25, seed=7,
+    one (n, k+1) training design and two (m, k+1) arrays (the test design
+    and its square in ``sq_norms``), plus 64 KiB for the predictions and
+    small products. At this point, scaling the components out of place or
+    keeping the solver exceeds the bound."""
+    full = synth_images(420, side=6, n_classes=3, noise_std=0.25, seed=7,
                         label_noise=0.15)
     train, test = full.take(slice(None, 120)), full.take(slice(120, None))
     p_pc, p_ex = 119, 900
     family = _prefitted(RffLinearFamily(train, test, SweepConfig(), [(p_pc, p_ex)]))
     p, k, n, m = p_pc + p_ex, p_pc, train.n, test.n
-    floats = p * k + n * (k + 1) + m * (k + 1) + min(m, 256) * (k + 1)
+    floats = p * k + n * (k + 1) + 2 * m * (k + 1)
     bound = 8 * floats + 64 * 1024
     family.evaluate(p_pc, p_ex)  # warm numpy's caches outside the trace
     tracemalloc.start()
