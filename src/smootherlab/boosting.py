@@ -17,7 +17,9 @@ averages the previous round's weight rows over the training points in leaf j.
 training leaf ids; ``weight_steps`` walks it, the one place the (n, n)
 training-point state is stepped, and a ``BoostedModel`` collects that walk on
 first use, so runs whose weights are never read never pay for it. Round p is
-seeded by (seed, p): a run's first p rounds are the run with ``n_rounds=p``.
+seeded by (seed, p): a run's first p rounds are the run with ``n_rounds=p``,
+and runs of one seed on different targets draw the same feature subsets in
+every round, which ``fit_boost``'s ``draws`` lets them draw once.
 """
 from __future__ import annotations
 
@@ -27,7 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .trees import AveragedSmoother, RegressionTree, fit_tree, leaf_rows, presort
+from .trees import (
+    AveragedSmoother,
+    FeatureDraws,
+    RegressionTree,
+    fit_tree,
+    leaf_rows,
+    presort,
+)
 
 DEFAULT_LEARNING_RATE = 0.85
 DEFAULT_LEAF_BUDGET = 10
@@ -133,13 +142,17 @@ def fit_boost(
     stop_tol: float | None = DEFAULT_STOP_TOL,
     subset_size: int | None = None,
     order: np.ndarray | None = None,
+    draws: FeatureDraws | None = None,
 ) -> BoostedModel:
     """Boost residual trees for up to n_rounds rounds.
 
     With ``stop_tol`` set, rounds stop once mean squared training error falls
     below it. Round p's tree is seeded from (seed, p) so a longer run extends
     a shorter one round for round. ``order`` is ``trees.presort(X)``, shared
-    by every round's tree; it is computed here when not given.
+    by every round's tree; it is computed here when not given. ``draws`` is a
+    ``trees.FeatureDraws`` shared with runs of the same seed on other targets
+    (the one-vs-all classes of a sweep member): round p's tree reads the
+    feature subsets that their round-p trees drew.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -155,7 +168,7 @@ def fit_boost(
     trees, leaf_ids, mse_hist = [], [], []
     for p in range(1, n_rounds + 1):
         tree = fit_tree(X, y - f, leaf_budget, seed=[seed, p],
-                        subset_size=subset_size, order=order)
+                        subset_size=subset_size, order=order, draws=draws)
         f = f + learning_rate * tree.leaf_values[tree.train_leaf]
         trees.append(tree)
         leaf_ids.append(tree.train_leaf)

@@ -15,9 +15,12 @@ rows: its p0 values are sums over the projection coefficients of its train
 and test designs (``linear.PcrSmoother.sq_norms``).
 
 A tree or boosting point averages its seeded members' predictions and
-weight rows, and both p_train and p_test are p0 of the averaged rows.
+weight rows, and both p_train and p_test are p0 of the averaged rows. The
+one-vs-all classes of a member share its seed, hence its trees' feature
+draws, so one prefit task fits a member's classes (per leaf budget, for
+trees) and draws each feature subset once for all of them.
 Boosting computes weights only for the class they are read from, in two
-prefit rounds. A run task sends back prediction snapshots and, for that
+prefit rounds. A member's task sends back prediction snapshots and, for that
 class only, the per-round train and test leaf ids; its member's recursion is
 stepped through once by ``boosting.weight_steps``, whose per-round
 corrections go to an array in shared memory. Then one task per block of
@@ -47,7 +50,7 @@ from ..effparams import p_eff, p_eff_of_sq_norms
 from ..errors import ScheduleError, ValidationError
 from ..linear import pcr_smoother, standardize
 from ..rff import BLOCK, feature_block, sample_frequencies
-from ..trees import fit_tree, leaf_rows, presort
+from ..trees import FeatureDraws, fit_tree, leaf_rows, presort
 
 
 @dataclass
@@ -68,13 +71,14 @@ class _FamilyBase:
     ``prefit_tasks()`` in its pool and hands that round's list of results to
     ``store``, until ``prefit_tasks()`` is empty. ``store`` may list more
     keys, whose tasks read the stored results (boosting's row blocks).
+    ``threads`` is the size of the sweep's pool.
     """
 
     #: every family's points run in the pool; kept for perfbench's tracer,
     #: nothing in the package branches on it
     parallel_points = True
 
-    def __init__(self, train: Dataset, test: Dataset, shared):
+    def __init__(self, train: Dataset, test: Dataset, shared, threads: int = 1):
         if train.d != test.d:
             raise ValidationError(
                 f"train d={train.d} and test d={test.d} differ"
@@ -82,6 +86,7 @@ class _FamilyBase:
         self.train = train
         self.test = test
         self.shared = shared
+        self.threads = threads
         self.n_classes = train.task_classes
         if self.n_classes and not (0 <= shared.effparams_class < self.n_classes):
             raise ValidationError(
@@ -136,8 +141,8 @@ class RffLinearFamily(_FamilyBase):
     summed from the training design, not assumed to be the rank.
     """
 
-    def __init__(self, train, test, shared, states):
-        super().__init__(train, test, shared)
+    def __init__(self, train, test, shared, states, threads=1):
+        super().__init__(train, test, shared, threads)
         for i, (p_pc, _) in enumerate(states):
             if p_pc > train.n - 1:
                 raise ScheduleError(
@@ -206,17 +211,57 @@ def _mean_predictions(per_class, p_ens):
     return (np.column_stack(p) / p_ens for p in zip(*(_sums(m) for m in per_class)))
 
 
-class TreeFamily(_FamilyBase):
+class _MemberFamily(_FamilyBase):
+    """Trees or boosted runs of seeded members, one per one-vs-all class.
+
+    A member fits every class from the same seed, so its classes' trees draw
+    the same feature subsets. One prefit task fits a member's classes (per
+    leaf budget, for trees) and shares one ``trees.FeatureDraws`` among
+    them, so each subset is drawn once; a task sends back a list of
+    (key, value) pairs. Where there are fewer such tasks than pool workers,
+    each member's classes are split over several tasks, so that the prefit
+    still fills the pool; the draws are the same bits in any task.
+    """
+
+    def __init__(self, train, test, shared, threads=1):
+        super().__init__(train, test, shared, threads)
+        self.order = presort(train.features)  # shared by every prefit fit
+
+    def _task_of(self, key):
+        """The task a key is fit in: a run key's member (and budget)."""
+        return key[1:]
+
+    def prefit_tasks(self):
+        tasks: dict = {}
+        for key in self._needed:
+            if key not in self._cache:
+                tasks.setdefault(self._task_of(key), []).append(key)
+        parts = -(-self.threads // max(1, len(tasks)))
+        return [
+            functools.partial(self._prefit_keys, keys[i::parts])
+            for keys in tasks.values()
+            for i in range(min(parts, len(keys)))
+        ]
+
+    def _prefit_keys(self, keys):
+        draws = FeatureDraws()
+        return [self._prefit(key, draws) for key in keys]
+
+    def store(self, results):
+        super().store(pair for pairs in results for pair in pairs)
+
+
+class TreeFamily(_MemberFamily):
     """Best-first trees averaged over independently seeded members.
 
     A point averages p_ens seeded members, per one-vs-all class. The mean of
     the members' weight rows is the ensemble's smoother, so p_train and
-    p_test both come from p_eff.
+    p_test both come from p_eff. A prefit task fits one member's classes at
+    one leaf budget, with shared feature draws.
     """
 
-    def __init__(self, train, test, shared, states):
-        super().__init__(train, test, shared)
-        self.order = presort(train.features)  # shared by every prefit tree
+    def __init__(self, train, test, shared, states, threads=1):
+        super().__init__(train, test, shared, threads)
         self._needed = sorted(
             {
                 (c, member, budget)
@@ -226,7 +271,7 @@ class TreeFamily(_FamilyBase):
             }
         )
 
-    def _prefit(self, key):
+    def _prefit(self, key, draws):
         c, member, budget = key
         tree = fit_tree(
             self.train.features,
@@ -235,6 +280,7 @@ class TreeFamily(_FamilyBase):
             seed=self.shared.base_seed + member,
             subset_size=self.shared.tree_subset,
             order=self.order,
+            draws=draws,
         )
         return key, (tree, tree.leaf_ids(self.test.features))
 
@@ -264,18 +310,20 @@ class TreeFamily(_FamilyBase):
 ROW_BLOCK = 128
 
 
-class BoostFamily(_FamilyBase):
+class BoostFamily(_MemberFamily):
     """Boosted residual trees, optionally averaged over seeded runs.
 
     Every (class, member) run is fitted once to the largest round count the
     schedule needs; shorter points read round prefixes, which are identical
-    bit for bit because round p is seeded by (member seed, p). A run's prefit
-    task sends back only what evaluation reads: the member's train and test
-    predictions and its cumulative leaf count at each needed round count,
-    and, for the effparams class only, the per-round train and test leaf ids.
+    bit for bit because round p is seeded by (member seed, p). One prefit
+    task fits a member's runs, every class's round-p tree reading the same
+    shared feature draws. A run sends back only what evaluation reads: the
+    member's train and test predictions and its cumulative leaf count at
+    each needed round count, and, for the effparams class only, the
+    per-round train and test leaf ids.
 
     p0 is read off the weights in two stages, both in the sweep's pool. In
-    stage 1 each effparams-class run task walks its member's recursion once
+    stage 1 each member's effparams-class run walks its recursion once
     with ``weight_steps`` and writes every round's corrections R_p into
     ``corrections``, an array in shared memory. Once the runs are stored,
     the family asks for a second prefit round: one task per ``ROW_BLOCK``
@@ -288,9 +336,8 @@ class BoostFamily(_FamilyBase):
     depend on its block.
     """
 
-    def __init__(self, train, test, shared, states):
-        super().__init__(train, test, shared)
-        self.order = presort(train.features)  # shared by every prefit run
+    def __init__(self, train, test, shared, states, threads=1):
+        super().__init__(train, test, shared, threads)
         self.states = set(states)
         self.p_boosts = {a1 for a1, _ in states}
         self.p_ens_max = max(a2 for _, a2 in states)
@@ -308,7 +355,10 @@ class BoostFamily(_FamilyBase):
         )
         self._p_values: dict = {}  # (p_boost, p_ens) -> (p_train, p_test)
 
-    def _prefit(self, key):
+    def _task_of(self, key):
+        return key if key in self._blocks else key[1:]
+
+    def _prefit(self, key, draws):
         if key in self._blocks:
             return key, self._block_sq_norms(*key)
         c, member = key
@@ -322,6 +372,7 @@ class BoostFamily(_FamilyBase):
             stop_tol=None,
             subset_size=self.shared.tree_subset,
             order=self.order,
+            draws=draws,
         )
         train_lids = model.train_leaf_ids
         test_lids = [t.leaf_ids(self.test.features) for t in model.trees]

@@ -199,7 +199,8 @@ def evaluate_states(
     """The evaluation core behind every sweep runner.
 
     Takes (label, (axis1, axis2)) pairs, builds one family runner over all
-    the states, evaluates each distinct state once (evaluation is a pure
+    the states (told the pool size, so it can split its prefit work into
+    enough tasks), evaluates each distinct state once (evaluation is a pure
     function of the state), and returns one record per pair in input order.
     Records, and the point index of a ScheduleError raised while the runner
     is built, are numbered within their label. BLAS runs on one thread
@@ -212,7 +213,7 @@ def evaluate_states(
     index = [labels[:i].count(label) for i, label in enumerate(labels)]
     with one_blas_thread():
         try:
-            runner = FAMILY_RUNNERS[family](train, test, shared, states)
+            runner = FAMILY_RUNNERS[family](train, test, shared, states, threads)
         except ScheduleError as exc:
             if exc.point_index is None:
                 raise

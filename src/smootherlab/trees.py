@@ -10,8 +10,9 @@ total squared error is expanded until the leaf budget is reached or no leaf
 admits an impurity-reducing split (every leaf pure or singleton). Each node
 examines one fresh random subset of floor(sqrt(d)) features; candidate
 thresholds are midpoints between consecutive sorted values; gain ties break
-toward the lower feature index, then the lower threshold. Leaves keep at
-least one sample; there is no pruning and no bootstrapping.
+toward the lower feature index, then the lower threshold, and equal gains of
+two nodes toward the node made first. Leaves keep at least one sample; there
+is no pruning and no bootstrapping.
 
 Split search uses the CART presort (Breiman et al., 1984): ``presort(X)``
 argsorts every column once, stably, and a node's sorted order for a column
@@ -20,6 +21,21 @@ ascending, so the restriction is exactly the stable argsort of the node's
 values: the sorted values, cumulative sums, gains and tie-breaks are the
 same bit for bit as sorting each node afresh. Ensembles and boosting share
 one presort across all trees fit on the same X.
+
+Feature draws are shared. A tree's seed is used only for the per-node
+feature subsets, drawn in node order, so node i of every tree grown from one
+seed (and with the same d and subset size) gets draw i, whatever its
+targets. ``FeatureDraws`` keeps each seed's draws as a list extended on
+demand; trees that share one, such as the one-vs-all classes of a sweep
+member, draw each subset once between them.
+
+Split search is lazy. No split removes more than its node's own squared
+error, so a node is first pushed onto the frontier with that bound, and is
+searched only when the bound reaches the top; it then goes back with its
+exact gain. Nodes whose bound never reaches the top, because the budget
+fills first, are never searched. The expansions are exactly those of
+searching every node when it is made: see ``_bound`` for why the float
+bound cannot put a node behind one it beats.
 """
 from __future__ import annotations
 
@@ -31,6 +47,7 @@ import numpy as np
 from .errors import ValidationError
 
 _GAIN_EPS = 1e-12  # absolute guard against float-noise "gains" on pure nodes
+_BOUND_SLACK = 2.0 ** -47  # 64 u, with u = 2**-53 the unit roundoff; see _bound
 
 
 def presort(X: np.ndarray) -> np.ndarray:
@@ -45,27 +62,83 @@ def presort(X: np.ndarray) -> np.ndarray:
     return order
 
 
-def _best_split(X, y, idx, feats, order, mask):
+class FeatureDraws:
+    """Per-node feature subsets of tree seeds, each drawn once.
+
+    Node i of a tree grown from ``seed`` examines the i-th
+    ``np.sort(rng.choice(d, k, replace=False))`` of ``default_rng(seed)``.
+    Trees fit with one FeatureDraws read those subsets from one list per
+    (seed, d, k), extended on demand, so trees that share a seed draw each
+    subset once between them and get the same bits as drawing alone.
+    """
+
+    def __init__(self):
+        self._lists: dict = {}
+
+    def __len__(self) -> int:
+        """Subsets drawn so far, over every seed."""
+        return sum(len(drawn) for _, drawn in self._lists.values())
+
+    def stream(self, seed, d: int, k: int):
+        """``draw(i)``, node i's sorted feature subset for this seed, d and k."""
+        key = (tuple(np.atleast_1d(seed).tolist()), d, k)
+        if key not in self._lists:
+            self._lists[key] = (np.random.default_rng(seed), [])
+        rng, drawn = self._lists[key]
+
+        def draw(i: int) -> np.ndarray:
+            while len(drawn) <= i:
+                drawn.append(np.sort(rng.choice(d, size=k, replace=False)))
+            return drawn[i]
+
+        return draw
+
+
+def _node_sums(ys):
+    """(tot, sq, sse): the sum of a node's targets, the sum of their squares
+    and their squared error about the mean."""
+    tot = ys.sum()
+    sq = float(ys @ ys)
+    return tot, sq, sq - tot * tot / ys.size
+
+
+def _bound(m: int, sq: float, node_sse: float) -> float:
+    """An upper bound on every gain ``_best_split`` can compute for a node of
+    m rows with ``_node_sums`` sq and sse.
+
+    In exact arithmetic no split removes more than the node's squared error.
+    In floats, let u = 2**-53, g = m u / (1 - m u), S the sum of squares and
+    A the sum of absolute targets, so A**2 <= m S. Every sum of up to m terms,
+    in any order, errs by at most g A (g S for the dot product); so ``tot``,
+    each prefix sum ``left`` and ``tot - left`` are within 3 g A of exact and
+    at most A (1 + 3 g) in size. Each term x*x/c (c >= 1, an exact count)
+    then errs by at most 8 g A**2, and with the two sums a computed gain is
+    within 27 g A**2 of exact; the computed sse ``sq - tot*tot/m`` is within
+    11 g A**2. So a computed gain is at most the computed sse plus
+    38 g A**2 <= 39 u m**2 S, for m u <= 0.01 (m up to about 9e13). The slack
+    64 u m**2 sq covers that, the error of sq itself and the rounding of
+    this sum with room to spare.
+    """
+    return node_sse + _BOUND_SLACK * (m * m) * sq
+
+
+def _best_split(X, y, idx, order, mask, feats, tot, node_sse):
     """Best (gain, feature, threshold) over the given features, or None.
 
-    ``idx`` is ascending, ``order`` is ``presort(X)`` and ``mask`` an
-    all-False boolean array of length n, left all False again on return.
+    ``idx`` is ascending with at least two rows, whose targets' sum and
+    squared error are ``tot`` and ``node_sse`` (``_node_sums``); ``order`` is
+    ``presort(X)`` and ``mask`` an all-False boolean array of length n, left
+    all False again on return.
     """
     m = idx.size
-    if m < 2:
-        return None
-    ys = y[idx]
-    tot = ys.sum()
     base = tot * tot / m
-    sq = float(ys @ ys)
-    node_sse = sq - base
-    if node_sse <= _GAIN_EPS * (1.0 + sq):
-        return None  # pure within float noise
-    # each feature's presorted order restricted to the node's rows, (k, m)
-    mask[idx] = True
+    # each feature's presorted order restricted to the node's rows, (k, m);
+    # the root holds every row, so its order needs no restricting
     rows = order[feats]
-    rows = np.compress(mask[rows].ravel(), rows).reshape(feats.size, m)
-    mask[idx] = False
+    if m < mask.size:
+        mask[idx] = True
+        rows = np.compress(mask[rows].ravel(), rows).reshape(feats.size, m)
+        mask[idx] = False
     xs_sorted = X[rows, feats[:, None]]
     left = np.cumsum(y[rows], axis=1)[:, :-1]
     cnt = np.arange(1, m, dtype=float)
@@ -151,11 +224,14 @@ def fit_tree(
     seed,
     subset_size: int | None = None,
     order: np.ndarray | None = None,
+    draws: FeatureDraws | None = None,
 ) -> RegressionTree:
     """Grow a best-first tree to at most ``max_leaves`` leaves.
 
     ``order`` is ``presort(X)``, computed here when not given; callers that
-    fit many trees on the same X pass one shared copy.
+    fit many trees on the same X pass one shared copy. ``draws`` is a
+    ``FeatureDraws`` shared with other trees of the same seed, or a private
+    one when not given.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -175,28 +251,34 @@ def fit_tree(
         order = presort(X)
     elif np.shape(order) != (d, n):
         raise ValidationError(f"order must have shape {(d, n)}, got {np.shape(order)}")
+    draw = (FeatureDraws() if draws is None else draws).stream(seed, d, subset_size)
     mask = np.zeros(n, dtype=bool)
-    rng = np.random.default_rng(seed)
 
-    feature, threshold, left, right = [], [], [], []
+    feature, threshold, left, right, node_tot = [], [], [], [], []
     node_indices: dict[int, np.ndarray] = {}
+    # (-bound, nid, None) for a node not searched yet, (-gain, nid, split)
+    # for a searched one; equal keys pop the node made first
     heap: list = []
-    push_count = 0
+    unsearched: dict[int, tuple] = {}  # nid -> (feats, tot, sse)
 
     def new_node(idx, search: bool) -> int:
-        nonlocal push_count
         nid = len(feature)
         feature.append(-1)
         threshold.append(np.nan)
         left.append(-1)
         right.append(-1)
         node_indices[nid] = idx
-        if search:
-            feats = np.sort(rng.choice(d, size=subset_size, replace=False))
-            cand = _best_split(X, y, idx, feats, order, mask)
-            if cand is not None:
-                heapq.heappush(heap, (-cand[0], push_count, nid, cand))
-                push_count += 1
+        ys = y[idx]
+        if not search:
+            node_tot.append(ys.sum())
+            return nid
+        tot, sq, node_sse = _node_sums(ys)
+        node_tot.append(tot)
+        feats = draw(nid)
+        # neither a singleton (sse exactly 0) nor pure within float noise
+        if node_sse > _GAIN_EPS * (1.0 + sq):
+            unsearched[nid] = feats, tot, node_sse
+            heapq.heappush(heap, (-_bound(idx.size, sq, node_sse), nid, None))
         return nid
 
     # a node made once the budget is full is never split, so it draws no
@@ -205,7 +287,14 @@ def fit_tree(
     new_node(np.arange(n), search=max_leaves > 1)
     n_leaves = 1
     while n_leaves < max_leaves and heap:
-        _, _, nid, (_, f, thr) = heapq.heappop(heap)
+        _, nid, split = heapq.heappop(heap)
+        if split is None:  # its bound is on top: search it, push its gain
+            split = _best_split(X, y, node_indices[nid], order, mask,
+                                *unsearched.pop(nid))
+            if split is not None:
+                heapq.heappush(heap, (-split[0], nid, split))
+            continue
+        _, f, thr = split
         idx = node_indices.pop(nid)
         go_left = X[idx, f] <= thr
         feature[nid], threshold[nid] = f, thr
@@ -220,7 +309,7 @@ def fit_tree(
             slots[nid] = len(members)
             idx = node_indices[nid]
             members.append(idx)
-            values.append(float(y[idx].mean()))
+            values.append(float(node_tot[nid] / idx.size))  # y[idx].mean()
             counts.append(idx.size)
     train_leaf = np.empty(n, dtype=np.intp)
     for j, idx in enumerate(members):

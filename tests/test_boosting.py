@@ -19,7 +19,7 @@ from smootherlab.boosting import (
     weight_steps,
 )
 from smootherlab.errors import ValidationError
-from smootherlab.trees import AveragedSmoother, fit_tree
+from smootherlab.trees import AveragedSmoother, FeatureDraws, fit_tree, presort
 
 
 def _toy():
@@ -122,6 +122,32 @@ def test_training_error_non_increasing():
                       stop_tol=None)
     mse = model.train_mse_history
     assert np.all(np.diff(mse) <= 1e-12)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["short_first", "long_first"])
+def test_runs_sharing_feature_draws_equal_solo_runs(reverse):
+    # one seed, several target columns that stop at different rounds: each
+    # run reads the draws the others made, up to its own last round
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(40, 9))
+    Y = rng.normal(size=(40, 4)) * np.array([1e-3, 0.05, 1.0, 20.0])
+    columns = list(range(4))[::-1] if reverse else range(4)
+    draws, order = FeatureDraws(), presort(X)
+    rounds = []
+    for c in columns:
+        kwargs = dict(n_rounds=200, learning_rate=0.5, leaf_budget=4, seed=7,
+                      stop_tol=1e-4, subset_size=3)
+        shared = fit_boost(X, Y[:, c], order=order, draws=draws, **kwargs)
+        solo = fit_boost(X, Y[:, c], **kwargs)
+        assert shared.n_rounds == solo.n_rounds
+        rounds.append(solo.n_rounds)
+        assert shared.train_mse_history.tobytes() == solo.train_mse_history.tobytes()
+        for a, b in zip(shared.trees, solo.trees):
+            assert np.array_equal(a.feature, b.feature)
+            assert a.threshold.tobytes() == b.threshold.tobytes()
+            assert a.leaf_values.tobytes() == b.leaf_values.tobytes()
+    assert len(set(rounds)) == len(rounds)  # every column stops at its own round
+    assert max(rounds) < 200
 
 
 def test_early_stop_tolerance():

@@ -647,6 +647,33 @@ def test_tree_family_sweeps_are_thread_independent(tmp_path, family, axes):
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "family, axis1", [("tree", "[8]"), ("boosting", "[1,3,6]")]
+)
+def test_one_member_schedules_still_fill_the_prefit_pool(
+    tmp_path, monkeypatch, family, axis1
+):
+    # one member, and one leaf budget for trees, is one task per member; its
+    # classes are split so that every pool worker gets a prefit task
+    cls, first_rounds = FAMILY_RUNNERS[family], []
+    prefit_tasks = cls.prefit_tasks
+
+    def counted(self):
+        tasks = prefit_tasks(self)
+        if not self._cache:
+            first_rounds.append((self.threads, len(tasks)))
+        return tasks
+
+    monkeypatch.setattr(cls, "prefit_tasks", counted)
+    argv = ["sweep", *TINY, "--set", f"family={family}",
+            "--set", f"axis1_values={axis1}", "--set", "axis2_values=[1]"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert _run([*argv, "--threads", "1"], a) == 0
+    assert _run([*argv, "--threads", "3"], b) == 0
+    assert first_rounds == [(1, 1), (3, 3)]  # TINY has 3 classes
+    assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
 def test_boosting_back_to_u_over_several_row_blocks_is_thread_independent(tmp_path):
     # more training and test rows than one block, so the p0 row blocks run
     # in separate workers and are joined in row order
@@ -908,12 +935,22 @@ def test_traced_back_to_u_writes_the_untraced_csv(tmp_path, family, axes):
     spans = json.loads(spans_path.read_text())["spans"]
     names = {span["name"] for span in spans}
     assert "families.evaluate" in names
-    if family == "boosting":
-        assert "boosting.fit_boost" in names
+    by_id = {span["id"]: span for span in spans}
+    if family in ("tree", "boosting"):
+        # every class's tree is fit through the names the tracer wraps:
+        # families.fit_tree for trees, boosting.fit_tree inside fit_boost
+        fitted = [s for s in spans if s["name"] == "trees.fit_tree"]
+        assert fitted
+        parent = "boosting.fit_boost" if family == "boosting" else "sweep.prefit_task"
+        assert all(by_id[s["parent"]]["name"] == parent for s in fitted)
+        # one fit per class and member (and budget, for trees): 3 classes,
+        # members 1..3 and, for trees, budgets 2, 8 and 24
+        fits = fitted if family == "tree" else [
+            s for s in spans if s["name"] == "boosting.fit_boost"]
+        assert len(fits) == 3 * 3 * (3 if family == "tree" else 1)
     if family == "rff_linear":
         assert "linear.pcr_smoother" in names
         # the benchmark reads the cache rows off the sampling span's parent
-        by_id = {span["id"]: span for span in spans}
         sampled = [s for s in spans if s["name"] == "rff.sample_frequencies"]
         assert sampled and all(by_id[s["parent"]]["name"] == "families.init" for s in sampled)
 

@@ -183,10 +183,10 @@ def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
     train, test = load_datasets(command_defaults("sweep")["dataset"])  # desk scale
     shared = SweepConfig(effparams_class=2)
     Y = one_vs_all_targets(train, train.task_classes)
-    class_of, step_runs, prefit_values, in_prefit, in_store = {}, [], {}, [], []
-    fit_boost, steps, prefit, store = (
+    class_of, step_runs, tasks, in_task, in_store = {}, [], [], [], []
+    fit_boost, steps, prefit_keys, store = (
         families.fit_boost, boosting.weight_steps,
-        families.BoostFamily._prefit, families.BoostFamily.store,
+        families.BoostFamily._prefit_keys, families.BoostFamily.store,
     )
     round_step = boosting._round_step
 
@@ -199,21 +199,21 @@ def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
 
     def counted_steps(train_leaf_ids, *args):
         assert not in_store, "store stepped a weight recursion"
-        step_runs.append((class_of[id(train_leaf_ids)], in_prefit[-1] if in_prefit else None))
+        step_runs.append((class_of[id(train_leaf_ids)], in_task[-1] if in_task else None))
         return steps(train_leaf_ids, *args)
 
     def checked_round_step(*args):
         assert not in_store, "store stepped weight rows"
         return round_step(*args)
 
-    def recorded_prefit(self, key):
-        in_prefit.append(key)
+    def recorded_task(self, keys):
+        in_task.append(keys)
         try:
-            result = prefit(self, key)
+            pairs = prefit_keys(self, keys)
         finally:
-            in_prefit.pop()
-        prefit_values[key] = result[1]
-        return result
+            in_task.pop()
+        tasks.append((keys, pairs))
+        return pairs
 
     def guarded_store(self, results):
         in_store.append(True)
@@ -227,19 +227,21 @@ def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
     monkeypatch.setattr(families, "weight_steps", counted_steps)
     monkeypatch.setattr(boosting, "_round_step", checked_round_step)
     monkeypatch.setattr(families, "_round_step", checked_round_step)
-    monkeypatch.setattr(families.BoostFamily, "_prefit", recorded_prefit)
+    monkeypatch.setattr(families.BoostFamily, "_prefit_keys", recorded_task)
     monkeypatch.setattr(families.BoostFamily, "store", guarded_store)
     schedule = composite_schedule("boosting", [1, 3, 6], [2, 4], shared=shared)
     run_sweep(schedule, train, test, threads=1)
-    # once per member 1..4, each inside that member's effparams-class run task
+    # one task per member 1..4, fitting all of that member's classes
+    runs = [keys for keys, _ in tasks if not isinstance(keys[0][0], str)]
+    classes = range(train.task_classes)
+    assert runs == [[(c, member) for c in classes] for member in range(1, 5)]
+    # one weight walk per member, for the effparams class, inside its task
     c = shared.effparams_class
-    assert step_runs == [(c, (c, member)) for member in range(1, 5)]
-    runs = [key for key in prefit_values if not isinstance(key[0], str)]
-    blocks = [key for key in prefit_values if isinstance(key[0], str)]
-    assert len(runs) == 4 * train.task_classes
-    # the row blocks cover the training and the test rows, after the runs
-    assert list(prefit_values) == runs + blocks
-    assert {side for side, _ in blocks} == {"train", "test"}
+    assert step_runs == [(c, keys) for keys in runs]
+    # then the row blocks, one per task, cover the training and the test rows
+    blocks = [keys for keys, _ in tasks[len(runs):]]
+    assert all(len(keys) == 1 and isinstance(keys[0][0], str) for keys in blocks)
+    assert {keys[0][0] for keys in blocks} == {"train", "test"}
     assert len(blocks) == sum(math.ceil(ds.n / families.ROW_BLOCK) for ds in (train, test))
 
     def leaves(value):
@@ -249,7 +251,7 @@ def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
             return leaves(list(value.values()))
         return [value]
 
-    for value in leaves(list(prefit_values.values())):
+    for value in leaves([value for _, pairs in tasks for _, value in pairs]):
         assert not isinstance(value, (boosting.BoostedModel, RegressionTree))
         assert np.size(value) < train.n * train.n
         # no weight rows: those are formed only where they are read

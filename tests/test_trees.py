@@ -13,6 +13,7 @@ from smootherlab import trees
 from smootherlab.errors import ValidationError
 from smootherlab.trees import (
     AveragedSmoother,
+    FeatureDraws,
     RegressionTree,
     fit_ensemble,
     fit_tree,
@@ -195,10 +196,13 @@ def test_nodes_made_at_a_full_budget_get_no_split_search(monkeypatch, budget):
     monkeypatch.setattr(trees, "_best_split", counted)
     rng = np.random.default_rng(11)
     X, y = rng.normal(size=(40, 3)), rng.normal(size=40)
-    tree = fit_tree(X, y, max_leaves=budget, seed=2)
+    draws = FeatureDraws()
+    tree = fit_tree(X, y, max_leaves=budget, seed=2, draws=draws)
     assert tree.n_leaves == budget
-    # the root, then two children per expansion but the last
-    assert len(calls) == (0 if budget == 1 else 2 * budget - 3)
+    # the root, then two children per expansion but the last, draw features;
+    # only the nodes whose bound reaches the top of the frontier are searched
+    assert len(draws) == (0 if budget == 1 else 2 * budget - 3)
+    assert len(calls) <= len(draws)
 
 
 @settings(deadline=None, max_examples=25)
@@ -325,6 +329,93 @@ def test_wrongly_shaped_presort_is_rejected():
     for bad in (presort(X).T, presort(X[:9]), presort(X)[:2]):
         with pytest.raises(ValidationError):
             fit_tree(X, y, max_leaves=3, seed=0, order=bad)
+
+
+# ---------------------------------------------------------------------------
+# Shared feature draws, lazy split search and node sums
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_tree(a, b):
+    for name in ("feature", "left", "right", "leaf_slot", "leaf_counts", "train_leaf"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.threshold.tobytes() == b.threshold.tobytes()
+    assert a.leaf_values.tobytes() == b.leaf_values.tobytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=30),
+    d=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_trees_sharing_feature_draws_equal_solo_fits(data, n, d, seed):
+    rng = np.random.default_rng(seed)
+    # few distinct values: tied feature values and gains; column 0 constant
+    X = rng.integers(0, 4, size=(n, d)).astype(float)
+    X[:, 0] = 1.0
+    Y = rng.integers(0, 3, size=(n, 4)).astype(float)
+    Y[:, 1] = 2.0  # a pure target: the root is never searched
+    # budgets past the reachable leaves too
+    budgets = data.draw(st.lists(st.integers(1, n + 5), min_size=4, max_size=4))
+    subset_size = data.draw(st.one_of(st.none(), st.integers(1, d)))
+    draws, order = FeatureDraws(), presort(X)
+    for c, budget in enumerate(budgets):
+        shared = fit_tree(X, Y[:, c], budget, seed=seed, subset_size=subset_size,
+                          order=order, draws=draws)
+        solo = fit_tree(X, Y[:, c], budget, seed=seed, subset_size=subset_size)
+        _assert_same_tree(shared, solo)
+
+
+def test_feature_draws_are_kept_apart_by_seed_and_subset_size():
+    rng = np.random.default_rng(23)
+    X, y = rng.normal(size=(50, 9)), rng.normal(size=50)
+    draws = FeatureDraws()
+    for seed in (3, [3, 1], [3, 2]):
+        for k in (2, 5):
+            shared = fit_tree(X, y, 12, seed=seed, subset_size=k, draws=draws)
+            _assert_same_tree(shared, fit_tree(X, y, 12, seed=seed, subset_size=k))
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    m=st.integers(min_value=2, max_value=300),
+    offset=st.sampled_from([0.0, 1.0, -1e3, 1e6, 1e12]),
+    spread=st.sampled_from([1.0, 1e-3, 1e-5, 2e-6, 1e-6]),
+    subset=st.booleans(),
+)
+def test_split_gain_never_exceeds_the_node_bound(seed, m, offset, spread, subset):
+    # small spreads about large offsets give near-pure nodes, where the
+    # computed gains carry the most rounding relative to the squared error
+    rng = np.random.default_rng(seed)
+    n = 2 * m if subset else m
+    X = rng.integers(0, 8, size=(n, 3)).astype(float)
+    y = offset + spread * max(1.0, abs(offset)) * rng.normal(size=n)
+    idx = np.sort(rng.choice(n, size=m, replace=False)) if subset else np.arange(n)
+    tot, sq, node_sse = trees._node_sums(y[idx])
+    if not node_sse > trees._GAIN_EPS * (1.0 + sq):
+        return  # pure within float noise: never pushed, never searched
+    mask = np.zeros(n, dtype=bool)
+    split = trees._best_split(X, y, idx, presort(X), mask, np.arange(3), tot, node_sse)
+    assert not mask.any()
+    if split is not None:
+        assert split[0] <= trees._bound(m, sq, node_sse)
+
+
+def test_leaf_values_are_leaf_means_bit_for_bit():
+    # a leaf's value is its target sum over its count, which is exactly
+    # numpy's mean of the leaf's targets
+    rng = np.random.default_rng(24)
+    for _ in range(20_000):
+        m = int(rng.integers(1, 200))
+        y = rng.normal(loc=rng.normal(scale=1e3), scale=10.0 ** rng.uniform(-6, 3), size=m)
+        assert float(y.mean()) == float(y.sum() / m)
+    X, y = rng.normal(size=(60, 4)), rng.normal(size=60) + 1e6
+    tree = fit_tree(X, y, max_leaves=9, seed=1)
+    means = [float(y[members].mean()) for members in tree.leaf_members]
+    assert tree.leaf_values.tolist() == means
 
 
 # ---------------------------------------------------------------------------
