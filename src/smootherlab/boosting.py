@@ -47,7 +47,8 @@ DEFAULT_MAX_ROUNDS = 500
 def _round_step(prev, W, R, lids, lr):
     """One recursion step, prev + (lr * (W - R))[lids]: elementwise the float
     operations of prev + lr * (W[lids] - R[lids]), on the J leaf rows instead
-    of the m queries. Training and query rows both step here, bit for bit."""
+    of the m queries. Training and query rows step by these bits, as do the
+    sweep's row blocks, which add stored rows of lr * (W - R)."""
     return prev + (lr * (W - R))[lids]
 
 

@@ -15,19 +15,16 @@ rows: its p0 values are sums over the projection coefficients of its train
 and test designs (``linear.PcrSmoother.sq_norms``).
 
 A tree or boosting point averages its seeded members' predictions and
-weight rows, and both p_train and p_test are p0 of the averaged rows. The
-one-vs-all classes of a member share its seed, hence its trees' feature
-draws, so one prefit task fits a member's classes (per leaf budget, for
-trees) and draws each feature subset once for all of them.
-Boosting computes weights only for the class they are read from, in two
-prefit rounds. A member's task sends back prediction snapshots and, for that
-class only, the per-round train and test leaf ids; its member's recursion is
-stepped through once by ``boosting.weight_steps``, whose per-round
-corrections go to an array in shared memory. Then one task per block of
-training or test rows steps its rows through every member's rounds, with
-running member sums at every needed round count, and sends back each row's
-squared norm per point. No task sends back weight rows or the n×n state;
-the parent only joins the blocks' norms into p0.
+weight rows, and both p_train and p_test are p0 of the averaged rows. Both
+families share one path for them (``_MemberFamily``), in two prefit rounds.
+The one-vs-all classes of a member share its seed, hence its trees' feature
+draws, so one task fits a member's classes (per leaf budget, for trees),
+draws each feature subset once for all of them and sends back prediction
+snapshots and, for the effparams class only, leaf ids. Then one task per
+block of training or test rows takes every member's weight rows of its
+block, keeps running member sums and sends back each row's squared norm per
+point. No task sends back weight rows; the parent only joins the blocks'
+norms into p0.
 
 Multiclass data is handled one-vs-all: C binary {0,1} tasks share the inputs,
 squared losses are summed across tasks, and the 0-1 error takes the argmax
@@ -44,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..boosting import _round_step, fit_boost, weight_steps
+from ..boosting import fit_boost, weight_steps
 from ..dataset import Dataset, one_vs_all_targets
-from ..effparams import p_eff, p_eff_of_sq_norms
+from ..effparams import p_eff_of_sq_norms
 from ..errors import ScheduleError, ValidationError
 from ..linear import pcr_smoother, standardize
 from ..rff import BLOCK, feature_block, sample_frequencies
@@ -70,8 +67,8 @@ class _FamilyBase:
     ``_prefit(key) -> (key, value)``. The sweep prefits in rounds: it runs
     ``prefit_tasks()`` in its pool and hands that round's list of results to
     ``store``, until ``prefit_tasks()`` is empty. ``store`` may list more
-    keys, whose tasks read the stored results (boosting's row blocks).
-    ``threads`` is the size of the sweep's pool.
+    keys, whose tasks read the stored results (the tree and boosting row
+    blocks). ``threads`` is the size of the sweep's pool.
     """
 
     #: every family's points run in the pool; kept for perfbench's tracer,
@@ -211,31 +208,52 @@ def _mean_predictions(per_class, p_ens):
     return (np.column_stack(p) / p_ens for p in zip(*(_sums(m) for m in per_class)))
 
 
-class _MemberFamily(_FamilyBase):
-    """Trees or boosted runs of seeded members, one per one-vs-all class.
+#: training or test rows per row-block task; a row's weights and squared
+#: norm are the same bits in any block
+ROW_BLOCK = 128
 
-    A member fits every class from the same seed, so its classes' trees draw
-    the same feature subsets. One prefit task fits a member's classes (per
-    leaf budget, for trees) and shares one ``trees.FeatureDraws`` among
-    them, so each subset is drawn once; a task sends back a list of
-    (key, value) pairs. Where there are fewer such tasks than pool workers,
-    each member's classes are split over several tasks, so that the prefit
-    still fills the pool; the draws are the same bits in any task.
+
+class _MemberFamily(_FamilyBase):
+    """Trees or boosted runs of seeded members, one per one-vs-all class;
+    a point (a1, p_ens) averages members 1 .. p_ens. Two prefit rounds:
+
+    Members. A member fits every class from the same seed, so one task fits
+    a member's classes (per leaf budget, for trees) with one shared
+    ``trees.FeatureDraws``, and each feature subset is drawn once. Where
+    there are fewer such tasks than pool workers, a member's classes are
+    split over several tasks; the draws are the same bits in any task. A
+    task sends back (key, (snapshots, weights)) pairs: what ``_snapshot``
+    reads and, for the effparams class only, what ``_member_rows`` reads.
+
+    Row blocks. One task per ``ROW_BLOCK`` training or test rows adds up the
+    members' weight rows of its block in member order, at every needed a1,
+    and sends back each row's squared norm of the sum over p_ens at every
+    state. ``store`` joins the blocks in row order into p_train and p_test,
+    so ``evaluate`` only averages snapshots.
+
+    A subclass supplies ``_prefit(key, draws)``; ``_snapshot(c, member, a1)``
+    -> (train predictions, test predictions, leaf count); and
+    ``_member_rows(member, side, rows)``, which yields (a1, weight rows) of
+    the member's training or test rows ``rows`` at each a1 it is fit for.
     """
 
-    def __init__(self, train, test, shared, threads=1):
+    def __init__(self, train, test, shared, states, threads=1):
         super().__init__(train, test, shared, threads)
         self.order = presort(train.features)  # shared by every prefit fit
-
-    def _task_of(self, key):
-        """The task a key is fit in: a run key's member (and budget)."""
-        return key[1:]
+        self.states = set(states)
+        self.p_ens_max = max(a2 for _, a2 in states)
+        self._blocks = [
+            (side, start)
+            for side, rows in (("train", train.n), ("test", test.n))
+            for start in range(0, rows, ROW_BLOCK)
+        ]
+        self._p_values: dict = {}  # (a1, p_ens) -> (p_train, p_test)
 
     def prefit_tasks(self):
-        tasks: dict = {}
+        tasks: dict = {}  # a row block, or a member (and budget) -> its keys
         for key in self._needed:
             if key not in self._cache:
-                tasks.setdefault(self._task_of(key), []).append(key)
+                tasks.setdefault(key if key in self._blocks else key[1:], []).append(key)
         parts = -(-self.threads // max(1, len(tasks)))
         return [
             functools.partial(self._prefit_keys, keys[i::parts])
@@ -245,23 +263,68 @@ class _MemberFamily(_FamilyBase):
 
     def _prefit_keys(self, keys):
         draws = FeatureDraws()
-        return [self._prefit(key, draws) for key in keys]
+        return [
+            (key, self._block_sq_norms(*key)) if key in self._blocks
+            else self._prefit(key, draws)
+            for key in keys
+        ]
+
+    def _block_sq_norms(self, side, start):
+        """{(a1, p_ens): squared norms} of the weight rows of training or test
+        rows start .. start + ROW_BLOCK, at every state. Member sums are
+        added in member order and divided by p_ens before squaring, so a
+        row's norm does not depend on its block."""
+        rows = slice(start, start + ROW_BLOCK)
+        sums, sq_norms = {}, {}
+        for member in range(1, self.p_ens_max + 1):
+            for a1, W in self._member_rows(member, side, rows):
+                sums[a1] = sums[a1] + W if member > 1 else W
+                if (a1, member) in self.states:
+                    W = sums[a1] / member
+                    sq_norms[(a1, member)] = np.sum(W * W, axis=1)
+        return sq_norms
 
     def store(self, results):
+        """Store one prefit round. After the members, ask for the row
+        blocks; after the blocks, record p_train and p_test of every state."""
         super().store(pair for pairs in results for pair in pairs)
+        if self._blocks[0] not in self._cache:
+            self._needed += self._blocks
+            return
+        n = self.train.n
+        for state in self.states:
+            train_sq, test_sq = (
+                np.concatenate([self._cache[key][state] for key in self._blocks
+                                if key[0] == side])
+                for side in ("train", "test")
+            )
+            self._p_values[state] = (p_eff_of_sq_norms(train_sq, n),
+                                     p_eff_of_sq_norms(test_sq, n))
+
+    def evaluate(self, a1: int, p_ens: int) -> PointEval:
+        members = range(1, p_ens + 1)
+        preds_train, preds_test = _mean_predictions(
+            ((self._snapshot(c, m, a1)[:2] for m in members) for c in self.classes),
+            p_ens,
+        )
+        raw_params = sum(self._snapshot(self.weights_class, m, a1)[2] for m in members)
+        return self._point(raw_params, preds_train, preds_test, *self._p_values[(a1, p_ens)])
 
 
 class TreeFamily(_MemberFamily):
     """Best-first trees averaged over independently seeded members.
 
-    A point averages p_ens seeded members, per one-vs-all class. The mean of
-    the members' weight rows is the ensemble's smoother, so p_train and
-    p_test both come from p_eff. A prefit task fits one member's classes at
-    one leaf budget, with shared feature draws.
+    A task fits one member's classes at one leaf budget and sends back each
+    class's train and test predictions and leaf count and, for the
+    effparams class, the train and test leaf ids and the leaf counts; a
+    member's weight rows of a row block are its leaf rows at the block's
+    leaf ids. A member exists at a budget only up to the largest p_ens the
+    schedule pairs with that budget.
     """
 
     def __init__(self, train, test, shared, states, threads=1):
-        super().__init__(train, test, shared, threads)
+        super().__init__(train, test, shared, states, threads)
+        self.budgets = sorted({budget for budget, _ in states})
         self._needed = sorted(
             {
                 (c, member, budget)
@@ -282,32 +345,23 @@ class TreeFamily(_MemberFamily):
             order=self.order,
             draws=draws,
         )
-        return key, (tree, tree.leaf_ids(self.test.features))
+        test_lids = tree.leaf_ids(self.test.features)
+        snapshot = (tree.leaf_values[tree.train_leaf], tree.leaf_values[test_lids],
+                    tree.n_leaves)
+        if c != self.weights_class:
+            return key, (snapshot, None)
+        return key, (snapshot, (tree.train_leaf, test_lids, tree.leaf_counts))
 
-    def _predictions(self, c, member, p_leaf):
-        tree, test_lids = self._cache[(c, member, p_leaf)]
-        return tree.leaf_values[tree.train_leaf], tree.leaf_values[test_lids]
+    def _snapshot(self, c, member, p_leaf):
+        return self._cache[(c, member, p_leaf)][0]
 
-    def _weights(self, member, p_leaf):
-        tree, test_lids = self._cache[(self.weights_class, member, p_leaf)]
-        rows = tree.leaf_weight_rows()
-        return rows[tree.train_leaf], rows[test_lids], tree.n_leaves
-
-    def evaluate(self, p_leaf: int, p_ens: int) -> PointEval:
-        members = range(1, p_ens + 1)
-        preds_train, preds_test = _mean_predictions(
-            ((self._predictions(c, m, p_leaf) for m in members) for c in self.classes),
-            p_ens,
-        )
-        W_train, W_test, raw_params = _sums(self._weights(m, p_leaf) for m in members)
-        n = self.train.n
-        return self._point(raw_params, preds_train, preds_test,
-                           p_eff(W_train / p_ens, n), p_eff(W_test / p_ens, n))
-
-
-#: training or test rows per stage-2 boosting task; a row's weights and
-#: squared norm are the same bits in any block
-ROW_BLOCK = 128
+    def _member_rows(self, member, side, rows):
+        for budget in self.budgets:
+            key = (self.weights_class, member, budget)
+            if key in self._cache:
+                train_leaf, test_lids, counts = self._cache[key][1]
+                query = train_leaf if side == "train" else test_lids
+                yield budget, leaf_rows(train_leaf, counts)[query[rows]]
 
 
 class BoostFamily(_MemberFamily):
@@ -315,58 +369,35 @@ class BoostFamily(_MemberFamily):
 
     Every (class, member) run is fitted once to the largest round count the
     schedule needs; shorter points read round prefixes, which are identical
-    bit for bit because round p is seeded by (member seed, p). One prefit
-    task fits a member's runs, every class's round-p tree reading the same
-    shared feature draws. A run sends back only what evaluation reads: the
-    member's train and test predictions and its cumulative leaf count at
-    each needed round count, and, for the effparams class only, the
-    per-round train and test leaf ids.
-
-    p0 is read off the weights in two stages, both in the sweep's pool. In
-    stage 1 each member's effparams-class run walks its recursion once
-    with ``weight_steps`` and writes every round's corrections R_p into
-    ``corrections``, an array in shared memory. Once the runs are stored,
-    the family asks for a second prefit round: one task per ``ROW_BLOCK``
-    training or test rows. Stage 2 steps its block through every member's
-    rounds, in member order, with W_p rebuilt from the leaf ids and R_p read
-    from ``corrections``, keeps running member sums at the needed round
-    counts, and sends back only each row's squared norm at every state.
-    ``store`` joins the blocks in row order into p_train and p_test, so
-    ``evaluate`` only averages snapshots. A row's float operations do not
-    depend on its block.
+    bit for bit because round p is seeded by (member seed, p). A run sends
+    back its predictions and cumulative leaf count at each needed round
+    count and, for the effparams class only, the per-round train and test
+    leaf ids. That run also walks its recursion once with ``weight_steps``
+    and writes each round's step lr * (W_p - R_p) into ``steps``, an array
+    in shared memory; a row block steps its rows through a member's rounds
+    by adding the step rows at their leaf ids.
     """
 
     def __init__(self, train, test, shared, states, threads=1):
-        super().__init__(train, test, shared, threads)
-        self.states = set(states)
+        super().__init__(train, test, shared, states, threads)
         self.p_boosts = {a1 for a1, _ in states}
-        self.p_ens_max = max(a2 for _, a2 in states)
         self._needed = sorted(
             (c, member) for member in range(1, self.p_ens_max + 1) for c in self.classes
         )
-        self._blocks = [
-            (side, start)
-            for side, rows in (("train", train.n), ("test", test.n))
-            for start in range(0, rows, ROW_BLOCK)
-        ]
-        # R_p of each effparams member and round, zero past the tree's leaves
-        self.corrections = _shared_zeros(
+        # lr * (W_p - R_p) of each effparams member and round, zero past the
+        # tree's leaves
+        self.steps = _shared_zeros(
             self.p_ens_max, max(self.p_boosts), shared.boost_leaf_budget, train.n
         )
-        self._p_values: dict = {}  # (p_boost, p_ens) -> (p_train, p_test)
-
-    def _task_of(self, key):
-        return key if key in self._blocks else key[1:]
 
     def _prefit(self, key, draws):
-        if key in self._blocks:
-            return key, self._block_sq_norms(*key)
         c, member = key
+        lr = self.shared.learning_rate
         model = fit_boost(
             self.train.features,
             self.Y_train[:, c],
             n_rounds=max(self.p_boosts),
-            learning_rate=self.shared.learning_rate,
+            learning_rate=lr,
             leaf_budget=self.shared.boost_leaf_budget,
             seed=self.shared.base_seed + member,
             stop_tol=None,
@@ -384,62 +415,22 @@ class BoostFamily(_MemberFamily):
         }
         if c != self.weights_class:
             return key, (snapshots, None)
-        # stage 1: weights only for the class they are read from
-        steps = weight_steps(train_lids, self.shared.learning_rate, self.train.n)
-        for p, (_, R, _) in enumerate(steps):
-            self.corrections[member - 1, p, :len(R)] = R
+        # weights only for the class they are read from
+        for p, (W, R, _) in enumerate(weight_steps(train_lids, lr, self.train.n)):
+            self.steps[member - 1, p, :len(R)] = lr * (W - R)
         return key, (snapshots, (train_lids, test_lids))
 
-    def _block_sq_norms(self, side, start):
-        """Stage 2: {(p_boost, p_ens): squared norms} of the weight rows of
-        training or test rows start .. start + ROW_BLOCK, at every state."""
-        n, lr = self.train.n, self.shared.learning_rate
-        rows = slice(start, start + ROW_BLOCK)
-        sums, sq_norms = {}, {}
-        for member in range(1, self.p_ens_max + 1):
-            train_lids, test_lids = self._cache[(self.weights_class, member)][1]
-            queries = train_lids if side == "train" else test_lids
-            acc = np.zeros((len(queries[0][rows]), n))
-            for p, (lids, query) in enumerate(zip(train_lids, queries), start=1):
-                W = leaf_rows(lids, np.bincount(lids))
-                R = self.corrections[member - 1, p - 1, :len(W)]
-                acc = _round_step(acc, W, R, query[rows], lr)
-                if p in self.p_boosts:
-                    sums[p] = sums[p] + acc if member > 1 else acc
-            for p_boost in self.p_boosts:
-                if (p_boost, member) in self.states:
-                    W = sums[p_boost] / member
-                    sq_norms[(p_boost, member)] = np.sum(W * W, axis=1)
-        return sq_norms
+    def _snapshot(self, c, member, p_boost):
+        return self._cache[(c, member)][0][p_boost]
 
-    def store(self, results):
-        """Store one prefit round. After the runs, ask for the row blocks;
-        after the blocks, record p_train and p_test of every state."""
-        super().store(results)
-        if self._blocks[0] not in self._cache:
-            self._needed += self._blocks
-            return
-        n = self.train.n
-        for state in self.states:
-            train_sq, test_sq = (
-                np.concatenate([self._cache[key][state] for key in self._blocks
-                                if key[0] == side])
-                for side in ("train", "test")
-            )
-            self._p_values[state] = (p_eff_of_sq_norms(train_sq, n),
-                                     p_eff_of_sq_norms(test_sq, n))
-
-    def evaluate(self, p_boost: int, p_ens: int) -> PointEval:
-        members = range(1, p_ens + 1)
-        preds_train, preds_test = _mean_predictions(
-            ((self._cache[(c, m)][0][p_boost][:2] for m in members) for c in self.classes),
-            p_ens,
-        )
-        raw_params = sum(
-            self._cache[(self.weights_class, m)][0][p_boost][2] for m in members
-        )
-        return self._point(raw_params, preds_train, preds_test,
-                           *self._p_values[(p_boost, p_ens)])
+    def _member_rows(self, member, side, rows):
+        train_lids, test_lids = self._cache[(self.weights_class, member)][1]
+        queries = train_lids if side == "train" else test_lids
+        acc = np.zeros((len(queries[0][rows]), self.train.n))
+        for p, (step, query) in enumerate(zip(self.steps[member - 1], queries), start=1):
+            acc = acc + step[query[rows]]
+            if p in self.p_boosts:
+                yield p, acc
 
 
 FAMILY_RUNNERS = {

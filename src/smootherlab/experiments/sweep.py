@@ -167,10 +167,10 @@ def _run_states(family, states, threads):
     Prefit runs in rounds: each round's tasks run in the pool and their
     results are stored, until the family lists no more tasks. A round's
     workers fork after the previous round is stored, so they inherit its
-    results (boosting's row blocks read the stored runs' leaf ids). The
-    family's caches are filled before the evaluation pool forks, so the
-    workers inherit them; points run largest first, so no big one is left
-    to run alone at the end, and come back in input order.
+    results (the tree and boosting row blocks read the stored members'
+    leaf ids). The family's caches are filled before the evaluation pool
+    forks, so the workers inherit them; points run largest first, so no big
+    one is left to run alone at the end, and come back in input order.
     """
     while tasks := family.prefit_tasks():
         family.store(_pool_map(lambda task: task(), tasks, threads, "prefit"))

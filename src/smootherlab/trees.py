@@ -40,7 +40,7 @@ bound cannot put a node behind one it beats.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,11 +175,9 @@ class RegressionTree:
     leaf_slot: np.ndarray          # node id -> leaf index (or -1)
     leaf_values: np.ndarray        # mean target per leaf
     leaf_counts: np.ndarray
-    leaf_members: list[np.ndarray]
     train_leaf: np.ndarray         # leaf index of each training point
     n_train: int
     n_features: int
-    _weight_rows: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_leaves(self) -> int:
@@ -209,9 +207,7 @@ class RegressionTree:
 
     def leaf_weight_rows(self) -> np.ndarray:
         """(n_leaves, n_train) matrix whose row j is the leaf-j weight vector."""
-        if self._weight_rows is None:
-            self._weight_rows = leaf_rows(self.train_leaf, self.leaf_counts)
-        return self._weight_rows
+        return leaf_rows(self.train_leaf, self.leaf_counts)
 
     def weight_matrix(self, X0: np.ndarray) -> np.ndarray:
         return self.leaf_weight_rows()[self.leaf_ids(X0)]
@@ -322,7 +318,6 @@ def fit_tree(
         leaf_slot=slots,
         leaf_values=np.asarray(values),
         leaf_counts=np.asarray(counts, dtype=float),
-        leaf_members=members,
         train_leaf=train_leaf,
         n_train=n,
         n_features=d,

@@ -175,9 +175,9 @@ def test_leaf_values_are_mean_residuals():
     for p, tree in enumerate(model.trees, start=1):
         prev = model.predictions_from_leaf_ids(model.train_leaf_ids[:p - 1], 25)
         residual = y - prev
-        for j, members in enumerate(tree.leaf_members):
+        for j in range(tree.n_leaves):
             assert tree.leaf_values[j] == pytest.approx(
-                residual[np.asarray(members)].mean(), abs=1e-10
+                residual[tree.train_leaf == j].mean(), abs=1e-10
             )
 
 
@@ -221,7 +221,8 @@ def test_weight_steps_build_each_round_from_leaf_ids_as_the_tree_does():
     steps = weight_steps(model.train_leaf_ids, 0.7, 26)
     for tree, (W, R, next_state) in zip(model.trees, steps, strict=True):
         assert np.array_equal(W, tree.leaf_weight_rows())
-        for j, members in enumerate(tree.leaf_members):
+        for j in range(tree.n_leaves):
+            members = np.flatnonzero(tree.train_leaf == j)
             assert np.array_equal(R[j], state[members].sum(axis=0) / members.size)
         state = next_state
     assert np.array_equal(state, model.train_weight_state)

@@ -155,26 +155,51 @@ def test_point_is_the_fitted_ensemble_read_through_the_protocol(
         assert ev.test_mse == float(np.mean(np.sum((preds_test - Y_test) ** 2, axis=1)))
 
 
-def test_boosting_p0_does_not_depend_on_the_row_blocks(monkeypatch):
+@pytest.mark.parametrize("family", ["tree", "boosting"])
+def test_member_p0_does_not_depend_on_the_row_blocks(monkeypatch, family):
     full = synth_generate(SyntheticSpec("sine", 101, 2, 0.1, seed=4))
     train, test = full.take(slice(None, 38)), full.take(slice(38, None))  # 38 and 63 rows
     shared = SweepConfig(base_seed=3)
-    states = [(a1, p_ens) for a1 in (1, 4) for p_ens in (1, 3)]
+    small, large = (2, 6) if family == "tree" else (1, 4)
+    # tree member 3 is fit only at the small budget: a budget's members end
+    # at the largest p_ens the schedule pairs with it
+    states = [(small, 1), (small, 3), (large, 1), (large, 2)]
     values = {}
     for block in (5, 8):  # several blocks each, neither dividing 38 nor 63
         monkeypatch.setattr(families, "ROW_BLOCK", block)
-        runner = _prefitted(families.BoostFamily(train, test, shared, states))
+        runner = _prefitted(FAMILY_RUNNERS[family](train, test, shared, states))
         for side, ds in (("train", train), ("test", test)):
             assert sum(key[0] == side for key in runner._cache) == math.ceil(ds.n / block)
         values[block] = [runner.evaluate(*state) for state in states]
-    for state, ev in zip(states, values[5]):
-        model = fit_boost_ensemble(
-            train.features, train.targets, state[0], state[1], shared.base_seed,
-            learning_rate=shared.learning_rate, leaf_budget=shared.boost_leaf_budget,
-        )
+    for (a1, p_ens), ev in zip(states, values[5]):
+        if family == "tree":
+            model = fit_ensemble(train.features, train.targets, a1, p_ens, shared.base_seed)
+        else:
+            model = fit_boost_ensemble(
+                train.features, train.targets, a1, p_ens, shared.base_seed,
+                learning_rate=shared.learning_rate, leaf_budget=shared.boost_leaf_budget,
+            )
         assert ev.p_train == p_eff(model.weight_matrix(train.features), train.n)
         assert ev.p_test == p_eff(model.weight_matrix(test.features), train.n)
     assert values[5] == values[8]
+
+
+def _assert_lean_payloads(tasks, n):
+    """No prefit task sends back a model, weight rows or anything of n² values."""
+
+    def leaves(value):
+        if isinstance(value, (tuple, list)):
+            return [x for v in value for x in leaves(v)]
+        if isinstance(value, dict):
+            return leaves(list(value.values()))
+        return [value]
+
+    for value in leaves([value for _, pairs in tasks for _, value in pairs]):
+        assert not isinstance(value, (boosting.BoostedModel, RegressionTree))
+        assert np.size(value) < n * n
+        # no weight rows: those are formed only where they are read
+        array = np.asarray(value)
+        assert not (array.ndim == 2 and np.issubdtype(array.dtype, np.floating))
 
 
 def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
@@ -188,7 +213,7 @@ def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
         families.fit_boost, boosting.weight_steps,
         families.BoostFamily._prefit_keys, families.BoostFamily.store,
     )
-    round_step = boosting._round_step
+    round_step, member_rows = boosting._round_step, families.BoostFamily._member_rows
 
     def counted_fit_boost(X, y, **kwargs):
         model = fit_boost(X, y, **kwargs)
@@ -205,6 +230,11 @@ def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
     def checked_round_step(*args):
         assert not in_store, "store stepped weight rows"
         return round_step(*args)
+
+    def checked_member_rows(self, *args):
+        assert not in_store, "store stepped weight rows"
+        assert isinstance(in_task[-1][0][0], str), "weight rows outside a row block"
+        yield from member_rows(self, *args)
 
     def recorded_task(self, keys):
         in_task.append(keys)
@@ -226,7 +256,7 @@ def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
     monkeypatch.setattr(boosting, "weight_steps", counted_steps)
     monkeypatch.setattr(families, "weight_steps", counted_steps)
     monkeypatch.setattr(boosting, "_round_step", checked_round_step)
-    monkeypatch.setattr(families, "_round_step", checked_round_step)
+    monkeypatch.setattr(families.BoostFamily, "_member_rows", checked_member_rows)
     monkeypatch.setattr(families.BoostFamily, "_prefit_keys", recorded_task)
     monkeypatch.setattr(families.BoostFamily, "store", guarded_store)
     schedule = composite_schedule("boosting", [1, 3, 6], [2, 4], shared=shared)
@@ -243,20 +273,32 @@ def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
     assert all(len(keys) == 1 and isinstance(keys[0][0], str) for keys in blocks)
     assert {keys[0][0] for keys in blocks} == {"train", "test"}
     assert len(blocks) == sum(math.ceil(ds.n / families.ROW_BLOCK) for ds in (train, test))
+    _assert_lean_payloads(tasks, train.n)
 
-    def leaves(value):
-        if isinstance(value, (tuple, list)):
-            return [x for v in value for x in leaves(v)]
-        if isinstance(value, dict):
-            return leaves(list(value.values()))
-        return [value]
 
-    for value in leaves([value for _, pairs in tasks for _, value in pairs]):
-        assert not isinstance(value, (boosting.BoostedModel, RegressionTree))
-        assert np.size(value) < train.n * train.n
-        # no weight rows: those are formed only where they are read
-        array = np.asarray(value)
-        assert not (array.ndim == 2 and np.issubdtype(array.dtype, np.floating))
+def test_tree_sweep_forms_no_weight_matrices(toy_images, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree sweep formed a tree's weight matrix")
+
+    for name in ("leaf_weight_rows", "weight_matrix"):
+        monkeypatch.setattr(RegressionTree, name, refuse)
+    tasks, prefit_keys = [], families.TreeFamily._prefit_keys
+
+    def recorded_task(self, keys):
+        pairs = prefit_keys(self, keys)
+        tasks.append((keys, pairs))
+        return pairs
+
+    monkeypatch.setattr(families.TreeFamily, "_prefit_keys", recorded_task)
+    train, test = toy_images
+    schedule = composite_schedule("tree", [2, 8, 30], [3], shared=SweepConfig())
+    result = run_sweep(schedule, train, test, threads=1)
+    assert len(result.records) == 4
+    assert all(np.isfinite(r.p_test) and r.p_test > 0 for r in result.records)
+    # members, then one task per row block
+    assert sum(isinstance(keys[0][0], str) for keys, _ in tasks) == sum(
+        math.ceil(ds.n / families.ROW_BLOCK) for ds in (train, test))
+    _assert_lean_payloads(tasks, train.n)
 
 
 def test_infeasible_point_fails_before_any_fitting(toy_images):

@@ -138,10 +138,11 @@ def test_leaf_partition_and_leaf_means():
     X = rng.normal(size=(25, 3))
     y = rng.normal(size=25)
     tree = fit_tree(X, y, max_leaves=6, seed=8)
-    members = np.concatenate([np.asarray(m) for m in tree.leaf_members])
+    leaf_members = [np.flatnonzero(tree.train_leaf == j) for j in range(tree.n_leaves)]
+    members = np.concatenate(leaf_members)
     assert np.array_equal(np.sort(members), np.arange(25))
-    for j, m in enumerate(tree.leaf_members):
-        assert tree.leaf_values[j] == pytest.approx(y[np.asarray(m)].mean(), abs=1e-12)
+    for j, m in enumerate(leaf_members):
+        assert tree.leaf_values[j] == pytest.approx(y[m].mean(), abs=1e-12)
         assert tree.leaf_counts[j] == len(m)
     # leaf_ids agrees with the recorded training assignment
     assert np.array_equal(tree.leaf_ids(X), tree.train_leaf)
@@ -414,7 +415,7 @@ def test_leaf_values_are_leaf_means_bit_for_bit():
         assert float(y.mean()) == float(y.sum() / m)
     X, y = rng.normal(size=(60, 4)), rng.normal(size=60) + 1e6
     tree = fit_tree(X, y, max_leaves=9, seed=1)
-    means = [float(y[members].mean()) for members in tree.leaf_members]
+    means = [float(y[tree.train_leaf == j].mean()) for j in range(tree.n_leaves)]
     assert tree.leaf_values.tolist() == means
 
 
