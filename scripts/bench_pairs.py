@@ -10,8 +10,11 @@ on odd ones, and pair i uses seed i. Workloads, run length and the
 direction in which each metric is better come from BENCHMARK.json. Each
 side runs its own perfbench. The record, written again after every pair,
 is BENCH_<name>.json at the repository root: per workload and metric the
-parent's and change's median and quartiles, the pairs the change wins and
-the change of the median as a fraction of the parent's.
+parent's and change's median and quartiles, the pairs the change wins, the
+change of the median as a fraction of the parent's, and the median and
+quartiles of the per-pair change/parent ratio. Both sides of a pair run the
+same seed back to back, so the ratio cancels that seed's cost and most of
+the host's drift over the record, which widen each side's own quartiles.
 """
 from __future__ import annotations
 
@@ -80,6 +83,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "change_wins": wins,
             "pairs": len(pairs),
             "median_change_frac": stats["change"]["median"] / stats["parent"]["median"] - 1.0,
+            "change_ratio": spread([c / p for p, c in zip(values["parent"], values["change"])]),
         }
     return out
 
@@ -103,7 +107,8 @@ def record(args, sha: str, bench: dict, runs: dict) -> dict:
                 f"{platform.python_version()}, numpy {version('numpy')}",
         "method": "alternating pairs: parent first on even pair index, change first on "
                   "odd; seed = pair index; medians and quartiles (statistics.quantiles, "
-                  "n=4) over the pairs; a win is a pair where the change reads better",
+                  "n=4) over the pairs and over the per-pair change/parent ratios; a "
+                  "win is a pair where the change reads better",
         "workloads": workloads,
     }
 

@@ -368,6 +368,10 @@ def _jsonable(obj):
     return obj
 
 
+def _write_json(path: Path, obj) -> None:
+    atomic_write_text(path, json.dumps(_jsonable(obj), indent=2) + "\n")
+
+
 def _echo_config(out_dir: Path, command: str, config: dict) -> None:
     payload = {"command": command, "config": _jsonable(config)}
     atomic_write_text(
@@ -390,8 +394,8 @@ def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
         for key in ("train", "test"):
             if not cfg[key]:
                 raise ValidationError(f"dataset.{key} is required for kind 'csv'")
-        train = load_csv(cfg["train"], name="csv-train", normalize=False)
-        test = load_csv(cfg["test"], name="csv-test", normalize=False)
+        train = load_csv(cfg["train"], name="csv-train")
+        test = load_csv(cfg["test"], name="csv-test")
         if cfg["normalize"]:  # one scale for both sets, fitted on train
             train, test = normalize_minmax(train), normalize_minmax(test, train)
     elif kind == "synthetic":
@@ -530,12 +534,13 @@ def _fit_model(cfg: dict, X: np.ndarray, y: np.ndarray):
 # --------------------------------------------------------------------------- svg helpers
 
 
-def _sweep_chart(result, title: str) -> LineChart:
-    idx = np.array([r.point_index for r in result.records], dtype=float)
-    chart = LineChart(title, "schedule position", "summed squared loss", log_y=True)
-    chart.add("test", idx, result.test_mse)
-    chart.add("train", idx, np.maximum(result.train_mse, 1e-18))
-    return chart
+def _loss_chart(path: Path, title: str, x_label: str, series, log_x=False) -> None:
+    """An SVG of summed squared loss on a log axis, one line per
+    (label, x, y[, dashed]) entry of `series`."""
+    chart = LineChart(title, x_label, "summed squared loss", log_y=True, log_x=log_x)
+    for line in series:
+        chart.add(*line)
+    chart.write(path)
 
 
 # --------------------------------------------------------------------------- subcommands
@@ -549,8 +554,7 @@ def _cmd_ingest(cfg, out, args) -> str:
         "test": {"n": test.n, "d": test.d, "classes": test.n_classes,
                  "name": test.name},
     }
-    atomic_write_text(out / "dataset.json",
-                      json.dumps(_jsonable(summary), indent=2) + "\n")
+    _write_json(out / "dataset.json", summary)
     return (
         f"ingest: train n={train.n} d={train.d} classes={train.n_classes} "
         f"test n={test.n} -> {out / 'dataset.json'}"
@@ -575,8 +579,7 @@ def _cmd_fit(cfg, out, args) -> str:
         **info,
     }
     report["effective_knn_test"] = float(n / report["p_test"])
-    atomic_write_text(out / "fit_report.json",
-                      json.dumps(_jsonable(report), indent=2) + "\n")
+    _write_json(out / "fit_report.json", report)
     return (
         f"fit: {report['model']} train_mse={report['train_mse']:.4g} "
         f"test_mse={report['test_mse']:.4g} p_train={report['p_train']:.4g} "
@@ -592,9 +595,11 @@ def _cmd_sweep(cfg, out, args) -> str:
     path = out / "sweep.csv"
     result.write_csv(path)
     if args.svg:
-        _sweep_chart(result, f"composite sweep ({cfg['family']})").write(
-            out / "sweep.svg"
-        )
+        idx = [r.point_index for r in result.records]
+        _loss_chart(out / "sweep.svg", f"composite sweep ({cfg['family']})",
+                    "schedule position",
+                    [("test", idx, result.test_mse),
+                     ("train", idx, np.maximum(result.train_mse, 1e-18))])
     peak = int(np.argmax(result.test_mse))
     return (
         f"sweep: family={cfg['family']} points={len(result.records)} "
@@ -610,16 +615,11 @@ def _cmd_grid(cfg, out, args) -> str:
     path = out / "grid.csv"
     result.write_csv(path)
     if args.svg:
-        chart = LineChart(f"grid ({cfg['family']})", "axis-1 value",
-                          "summed squared loss", log_y=True)
-        for a2 in axis2:
-            rows = [r for r in result.records if r.axis2_value == a2]
-            chart.add(
-                f"{rows[0].axis2_name}={a2}",
-                np.array([r.axis1_value for r in rows], dtype=float),
-                np.array([r.test_mse for r in rows]),
-            )
-        chart.write(out / "grid.svg")
+        columns = [(a2, [r for r in result.records if r.axis2_value == a2])
+                   for a2 in axis2]
+        _loss_chart(out / "grid.svg", f"grid ({cfg['family']})", "axis-1 value",
+                    [(f"{rows[0].axis2_name}={a2}", [r.axis1_value for r in rows],
+                      [r.test_mse for r in rows]) for a2, rows in columns])
     return (
         f"grid: family={cfg['family']} points={len(result.records)} -> {path}"
     )
@@ -635,8 +635,6 @@ def _cmd_peaks(cfg, out, args) -> str:
                         shared=shared, axis1_grid=axis1,
                         axis2_values=_composite_axis2(cfg["family"], axis2),
                         threads=args.threads)
-    chart = LineChart(f"peak moving ({cfg['family']})", "schedule position",
-                      "summed squared loss", log_y=True)
     lines = []
     for switch, result in zip(switches, results):
         path = out / f"peaks_switch{switch}.csv"
@@ -644,10 +642,12 @@ def _cmd_peaks(cfg, out, args) -> str:
         peak = int(np.argmax(result.test_mse))
         switch_at = result.schedule.switch_indices()
         lines.append(f"switch={switch} peak@{peak} (axis change @{switch_at})")
-        idx = np.array([r.point_index for r in result.records], dtype=float)
-        chart.add(f"switch={switch}", idx, result.test_mse)
     if args.svg:
-        chart.write(out / "peaks.svg")
+        _loss_chart(out / "peaks.svg", f"peak moving ({cfg['family']})",
+                    "schedule position",
+                    [(f"switch={switch}", [r.point_index for r in result.records],
+                      result.test_mse)
+                     for switch, result in zip(switches, results)])
     return f"peaks: family={cfg['family']} " + "; ".join(lines) + f" -> {out}"
 
 
@@ -658,15 +658,12 @@ def _cmd_back_to_u(cfg, out, args) -> str:
     path = out / "back_to_u.csv"
     result.write_csv(path)
     if args.svg:
-        chart = LineChart(f"back to U ({cfg['family']})",
-                          "generalized params (test inputs)",
-                          "summed squared loss", log_y=True, log_x=True)
-        for name in result.branch_names():
-            rows = result.branch(name)
-            chart.add(name, np.array([r.p_test for r in rows]),
-                      np.array([r.test_mse for r in rows]),
-                      dashed=name.startswith("contour"))
-        chart.write(out / "back_to_u.svg")
+        branches = [(name, result.branch(name)) for name in result.branch_names()]
+        _loss_chart(out / "back_to_u.svg", f"back to U ({cfg['family']})",
+                    "generalized params (test inputs)",
+                    [(name, [r.p_test for r in rows], [r.test_mse for r in rows],
+                      name.startswith("contour")) for name, rows in branches],
+                    log_x=True)
     n_contours = sum(1 for b in result.branch_names() if b.startswith("contour"))
     return (
         f"back-to-u: family={cfg['family']} branches={len(result.branch_names())} "
@@ -693,8 +690,7 @@ def _cmd_effparams(cfg, out, args) -> str:
     extra = {}
     if isinstance(model, RffModel):
         extra = train_eff_params_classical(model.fit.hat_matrix())
-        atomic_write_text(out / "classical.json",
-                          json.dumps(_jsonable(extra), indent=2) + "\n")
+        _write_json(out / "classical.json", extra)
     head = rows[1][1]
     line = (
         f"effparams: {cfg['model']['kind']} p_test={head.p_generalized:.4g} "
@@ -745,8 +741,7 @@ def _cmd_fixed_design(cfg, out, args) -> str:
     models["knn_k1"] = fit_knn(X, y, 1)
     report = fixed_design_check(models, y, y_new, interp_tol=cfg["interp_tol"],
                                 loss_tol=cfg["loss_tol"])
-    atomic_write_text(out / "fixed_design.json",
-                      json.dumps(_jsonable(report), indent=2) + "\n")
+    _write_json(out / "fixed_design.json", report)
     return (
         f"fixed-design: models={len(models)} reference={report.reference_loss:.6g} "
         f"max_dev={report.max_loss_deviation:.3g} -> {out / 'fixed_design.json'}"
@@ -755,6 +750,7 @@ def _cmd_fixed_design(cfg, out, args) -> str:
 
 def _cmd_bias_variance(cfg, out, args) -> str:
     spec, model, n = cfg["spec"], cfg["model"], cfg["spec"]["n"]
+    _check_range("spec.noise_std", spec["noise_std"], rng=("> 0", lambda v: v > 0))
     bounds = {"ols": ("n_features", _within(1, min(n - 1, spec["d"] + 1))),
               "knn": ("k", _within(1, n)), "minnorm": ("rff_p", _within(n))}
     if model["kind"] in bounds:

@@ -1,9 +1,10 @@
 """Dataset containers, ingestion (IDX / CSV), subsampling, one-vs-all
 targets and synthetic generators.
 
-All feature matrices are float64 with rows as examples. Ingested features are
-normalized into [0, 1] (IDX pixels divided by 255, CSV columns min-max scaled);
-synthetic generators draw inputs from [0, 1]^d directly.
+All feature matrices are float64 with rows as examples. IDX pixels are
+divided by 255 into [0, 1]; CSV values are read as they are, and
+``normalize_minmax`` scales them when asked. Synthetic generators draw inputs
+from [0, 1]^d directly.
 """
 from __future__ import annotations
 
@@ -167,8 +168,9 @@ def load_idx(images_path, labels_path, name: str = "") -> Dataset:
 # --------------------------------------------------------------------------- CSV ingestion
 
 
-def load_csv(path, name: str = "", normalize: bool = True) -> Dataset:
-    """Read a numeric CSV with a header row; last column is the class label."""
+def load_csv(path, name: str = "") -> Dataset:
+    """Read a numeric CSV with a header row, values unscaled; the last column
+    is the class label."""
     try:
         with open(path, newline="") as fh:
             reader = _csv.reader(fh)
@@ -192,13 +194,12 @@ def load_csv(path, name: str = "", normalize: bool = True) -> Dataset:
     X, labels = data[:, :-1], data[:, -1]
     if not np.all(labels == np.round(labels)):
         raise FormatError(f"{path}: last column must hold integer class labels")
-    ds = Dataset(
+    return Dataset(
         features=X,
         targets=labels,
         class_labels=labels.astype(int),
         name=name or str(path),
     )
-    return normalize_minmax(ds) if normalize else ds
 
 
 def normalize_minmax(ds: Dataset, reference: Dataset | None = None) -> Dataset:

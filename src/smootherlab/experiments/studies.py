@@ -228,6 +228,8 @@ def bias_variance(
         raise ValidationError("need at least 2 resamples")
     if n_test_points < 1:
         raise ValidationError(f"n_test_points must be >= 1, got {n_test_points}")
+    if spec.noise_std <= 0:  # else every z-score is a ratio of rounding errors
+        raise ValidationError(f"noise_std must be > 0, got {spec.noise_std}")
     base = synth_generate(spec)
     if base.true_values is None:
         raise ValidationError("spec generator must supply noise-free values")

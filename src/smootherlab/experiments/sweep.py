@@ -20,7 +20,7 @@ from ..dataset import Dataset
 from ..errors import ScheduleError, WorkerDiedError
 from ..tableio import write_csv
 from .families import FAMILY_RUNNERS
-from .schedule import AXES, AXIS2_INIT, SweepConfig, SweepSchedule, composite_schedule
+from .schedule import AXES, SweepConfig, SweepSchedule, composite_schedule
 
 SWEEP_HEADER = [
     "point_index",
@@ -274,8 +274,9 @@ def peak_move(
     train: Dataset,
     test: Dataset,
     shared: SweepConfig | None = None,
-    axis1_grid=None,
-    axis2_values=None,
+    *,
+    axis1_grid,
+    axis2_values,
     threads: int | None = None,
 ) -> list[SweepResult]:
     """One composite sweep per switch point, all evaluated by one family.
@@ -285,8 +286,6 @@ def peak_move(
     switch was placed.
     """
     shared = shared if shared is not None else SweepConfig()
-    if axis1_grid is None or axis2_values is None:
-        raise ScheduleError("peak_move needs explicit axis1_grid and axis2_values")
     schedules = [
         composite_schedule(
             family, [v for v in axis1_grid if v < switch] + [int(switch)],
@@ -300,24 +299,6 @@ def peak_move(
         SweepResult(family, s, [r for (i, _), r in zip(labeled, records) if i == k])
         for k, s in enumerate(schedules)
     ]
-
-
-def multiple_descent(
-    schedule: SweepSchedule,
-    train: Dataset,
-    test: Dataset,
-    threads: int | None = None,
-) -> SweepResult:
-    """Run a schedule that alternates axes more than once.
-
-    Requires at least two switch points; each return to the first axis sets
-    up another ascent toward interpolation, hence another peak.
-    """
-    if len(schedule.switch_indices()) < 2:
-        raise ScheduleError(
-            "multiple descent needs a schedule with at least two axis switches"
-        )
-    return run_sweep(schedule, train, test, threads=threads)
 
 
 def back_to_u(
@@ -338,13 +319,11 @@ def back_to_u(
     """
     shared = shared if shared is not None else SweepConfig()
     schedule = composite_schedule(family, axis1_values, axis2_values, shared=shared)
-    axis1_values = [int(v) for v in axis1_values]
-    axis2_values = [int(v) for v in axis2_values]
-    names = AXES[family]
-    labeled = [("axis1", (a1, AXIS2_INIT[family])) for a1 in axis1_values]
-    labeled += [("axis2", (axis1_values[-1], a2)) for a2 in axis2_values]
-    for a2 in axis2_values:
-        labeled += [(f"contour_{names[1]}={a2}", (a1, a2)) for a1 in axis1_values]
+    walk = schedule.expand()
+    leg1, leg2 = walk[:len(axis1_values)], walk[len(axis1_values):]
+    labeled = [("axis1", state) for state in leg1] + [("axis2", state) for state in leg2]
+    for _, a2 in leg2:
+        labeled += [(f"contour_{AXES[family][1]}={a2}", (a1, a2)) for a1, _ in leg1]
     records = evaluate_states(family, labeled, train, test, shared, threads)
     return SweepResult(family, schedule, records, [branch for branch, _ in labeled])
 

@@ -702,11 +702,22 @@ def test_sweep_bytes_do_not_depend_on_the_blas_threads(tmp_path):
     assert csvs[0] == csvs[1]
 
 
-def test_sweep_svg_output(tmp_path):
-    out = tmp_path / "a"
-    assert _run(["sweep", *TINY, *TINY_AXES, "--svg"], out) == 0
-    text = (out / "sweep.svg").read_text()
+@pytest.mark.parametrize("command, extra, lines, dashed", [
+    ("sweep", [], 2, 0),  # test and train loss
+    ("grid", [], 2, 0),  # one per axis-2 value
+    ("peaks", ["--set", "switches=[8,12,23]"], 3, 0),  # one per switch
+    ("back-to-u", [], 4, 2),  # axis1, axis2, and one dashed contour per axis-2 value
+], ids=["sweep", "grid", "peaks", "back-to-u"])
+def test_svg_draws_one_line_per_series(tmp_path, command, extra, lines, dashed):
+    argv = [command, *TINY, *TINY_AXES, *extra]
+    assert _run(argv, tmp_path / "plain") == 0
+    assert not list((tmp_path / "plain").glob("*.svg"))  # no chart without --svg
+    assert _run([*argv, "--svg"], tmp_path / "a") == 0
+    text = (tmp_path / "a" / f"{command.replace('-', '_')}.svg").read_text()
     assert text.startswith("<svg")
+    polylines = [line for line in text.splitlines() if line.startswith("<polyline")]
+    assert len(polylines) == lines
+    assert sum("stroke-dasharray" in line for line in polylines) == dashed
 
 
 def test_grid_row_count(tmp_path, capsys):
@@ -826,6 +837,12 @@ def test_bias_variance_knn_k_out_of_range_exits_one_naming_it(tmp_path, capsys, 
     # below 1 is out of range wherever k is set; above n depends on the data
     bound = ">= 1" if k < 1 else "in [1, 40]"
     assert err.startswith(f"error: config key 'model.k' must be {bound}, got {k}")
+
+
+def test_bias_variance_without_noise_exits_one_naming_it(tmp_path, capsys):
+    assert _run(["bias-variance", "--set", "spec.noise_std=0"], tmp_path / "a") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'spec.noise_std' must be > 0, got 0")
 
 
 def test_bias_variance_without_test_points_exits_one_naming_them(tmp_path, capsys):

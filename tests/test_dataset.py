@@ -108,8 +108,9 @@ def test_csv_load(tmp_path):
     ds = load_csv(path, name="csv-toy")
     assert ds.n == 3 and ds.d == 2
     # min-max normalization maps each column onto [0, 1]
-    assert np.allclose(ds.features[:, 0], [0.0, 0.5, 1.0])
-    assert np.allclose(ds.features[:, 1], [0.0, 1.0, 0.5])
+    scaled = normalize_minmax(ds)
+    assert np.allclose(scaled.features[:, 0], [0.0, 0.5, 1.0])
+    assert np.allclose(scaled.features[:, 1], [0.0, 1.0, 0.5])
     assert np.array_equal(ds.class_labels, [0, 1, 1])
     assert ds.name == "csv-toy"
 
@@ -117,7 +118,7 @@ def test_csv_load(tmp_path):
 def test_csv_without_normalization(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("x1,label\n3.0,0\n7.0,1\n")
-    ds = load_csv(path, normalize=False)
+    ds = load_csv(path)  # the file's values, unscaled
     assert np.array_equal(ds.features[:, 0], [3.0, 7.0])
 
 

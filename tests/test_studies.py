@@ -214,6 +214,13 @@ def test_bias_variance_validation():
         bias_variance(spec, AnalyticModelConfig("ols", n_features=10))
 
 
+def test_bias_variance_needs_noise():
+    # with no noise, every z-score is a ratio of rounding errors
+    spec = SyntheticSpec("sine", n=40, d=1, noise_std=0.0, seed=0)
+    with pytest.raises(ValidationError, match="noise_std must be > 0"):
+        bias_variance(spec, AnalyticModelConfig("ols", k=3))
+
+
 def test_interpolating_smoother_has_zero_bias_at_train_inputs():
     # k=1 weights at the training inputs are indicators, so the analytic bias
     # computed there must vanish while the variance equals sigma^2

@@ -40,7 +40,6 @@ from smootherlab.experiments.sweep import (
     back_to_u,
     increase_violations,
     median_curve,
-    multiple_descent,
     peak_move,
     replicated_sweep,
     resolve_threads,
@@ -585,19 +584,6 @@ def test_peak_move_reports_the_index_within_the_switch(toy_images):
     assert str(err.value) == "schedule point 4: p_pc=70 exceeds n-1=59"
 
 
-def test_peak_move_requires_grids(toy_images):
-    train, test = toy_images
-    with pytest.raises(ScheduleError):
-        peak_move("rff_linear", [10], train, test)
-
-
-def test_multiple_descent_requires_two_switches(toy_images):
-    train, test = toy_images
-    single = composite_schedule("rff_linear", [2, 10], [30], shared=SweepConfig())
-    with pytest.raises(ScheduleError):
-        multiple_descent(single, train, test)
-
-
 def test_multiple_descent_produces_two_peaks(toy_images):
     """Growing PCs, then excess features, then PCs again yields two ascents.
 
@@ -617,7 +603,7 @@ def test_multiple_descent_produces_two_peaks(toy_images):
             family="rff_linear", points=list(points), shared=SweepConfig(base_seed=seed)
         )
         assert len(sched.switch_indices()) == 2
-        result = multiple_descent(sched, train, test)
+        result = run_sweep(sched, train, test)
         curves.append(result.test_mse)
         train_curves.append(result.train_mse)
     med = median_curve(curves)
