@@ -9,7 +9,8 @@ self-describing and reruns are byte-for-byte reproducible.
 
 Exit codes: 0 on success, 1 for validation problems (bad flags, unknown
 config keys, malformed datasets, schedule violations), 2 for numerical
-failures inside an otherwise valid run.
+failures inside an otherwise valid run, 3 when a sweep worker process dies
+(WorkerDiedError).
 """
 from __future__ import annotations
 
@@ -224,7 +225,10 @@ _RANGES = {
     **dict.fromkeys(("rff_scale", "interp_tol"), ("> 0", lambda v: v > 0)),
     "learning_rate": ("in (0, 1]", lambda v: 0 < v <= 1),
     "label_noise": ("in [0, 1]", lambda v: 0 <= v <= 1),
-    **dict.fromkeys(("axis1_values", "switches"), _grid()),
+    "axis1_values": _grid(),
+    # each switch names its own CSV, peaks_switch<value>.csv
+    "switches": ("a non-empty list of distinct values",
+                 lambda vs: vs != [] and len(set(vs)) == len(vs)),
     **dict.fromkeys(("p_phi_values", "k_values"), _grid(">= 1", lambda v: v >= 1)),
     "knn_k": _grid(">= 1", lambda v: v >= 1, may_be_empty=True),
     "leaf_grid": _grid('>= 1 or "max"', lambda v: v == "max" or v >= 1),
@@ -453,6 +457,9 @@ def _sweep_inputs(cfg: dict):
     if train.task_classes:
         _check_range("shared.effparams_class", cfg["shared"]["effparams_class"],
                      rng=_within(0, train.task_classes - 1))
+    if cfg["family"] == "rff_linear":  # axis 1 is p_pc, at most n - 1
+        for key in ("axis1_values", "switches"):
+            _check_range(key, cfg.get(key), rng=_grid(*_within(1, train.n - 1)))
     d1, d2 = default_axis_values(cfg["family"], train.n)
     axis1 = cfg["axis1_values"] if cfg["axis1_values"] is not None else d1
     axis2 = cfg["axis2_values"] if cfg["axis2_values"] is not None else d2

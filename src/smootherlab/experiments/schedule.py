@@ -12,7 +12,7 @@ single family of models growing along axis 1 and then along axis 2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..boosting import DEFAULT_LEAF_BUDGET, DEFAULT_LEARNING_RATE
 from ..errors import ScheduleError
@@ -111,13 +111,6 @@ class SweepSchedule:
             if self.points[i].mechanism != self.points[i - 1].mechanism:
                 out.append(i)
         return out
-
-    def with_seed(self, base_seed: int) -> "SweepSchedule":
-        return SweepSchedule(
-            family=self.family,
-            points=list(self.points),
-            shared=replace(self.shared, base_seed=base_seed),
-        )
 
 
 def composite_schedule(

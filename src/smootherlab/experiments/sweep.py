@@ -136,14 +136,6 @@ class SweepResult:
     def train_mse(self) -> np.ndarray:
         return np.array([r.train_mse for r in self.records])
 
-    @property
-    def p_test(self) -> np.ndarray:
-        return np.array([r.p_test for r in self.records])
-
-    @property
-    def p_train(self) -> np.ndarray:
-        return np.array([r.p_train for r in self.records])
-
     def branch(self, name: str) -> list[SweepRecord]:
         return [r for b, r in zip(self.branches, self.records) if b == name]
 
@@ -326,61 +318,3 @@ def back_to_u(
         labeled += [(f"contour_{AXES[family][1]}={a2}", (a1, a2)) for a1, _ in leg1]
     records = evaluate_states(family, labeled, train, test, shared, threads)
     return SweepResult(family, schedule, records, [branch for branch, _ in labeled])
-
-
-# --------------------------------------------------------------------------- noise band
-
-
-def median_curve(curves) -> np.ndarray:
-    """Pointwise median across per-seed sweep curves (rows = seeds)."""
-    stacked = np.asarray(curves, dtype=float)
-    if stacked.ndim != 2:
-        raise ScheduleError(f"expected a 2-d stack of curves, got {stacked.shape}")
-    return np.median(stacked, axis=0)
-
-
-def seed_standard_error(curves) -> np.ndarray:
-    stacked = np.asarray(curves, dtype=float)
-    k = stacked.shape[0]
-    if k < 2:
-        return np.zeros(stacked.shape[1])
-    return np.std(stacked, axis=0, ddof=1) / np.sqrt(k)
-
-
-def increase_violations(
-    values, standard_errors=None, rel_tol: float = 0.02
-) -> list[int]:
-    """Indices i where values[i] rises above values[i-1] beyond the noise band.
-
-    A step counts as a violation only when the increase exceeds rel_tol of the
-    previous value *and* (when per-point standard errors are supplied) one
-    standard error of the larger point. Small wobbles within either band are
-    treated as seed noise.
-    """
-    values = np.asarray(values, dtype=float)
-    out = []
-    for i in range(1, values.size):
-        step = values[i] - values[i - 1]
-        if step <= 0:
-            continue
-        beyond_rel = step > rel_tol * abs(values[i - 1])
-        beyond_se = True
-        if standard_errors is not None:
-            beyond_se = step > float(np.asarray(standard_errors)[i])
-        if beyond_rel and beyond_se:
-            out.append(i)
-    return out
-
-
-def replicated_sweep(
-    schedule: SweepSchedule,
-    train: Dataset,
-    test: Dataset,
-    seeds,
-    threads: int | None = None,
-) -> list[SweepResult]:
-    """The same schedule under several base seeds (for noise-band medians)."""
-    return [
-        run_sweep(schedule.with_seed(int(s)), train, test, threads=threads)
-        for s in seeds
-    ]

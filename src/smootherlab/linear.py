@@ -77,10 +77,6 @@ class PcrSmoother:
     tolerance: float
     rank: int
 
-    @property
-    def n_train(self) -> int:
-        return self.train_design.shape[0]
-
     def scale(self, Phi0: np.ndarray) -> np.ndarray:
         """The kept columns of raw queries, standardized with the training
         means and scales."""
@@ -183,7 +179,7 @@ class LinearFit:
         orthogonal projection U U' onto the fitted column space.
         """
         if self.mode == "pcr":
-            return self.weight_matrix(self.train_design)
+            return self.pcr.hat_matrix()
         U = self._U[:, : self.rank]
         return U @ U.T
 

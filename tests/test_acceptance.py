@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import _split, _write_idx_pair
+from noise_band import increase_violations, seed_standard_error
 from smootherlab.boosting import fit_boost, fit_boost_ensemble
 from smootherlab.dataset import (
     SyntheticSpec,
@@ -34,16 +35,7 @@ from smootherlab.experiments.studies import (
     bias_variance,
     fixed_design_check,
 )
-from smootherlab.experiments.sweep import (
-    back_to_u,
-    increase_violations,
-    median_curve,
-    peak_move,
-    replicated_sweep,
-    run_grid,
-    run_sweep,
-    seed_standard_error,
-)
+from smootherlab.experiments.sweep import back_to_u, peak_move, run_grid, run_sweep
 from smootherlab.knn import fit_knn
 from smootherlab.linear import fit_minnorm, fit_ols, fit_pcr, fit_svd_basis
 from smootherlab.rff import sample_frequencies, transform
@@ -225,15 +217,15 @@ def test_c07_double_descent_shape(images_1k, capsys):
     t0 = time.perf_counter()
     train, test = images_1k
     n = train.n
-    schedule = composite_schedule(
-        "rff_linear",
-        [2, 8, 32, 64, 128, 256, 400, 600, 800, n - 1],
-        [n // 2 + 1, n + 1, 2 * n + 1, 3 * n + 1],  # raw widths 1.5n .. 4n
-        shared=SweepConfig(),
-    )
-    runs = replicated_sweep(schedule, train, test, seeds=SEEDS)
+    axis1 = [2, 8, 32, 64, 128, 256, 400, 600, 800, n - 1]
+    axis2 = [n // 2 + 1, n + 1, 2 * n + 1, 3 * n + 1]  # raw widths 1.5n .. 4n
+    runs = [
+        run_sweep(composite_schedule("rff_linear", axis1, axis2,
+                                     shared=SweepConfig(base_seed=s)), train, test)
+        for s in SEEDS
+    ]
     elapsed = time.perf_counter() - t0
-    med = median_curve([r.test_mse for r in runs])
+    med = np.median([r.test_mse for r in runs], axis=0)
     raw = np.array([r.raw_params for r in runs[0].records])
     peak = int(np.argmin(np.abs(raw - n)))
     local_max = med[peak] > med[peak - 1] and med[peak] > med[peak + 1]
@@ -263,7 +255,7 @@ def test_c08_second_axis_never_hurts(images_240, capsys):
                      shared=SweepConfig(base_seed=s)).test_mse
             for s in SEEDS
         ]
-        viol = increase_violations(median_curve(curves),
+        viol = increase_violations(np.median(curves, axis=0),
                                    seed_standard_error(curves))
         ok = ok and not viol
         report.append(f"{family}={viol or 'none'}")
@@ -284,7 +276,7 @@ def test_c09_peak_follows_the_switch_point(images_400, capsys):
     report = []
     ok = True
     for j, switch in enumerate(switches):
-        med = median_curve([per_seed[s][j].test_mse for s in range(len(SEEDS))])
+        med = np.median([per_seed[s][j].test_mse for s in range(len(SEEDS))], axis=0)
         switch_idx = len([v for v in grid if v < switch])  # index of the switch
         gap = abs(int(np.argmax(med)) - switch_idx)
         ok = ok and gap <= 1
@@ -343,7 +335,7 @@ def test_c12_fold_back_to_u(images_240, capsys):
             res = back_to_u(family, train, test, ax1, ax2,
                             shared=SweepConfig(base_seed=s))
             p_curves.append([r.p_test for r in res.branch("axis2")])
-        med_p = median_curve(p_curves)
+        med_p = np.median(p_curves, axis=0)
         viol = increase_violations(med_p, seed_standard_error(p_curves))
         folded = bool(np.all(med_p <= med_p[0] * 1.02))
         ok = ok and not viol and folded

@@ -339,6 +339,11 @@ _DATA_BOUNDS = [
     (["bias-variance", "--set", "model.n_features=40"], "model.n_features", "in [1, 2]", 40),
     (["bias-variance", "--set", "model.kind=minnorm", "--set", "model.rff_p=39"],
      "model.rff_p", ">= 40", 39),
+    # rff_linear's axis 1 is p_pc, at most n - 1
+    (["sweep", "--set", "axis1_values=[2,400]"], "axis1_values",
+     "a non-empty list of values in [1, 299]", [2, 400]),
+    (["peaks", "--set", "switches=[400]"], "switches",
+     "a non-empty list of values in [1, 299]", [400]),
 ]
 
 
@@ -741,6 +746,15 @@ def test_peaks_writes_one_csv_per_switch(tmp_path, capsys):
     assert len(rows12) == 4  # [2, 8, 12] then p_ex=24
     assert len(rows23) == 5  # [2, 8, 16, 23] then p_ex=24
     assert capsys.readouterr().out.startswith("peaks: family=rff_linear")
+
+
+def test_repeated_switch_exits_one_naming_it(tmp_path, capsys):
+    # both switches would write peaks_switch20.csv, the second over the first
+    argv = ["peaks", *TINY, "--set", "switches=[20,20]"]
+    assert _run(argv, tmp_path / "a") == 1
+    assert capsys.readouterr().err.startswith(
+        "error: config key 'switches' must be null or a non-empty list of "
+        "distinct values, got [20, 20]\n")
 
 
 def test_back_to_u_branches(tmp_path, capsys):

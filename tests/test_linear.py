@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from smootherlab.errors import SingularDesignError, ValidationError
 from smootherlab.linear import (
+    PcrSmoother,
     fit_minnorm,
     fit_ols,
     fit_pcr,
@@ -310,7 +311,22 @@ def test_pcr_smoother_is_y_independent_and_dual():
     fit = fit_pcr(Phi, y, 5)
     X0 = np.random.default_rng(31).normal(size=(7, 20))
     assert np.allclose(sm.weight_matrix(X0) @ y, fit.predict(X0), atol=1e-9)
-    assert sm.n_train == 12
+
+
+@pytest.mark.parametrize("n, p, p_pc", [(12, 20, 5), (20, 8, 6)], ids=["wide", "narrow"])
+def test_pcr_hat_matrix_reads_the_stored_training_design(monkeypatch, n, p, p_pc):
+    """The PCR hat matrix is the smoother's own train_design @ solver: the raw
+    training design is not standardized and projected a second time."""
+    Phi, y = _instance(34, n, p)
+    fit = fit_pcr(Phi, y, p_pc)
+
+    def no_rescaling(self, Phi0):
+        raise AssertionError("the training design was rescaled")
+
+    monkeypatch.setattr(PcrSmoother, "scale", no_rescaling)
+    H = fit.hat_matrix()
+    assert H.shape == (n, n)
+    assert np.array_equal(H, fit.pcr.hat_matrix())
 
 
 def test_pcr_zero_variance_column_warns_and_drops():

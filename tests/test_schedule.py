@@ -91,17 +91,6 @@ def test_axis2_first_requires_initial_axis1():
     assert err.value.point_index == 0
 
 
-def test_with_seed_changes_only_seed():
-    sched = composite_schedule(
-        "tree", [2, 4], [3], shared=SweepConfig(base_seed=0, boost_leaf_budget=7)
-    )
-    moved = sched.with_seed(11)
-    assert moved.shared.base_seed == 11
-    assert moved.shared.boost_leaf_budget == 7
-    assert moved.points == sched.points
-    assert sched.shared.base_seed == 0  # original untouched
-
-
 def test_shared_config_defaults():
     cfg = SweepConfig()
     assert cfg.base_seed == 0

@@ -18,6 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
+from noise_band import increase_violations, seed_standard_error
 from smootherlab import blas, boosting, linear
 from smootherlab.boosting import fit_boost_ensemble
 from smootherlab.dataset import (
@@ -38,14 +39,10 @@ from smootherlab.experiments.schedule import (
 from smootherlab.experiments.sweep import (
     SWEEP_HEADER,
     back_to_u,
-    increase_violations,
-    median_curve,
     peak_move,
-    replicated_sweep,
     resolve_threads,
     run_grid,
     run_sweep,
-    seed_standard_error,
 )
 from smootherlab.linear import pcr_smoother
 from smootherlab.rff import BLOCK, RffMap, sample_frequencies
@@ -506,16 +503,14 @@ def test_rerun_is_bitwise_deterministic(toy_images, tmp_path):
 
 def test_different_seeds_change_values(toy_images):
     train, test = toy_images
-    sched = composite_schedule("tree", [4, 12], [2], shared=SweepConfig())
-    runs = replicated_sweep(sched, train, test, seeds=[0, 1, 2])
+    runs = [
+        run_sweep(composite_schedule("tree", [4, 12], [2],
+                                     shared=SweepConfig(base_seed=s)), train, test)
+        for s in (0, 1, 2)
+    ]
     assert [r.records[0].seed for r in runs] == [0, 1, 2]
     curves = [r.test_mse for r in runs]
     assert not np.array_equal(curves[0], curves[1])
-    med = median_curve(curves)
-    se = seed_standard_error(curves)
-    assert med.shape == se.shape == (3,)
-    stacked = np.stack(curves)
-    assert np.array_equal(med, np.median(stacked, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +601,7 @@ def test_multiple_descent_produces_two_peaks(toy_images):
         result = run_sweep(sched, train, test)
         curves.append(result.test_mse)
         train_curves.append(result.train_mse)
-    med = median_curve(curves)
+    med = np.median(curves, axis=0)
     rises = [
         i
         for i in range(1, med.size)
@@ -620,7 +615,7 @@ def test_multiple_descent_produces_two_peaks(toy_images):
     # the descent segment really descends from the first peak
     assert med[5] < med[4] and med[6] < med[4]
     # training error keeps falling through both climbs (median, 2% band)
-    med_train = median_curve(train_curves)
+    med_train = np.median(train_curves, axis=0)
     assert increase_violations(med_train) == []
     assert med_train[-1] <= 1e-10
 
