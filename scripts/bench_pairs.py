@@ -1,18 +1,21 @@
 """Paired end-to-end benchmark of the working tree against a base commit.
 
     python3 scripts/bench_pairs.py --base HEAD~1 --name pcr_memory --what "..."
+    python3 scripts/bench_pairs.py --base HEAD~1 --name x --workloads boost_fold,forest_deep
 
 Extracts the committed files of ``--base`` (``git archive``) into a
 temporary directory and runs ``perfbench/run.py --trace 0`` there and in
 this working tree, in ``PAIRS`` alternating pairs per workload: the base
 ("parent") runs first on even pair indices and the working tree ("change")
-on odd ones, and pair i uses seed i. Workloads, run length and the
-direction in which each metric is better come from BENCHMARK.json. Each
-side runs its own perfbench. The record, written again after every pair,
-is BENCH_<name>.json at the repository root: per workload and metric the
-parent's and change's median and quartiles, the pairs the change wins, the
-change of the median as a fraction of the parent's, and the median and
-quartiles of the per-pair change/parent ratio. Both sides of a pair run the
+on odd ones, and pair i uses seed i. The workloads are BENCHMARK.json's,
+or those named by ``--workloads``: any that perfbench/run.py runs, such as
+``forest_deep``. Run length and the direction in which each metric is
+better come from BENCHMARK.json. Each side runs its own perfbench. The
+record, written again after every pair, is BENCH_<name>.json at the
+repository root: per workload and metric the parent's and change's median
+and quartiles, the pairs the change wins, the change of the median as a
+fraction of the parent's, and the median and quartiles of the per-pair
+change/parent ratio. Both sides of a pair run the
 same seed back to back, so the ratio cancels that seed's cost and most of
 the host's drift over the record, which widen each side's own quartiles.
 """
@@ -113,18 +116,35 @@ def record(args, sha: str, bench: dict, runs: dict) -> dict:
     }
 
 
+def workload_names(spec: str | None, bench: dict) -> list[str]:
+    """The workloads to pair: BENCHMARK.json's without ``spec``, else the
+    comma-separated names in ``spec``, in its order."""
+    if spec is None:
+        return [w["name"] for w in bench["workloads"]]
+    names = spec.split(",")
+    if "" in names or len(set(names)) < len(names):
+        raise ValueError(f"--workloads must be distinct names separated by commas, got {spec!r}")
+    return names
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="the parent commit to compare against")
     parser.add_argument("--name", required=True, help="writes BENCH_<name>.json")
     parser.add_argument("--what", default="", help="what the change does, for the record")
+    parser.add_argument("--workloads", metavar="NAME[,NAME]",
+                        help="perfbench workloads to pair (default: BENCHMARK.json's)")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    try:
+        names = workload_names(args.workloads, bench)
+    except ValueError as exc:
+        parser.error(str(exc))
     out = ROOT / f"BENCH_{args.name}.json"
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         sha = checkout(args.base, Path(tmp))
         roots = {"parent": Path(tmp) / "tree", "change": ROOT}
-        runs: dict = {w["name"]: [] for w in bench["workloads"]}
+        runs: dict = {name: [] for name in names}
         for seed in range(PAIRS):
             for workload, pairs in runs.items():
                 order = SIDES if seed % 2 == 0 else SIDES[::-1]

@@ -32,6 +32,7 @@ from .errors import ValidationError
 from .trees import (
     AveragedSmoother,
     FeatureDraws,
+    Presort,
     RegressionTree,
     fit_tree,
     leaf_rows,
@@ -142,18 +143,18 @@ def fit_boost(
     seed: int = 0,
     stop_tol: float | None = DEFAULT_STOP_TOL,
     subset_size: int | None = None,
-    order: np.ndarray | None = None,
+    order: Presort | None = None,
     draws: FeatureDraws | None = None,
 ) -> BoostedModel:
     """Boost residual trees for up to n_rounds rounds.
 
     With ``stop_tol`` set, rounds stop once mean squared training error falls
     below it. Round p's tree is seeded from (seed, p) so a longer run extends
-    a shorter one round for round. ``order`` is ``trees.presort(X)``, shared
-    by every round's tree; it is computed here when not given. ``draws`` is a
-    ``trees.FeatureDraws`` shared with runs of the same seed on other targets
-    (the one-vs-all classes of a sweep member): round p's tree reads the
-    feature subsets that their round-p trees drew.
+    a shorter one round for round. ``order`` is ``trees.presort(X)``, the
+    ``trees.Presort`` shared by every round's tree; it is computed here when
+    not given. ``draws`` is a ``trees.FeatureDraws`` shared with runs of the
+    same seed on other targets (the one-vs-all classes of a sweep member):
+    round p's tree reads the feature subsets that their round-p trees drew.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)

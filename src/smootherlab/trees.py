@@ -9,18 +9,31 @@ Growth is best-first: the frontier leaf whose best split removes the most
 total squared error is expanded until the leaf budget is reached or no leaf
 admits an impurity-reducing split (every leaf pure or singleton). Each node
 examines one fresh random subset of floor(sqrt(d)) features; candidate
-thresholds are midpoints between consecutive sorted values; gain ties break
-toward the lower feature index, then the lower threshold, and equal gains of
-two nodes toward the node made first. Leaves keep at least one sample; there
-is no pruning and no bootstrapping.
+thresholds are midpoints between consecutive sorted values, or the lower
+value where the midpoint rounds up to the higher one; gain ties break toward
+the lower feature index, then the lower threshold, and equal gains of two
+nodes toward the node made first. Leaves keep at least one sample; there is
+no pruning and no bootstrapping.
 
 Split search uses the CART presort (Breiman et al., 1984): ``presort(X)``
-argsorts every column once, stably, and a node's sorted order for a column
-is that order restricted to the node's rows. Node index sets are always
-ascending, so the restriction is exactly the stable argsort of the node's
-values: the sorted values, cumulative sums, gains and tie-breaks are the
-same bit for bit as sorting each node afresh. Ensembles and boosting share
-one presort across all trees fit on the same X.
+argsorts every column once, stably, and keeps that order, the values in it
+and each row's rank (its position in the order) as a ``Presort``. A node's
+sorted order for a column is that order restricted to the node's rows: the
+positions, ascending, whose row is in the node. The stable order lists all
+rows by (value, row index), and a subsequence keeps that, so with node index
+sets always ascending the restriction is exactly the stable argsort of the
+node's values: the sorted values, cumulative sums, gains and tie-breaks are
+the same bit for bit as sorting each node afresh. ``_best_split`` finds
+those positions in one of three ways, all giving the same ones:
+
+- the root holds every row, so it takes every position;
+- a node of fewer than ``_RANK_ROWS`` rows reads its rows' ranks and sorts
+  them, which lists the same positions ascending (k m log m work for k
+  features and m rows);
+- a bigger node marks its rows in a mask and keeps, in order, the positions
+  whose row is marked (k n work, cheaper once m is a good share of n).
+
+Ensembles and boosting share one presort across all trees fit on the same X.
 
 Feature draws are shared. A tree's seed is used only for the per-node
 feature subsets, drawn in node order, so node i of every tree grown from one
@@ -48,18 +61,40 @@ from .errors import ValidationError
 
 _GAIN_EPS = 1e-12  # absolute guard against float-noise "gains" on pure nodes
 _BOUND_SLACK = 2.0 ** -47  # 64 u, with u = 2**-53 the unit roundoff; see _bound
+# nodes of fewer rows restrict the presort through their ranks, bigger ones
+# through a mask over every row (see the module docstring); the two cost the
+# same at about 200-250 rows for n = 300 and 1000
+_RANK_ROWS = 200
 
 
-def presort(X: np.ndarray) -> np.ndarray:
-    """Stable argsort of every column of X, as a read-only C-contiguous
-    (d, n) array that every tree fitted on X can share, in forked sweep
-    workers too: they inherit it from the parent without a copy."""
+@dataclass(frozen=True)
+class Presort:
+    """The CART presort of an (n, d) X: three read-only C-contiguous (d, n)
+    arrays, built once per X by ``presort`` and shared by every tree fitted
+    on X, in forked sweep workers too (they inherit it without a copy).
+
+    ``order[f]`` is the stable argsort of column f, ``values[f]`` that column
+    in this order, and ``ranks[f]`` the inverse permutation:
+    ``ranks[f, order[f, j]] == j``.
+    """
+
+    order: np.ndarray
+    values: np.ndarray
+    ranks: np.ndarray
+
+
+def presort(X: np.ndarray) -> Presort:
+    """The ``Presort`` of X."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValidationError(f"X must be 2-d, got shape {X.shape}")
     order = np.ascontiguousarray(np.argsort(X.T, axis=1, kind="stable"))
-    order.setflags(write=False)
-    return order
+    values = np.ascontiguousarray(np.take_along_axis(X.T, order, axis=1))
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(X.shape[0]), axis=1)
+    for a in (order, values, ranks):
+        a.setflags(write=False)
+    return Presort(order, values, ranks)
 
 
 class FeatureDraws:
@@ -122,37 +157,50 @@ def _bound(m: int, sq: float, node_sse: float) -> float:
     return node_sse + _BOUND_SLACK * (m * m) * sq
 
 
-def _best_split(X, y, idx, order, mask, feats, tot, node_sse):
+def _best_split(y, idx, pre, mask, feats, tot, node_sse):
     """Best (gain, feature, threshold) over the given features, or None.
 
     ``idx`` is ascending with at least two rows, whose targets' sum and
-    squared error are ``tot`` and ``node_sse`` (``_node_sums``); ``order`` is
-    ``presort(X)`` and ``mask`` an all-False boolean array of length n, left
-    all False again on return.
+    squared error are ``tot`` and ``node_sse`` (``_node_sums``); ``pre`` is
+    the ``Presort`` of X and ``mask`` an all-False boolean array of length n,
+    left all False again on return.
     """
-    m = idx.size
+    n, m, k = mask.size, idx.size, feats.size
     base = tot * tot / m
-    # each feature's presorted order restricted to the node's rows, (k, m);
-    # the root holds every row, so its order needs no restricting
-    rows = order[feats]
-    if m < mask.size:
+    # r: flat positions into pre's (d, n) arrays of each feature's sorted
+    # order restricted to the node's rows, (k, m); see the module docstring
+    start = (feats * n)[:, None]
+    if m == n:
+        r = start + np.arange(n)
+    elif m < _RANK_ROWS:
+        r = pre.ranks.take(start + idx)
+        r.sort(axis=1)
+        r += start
+    else:
         mask[idx] = True
-        rows = np.compress(mask[rows].ravel(), rows).reshape(feats.size, m)
+        r = mask.take(pre.order[feats]).ravel().nonzero()[0].reshape(k, m)
+        r += ((feats - np.arange(k)) * n)[:, None]
         mask[idx] = False
-    xs_sorted = X[rows, feats[:, None]]
-    left = np.cumsum(y[rows], axis=1)[:, :-1]
+    xs = pre.values.take(r)
+    left = y.take(pre.order.take(r[:, :-1])).cumsum(axis=1)
     cnt = np.arange(1, m, dtype=float)
-    gain = left * left / cnt + (tot - left) ** 2 / (m - cnt) - base
+    gain = left * left / cnt + (tot - left) ** 2 / (m - cnt)
     # a threshold must separate two distinct feature values
-    gain[xs_sorted[:, 1:] <= xs_sorted[:, :-1]] = -np.inf
-    best = gain.max(axis=1)
+    gain[xs[:, 1:] <= xs[:, :-1]] = -np.inf
+    # fl(a - base) is non-decreasing in a, so base may come off after the max
+    best = gain.max(axis=1) - base
     best[~(best > _GAIN_EPS * (1.0 + node_sse))] = -np.inf
-    col = int(np.argmax(best))  # first max = lowest feature, feats is sorted
+    col = int(best.argmax())  # first max = lowest feature, feats is sorted
     if best[col] == -np.inf:
         return None
-    pos = int(np.argmax(gain[col]))  # first max = lowest threshold
-    thr = 0.5 * (xs_sorted[col, pos] + xs_sorted[col, pos + 1])
-    return float(best[col]), int(feats[col]), float(thr)
+    # first max = lowest threshold, among the gains with base off, so that
+    # ties are those of the gains themselves
+    pos = int((gain[col] - base).argmax())
+    lo, hi = float(xs[col, pos]), float(xs[col, pos + 1])
+    thr = 0.5 * (lo + hi)
+    if not thr < hi:  # adjacent doubles, or lo + hi overflows: hi would go left
+        thr = lo
+    return float(best[col]), int(feats[col]), thr
 
 
 def leaf_rows(train_leaf: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -189,15 +237,19 @@ class RegressionTree:
             raise ValidationError(
                 f"query has {X0.shape[1]} features, tree was fit on {self.n_features}"
             )
-        node = np.zeros(X0.shape[0], dtype=np.intp)
-        active = self.feature[node] >= 0
-        while active.any():
-            live = np.nonzero(active)[0]
-            nd = node[live]
-            go_left = X0[live, self.feature[nd]] <= self.threshold[nd]
-            node[live] = np.where(go_left, self.left[nd], self.right[nd])
-            active = self.feature[node] >= 0
-        return self.leaf_slot[node]
+        out = np.empty(X0.shape[0], dtype=np.intp)
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        stack = [(0, np.arange(X0.shape[0]))]
+        while stack:  # one step per node, on the query rows that reach it
+            nid, rows = stack.pop()
+            f = feature[nid]
+            if f < 0:
+                out[rows] = self.leaf_slot[nid]
+            elif rows.size:
+                go_left = X0[:, f].take(rows) <= threshold[nid]
+                stack.append((self.left[nid], rows[go_left]))
+                stack.append((self.right[nid], rows[~go_left]))
+        return out
 
     def predict(self, X0: np.ndarray) -> np.ndarray:
         return self.leaf_values[self.leaf_ids(X0)]
@@ -219,15 +271,15 @@ def fit_tree(
     max_leaves: int,
     seed,
     subset_size: int | None = None,
-    order: np.ndarray | None = None,
+    order: Presort | None = None,
     draws: FeatureDraws | None = None,
 ) -> RegressionTree:
     """Grow a best-first tree to at most ``max_leaves`` leaves.
 
-    ``order`` is ``presort(X)``, computed here when not given; callers that
-    fit many trees on the same X pass one shared copy. ``draws`` is a
-    ``FeatureDraws`` shared with other trees of the same seed, or a private
-    one when not given.
+    ``order`` is ``presort(X)``, the ``Presort`` of X, computed here when not
+    given; callers that fit many trees on the same X pass one shared copy.
+    ``draws`` is a ``FeatureDraws`` shared with other trees of the same seed,
+    or a private one when not given.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -245,8 +297,8 @@ def fit_tree(
     subset_size = min(subset_size, d)
     if order is None:
         order = presort(X)
-    elif np.shape(order) != (d, n):
-        raise ValidationError(f"order must have shape {(d, n)}, got {np.shape(order)}")
+    elif not isinstance(order, Presort) or order.values.shape != (d, n):
+        raise ValidationError(f"order must be the Presort of X, with (d, n) = {(d, n)}")
     draw = (FeatureDraws() if draws is None else draws).stream(seed, d, subset_size)
     mask = np.zeros(n, dtype=bool)
 
@@ -264,7 +316,7 @@ def fit_tree(
         left.append(-1)
         right.append(-1)
         node_indices[nid] = idx
-        ys = y[idx]
+        ys = y.take(idx)
         if not search:
             node_tot.append(ys.sum())
             return nid
@@ -285,14 +337,13 @@ def fit_tree(
     while n_leaves < max_leaves and heap:
         _, nid, split = heapq.heappop(heap)
         if split is None:  # its bound is on top: search it, push its gain
-            split = _best_split(X, y, node_indices[nid], order, mask,
-                                *unsearched.pop(nid))
+            split = _best_split(y, node_indices[nid], order, mask, *unsearched.pop(nid))
             if split is not None:
                 heapq.heappush(heap, (-split[0], nid, split))
             continue
         _, f, thr = split
         idx = node_indices.pop(nid)
-        go_left = X[idx, f] <= thr
+        go_left = X[:, f].take(idx) <= thr
         feature[nid], threshold[nid] = f, thr
         n_leaves += 1
         left[nid] = new_node(idx[go_left], search=n_leaves < max_leaves)

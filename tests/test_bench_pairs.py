@@ -42,3 +42,22 @@ def test_summarize_counts_wins_and_pairs_the_ratios():
     assert wall["change_ratio"]["q1"] == pytest.approx(0.9)
     assert wall["change_ratio"]["q3"] == pytest.approx(1.05)
     assert rate["change_ratio"]["median"] == pytest.approx(1 / 0.9)
+
+
+BENCH = {"workloads": [{"name": "rff_pcr"}, {"name": "boost_fold"}]}
+
+
+def test_workloads_default_to_the_benchmark_and_take_named_ones():
+    assert bench_pairs.workload_names(None, BENCH) == ["rff_pcr", "boost_fold"]
+    assert bench_pairs.workload_names("forest_deep", BENCH) == ["forest_deep"]
+    assert bench_pairs.workload_names("boost_fold,rff_pcr,forest_deep", BENCH) == [
+        "boost_fold", "rff_pcr", "forest_deep"]
+
+
+@pytest.mark.parametrize("spec", ["", "boost_fold,", "boost_fold,,rff_pcr",
+                                  "boost_fold,boost_fold"])
+def test_empty_or_repeated_workload_names_exit_two_naming_the_option(spec, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--base", "HEAD", "--name", "x", "--workloads", spec])
+    assert exc.value.code == 2
+    assert "--workloads" in capsys.readouterr().err

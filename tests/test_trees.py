@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 
 import numpy as np
@@ -251,7 +252,8 @@ def _oracle_split(X, y, idx, feats, eps=1e-12):
             cnt = float(below.sum())
             g = left * left / cnt + (tot - left) ** 2 / (m - cnt) - base
             if g > eps * (1.0 + node_sse) and (best is None or g > best[0]):
-                best = (g, int(f), 0.5 * (lo + hi))
+                thr = 0.5 * (lo + hi)
+                best = (g, int(f), thr if thr < hi else lo)
     return best
 
 
@@ -288,6 +290,11 @@ def _oracle_tree(X, y, max_leaves, seed, subset_size):
     return np.asarray(feature), np.asarray(threshold), train_leaf
 
 
+#: cutoffs that send every non-root node through the mask restriction, and
+#: every node through the rank restriction
+_ALL_MASK, _ALL_RANK = 0, 10**9
+
+
 @settings(deadline=None, max_examples=30)
 @given(
     data=st.data(),
@@ -302,34 +309,113 @@ def test_split_search_matches_brute_force_oracle(data, n, d, seed):
     y = rng.integers(0, 3, size=n).astype(float)
     max_leaves = data.draw(st.integers(min_value=1, max_value=n))
     subset_size = data.draw(st.one_of(st.none(), st.integers(1, d)))
-    tree = fit_tree(X, y, max_leaves, seed=seed, subset_size=subset_size)
     feature, threshold, train_leaf = _oracle_tree(X, y, max_leaves, seed, subset_size)
-    assert np.array_equal(tree.feature, feature)
-    assert np.array_equal(tree.threshold, threshold, equal_nan=True)
-    assert np.array_equal(tree.train_leaf, train_leaf)
+    for rank_rows in (_ALL_MASK, _ALL_RANK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trees, "_RANK_ROWS", rank_rows)
+            tree = fit_tree(X, y, max_leaves, seed=seed, subset_size=subset_size)
+        assert np.array_equal(tree.feature, feature)
+        assert np.array_equal(tree.threshold, threshold, equal_nan=True)
+        assert np.array_equal(tree.train_leaf, train_leaf)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n=st.integers(min_value=3, max_value=80),
+    d=st.integers(min_value=1, max_value=6),
+    levels=st.sampled_from([2, 4, 50]),
+)
+def test_rank_and_mask_restrictions_agree(seed, n, d, levels):
+    # random ascending nodes, tied feature values (few levels) and targets
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n, d)).astype(float)
+    y = rng.integers(0, 3, size=n).astype(float)
+    m = int(rng.integers(2, n))
+    idx = np.sort(rng.choice(n, size=m, replace=False))
+    feats = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+    tot, sq, node_sse = trees._node_sums(y[idx])
+    pre, mask = presort(X), np.zeros(n, dtype=bool)
+    splits = []
+    for rank_rows in (_ALL_MASK, _ALL_RANK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trees, "_RANK_ROWS", rank_rows)
+            splits.append(trees._best_split(y, idx, pre, mask, feats, tot, node_sse))
+        assert not mask.any()
+    assert splits[0] == splits[1]
+    assert splits[0] == _oracle_split(X, y, idx, feats)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0 + 2.0**-52, 1.0 + 2.0**-51), (1.5e308, 1.7e308)],
+                         ids=["adjacent", "overflow"])
+def test_split_between_close_values_leaves_no_empty_leaf(lo, hi):
+    # the midpoint rounds to hi (or overflows to inf): the split falls on lo
+    X, y = np.array([[lo], [hi]]), np.array([0.0, 1.0])
+    tree = fit_tree(X, y, 2, seed=0)
+    assert tree.threshold[0] == lo
+    assert tree.leaf_counts.tolist() == [1.0, 1.0]
+    assert tree.weight_matrix(X).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert tree.predict(np.array([[np.inf]])).tolist() == [1.0]
 
 
 def test_shared_presort_matches_own_presort():
     rng = np.random.default_rng(21)
     X = rng.integers(0, 5, size=(40, 6)).astype(float)
     y = rng.normal(size=40)
-    order = presort(X)
-    assert order.shape == (6, 40) and order.flags.c_contiguous
+    pre = presort(X)
+    for a in (pre.order, pre.values, pre.ranks):
+        assert a.shape == (6, 40) and a.flags.c_contiguous and not a.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pre.order = pre.ranks
+    # order is the stable argsort of each column, values that column sorted,
+    # and ranks inverts order
+    for f in range(6):
+        assert np.array_equal(pre.order[f], np.argsort(X[:, f], kind="stable"))
+        assert np.array_equal(pre.values[f], X[pre.order[f], f])
+        assert np.array_equal(pre.ranks[f, pre.order[f]], np.arange(40))
+    assert np.all(np.diff(pre.values, axis=1) >= 0)
     own = fit_tree(X, y, max_leaves=12, seed=3)
-    shared = fit_tree(X, y, max_leaves=12, seed=3, order=order)
-    assert np.array_equal(own.feature, shared.feature)
-    assert np.array_equal(own.threshold, shared.threshold, equal_nan=True)
-    assert np.array_equal(own.train_leaf, shared.train_leaf)
-    assert own.leaf_values.tobytes() == shared.leaf_values.tobytes()
+    shared = fit_tree(X, y, max_leaves=12, seed=3, order=pre)
+    _assert_same_tree(own, shared)
 
 
 def test_wrongly_shaped_presort_is_rejected():
     rng = np.random.default_rng(22)
     X = rng.normal(size=(10, 3))
     y = rng.normal(size=10)
-    for bad in (presort(X).T, presort(X[:9]), presort(X)[:2]):
+    for bad in (presort(X.T), presort(X[:9]), presort(X[:, :2]), presort(X).order):
         with pytest.raises(ValidationError):
             fit_tree(X, y, max_leaves=3, seed=0, order=bad)
+    with pytest.raises(ValidationError):
+        presort(X[:, 0])
+
+
+def _descend(tree, x):
+    """The leaf of one query row, one node at a time from the root."""
+    nid = 0
+    while tree.feature[nid] >= 0:
+        go_left = x[tree.feature[nid]] <= tree.threshold[nid]
+        nid = tree.left[nid] if go_left else tree.right[nid]
+    return tree.leaf_slot[nid]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n=st.integers(min_value=1, max_value=40),
+    d=st.integers(min_value=1, max_value=4),
+    budget=st.integers(min_value=1, max_value=20),
+)
+def test_leaf_ids_match_a_per_row_descent(seed, n, d, budget):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 6, size=(n, d)) + rng.uniform(0.0, 0.5, size=(n, d))
+    tree = fit_tree(X, rng.normal(size=n), budget, seed=seed)
+    # queries exactly at every threshold, and off the grid
+    thresholds = tree.threshold[tree.feature >= 0]
+    Q = rng.uniform(-1.0, 7.0, size=(thresholds.size + 5, d))
+    Q[: thresholds.size, tree.feature[tree.feature >= 0]] = thresholds
+    for X0 in (X, Q, Q[:0]):
+        assert tree.leaf_ids(X0).tolist() == [_descend(tree, x) for x in X0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +485,7 @@ def test_split_gain_never_exceeds_the_node_bound(seed, m, offset, spread, subset
     if not node_sse > trees._GAIN_EPS * (1.0 + sq):
         return  # pure within float noise: never pushed, never searched
     mask = np.zeros(n, dtype=bool)
-    split = trees._best_split(X, y, idx, presort(X), mask, np.arange(3), tot, node_sse)
+    split = trees._best_split(y, idx, presort(X), mask, np.arange(3), tot, node_sse)
     assert not mask.any()
     if split is not None:
         assert split[0] <= trees._bound(m, sq, node_sse)
