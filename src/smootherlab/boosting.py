@@ -197,17 +197,17 @@ def fit_boost_ensemble(
     base_seed: int,
     learning_rate: float = DEFAULT_LEARNING_RATE,
     leaf_budget: int = DEFAULT_LEAF_BUDGET,
-    stop_tol: float | None = None,
     subset_size: int | None = None,
 ) -> AveragedSmoother:
-    """Average p_ens boosted models seeded base_seed+1 .. base_seed+p_ens."""
+    """Average p_ens boosted models seeded base_seed+1 .. base_seed+p_ens,
+    each run for all n_rounds (no early stop)."""
     if p_ens < 1:
         raise ValidationError(f"p_ens must be >= 1, got {p_ens}")
     order = presort(X)
     members = [
         fit_boost(
             X, y, n_rounds, learning_rate, leaf_budget,
-            seed=base_seed + j, stop_tol=stop_tol, subset_size=subset_size,
+            seed=base_seed + j, stop_tol=None, subset_size=subset_size,
             order=order,
         )
         for j in range(1, p_ens + 1)

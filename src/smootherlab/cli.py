@@ -20,6 +20,7 @@ import dataclasses
 import json
 import shlex
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -110,88 +111,11 @@ MODEL_DEFAULTS = {
 }
 
 
-def _sweep_defaults():
-    return {
-        "dataset": dict(_DESK_IMAGES),
-        "family": "rff_linear",
-        "axis1_values": None,  # None picks a family default sized to n_train
-        "axis2_values": None,
-        "shared": dataclasses.asdict(SweepConfig()),
-    }
-
-
 def command_defaults(command: str) -> dict:
-    if command == "ingest":
-        return {"dataset": dict(_DESK_IMAGES)}
-    if command == "fit":
-        return {"dataset": dict(_DESK_IMAGES), "model": dict(MODEL_DEFAULTS["pcr"])}
-    if command in ("sweep", "grid", "back-to-u"):
-        return _sweep_defaults()
-    if command == "peaks":
-        cfg = _sweep_defaults()
-        cfg["switches"] = None
-        return cfg
-    if command == "effparams":
-        return {
-            "dataset": dict(_DESK_IMAGES),
-            "model": dict(MODEL_DEFAULTS["pcr"]),
-            "knn_k": [1, 2, 5, 10],
-        }
-    if command == "cond-study":
-        return {
-            "dataset": dict(_DESK_IMAGES),
-            "p_phi_values": None,
-            "k_values": None,
-            "rff_seed": 0,
-            "rff_scale": DEFAULT_SCALE,
-        }
-    if command == "fixed-design":
-        return {
-            "n": 60,
-            "d": 3,
-            "generator": "sine",
-            "noise_std": 0.3,
-            "seed": 0,
-            "resample_seed": 123,
-            # low-d inputs need wide frequencies for a full-rank cosine design
-            "rff_scale": 3.0,
-            "interp_tol": 1e-4,
-            "loss_tol": 1e-8,
-        }
-    if command == "bias-variance":
-        return {
-            "spec": {"generator": "sine", "n": 40, "d": 1, "noise_std": 0.3,
-                     "seed": 0},
-            "model": dataclasses.asdict(AnalyticModelConfig("ols", k=3)),
-            "n_resamples": 400,
-            "n_test_points": 25,
-        }
-    if command == "select":
-        return {
-            "dataset": dict(_DESK_IMAGES),
-            "leaf_grid": [2, 5, 10, "max"],
-            "lr_grid": [0.5, 0.85],
-            "interp_tol": 1e-4,
-            "max_rounds": 200,
-            "seed": 1,
-        }
-    raise ValidationError(f"unknown command {command!r}")
-
-
-# where --seed lands for each command
-_SEED_PATHS = {
-    "ingest": ("dataset", "seed"),
-    "fit": ("model", "seed"),
-    "sweep": ("shared", "base_seed"),
-    "grid": ("shared", "base_seed"),
-    "peaks": ("shared", "base_seed"),
-    "back-to-u": ("shared", "base_seed"),
-    "effparams": ("model", "seed"),
-    "cond-study": ("rff_seed",),
-    "fixed-design": ("seed",),
-    "bias-variance": ("spec", "seed"),
-    "select": ("seed",),
-}
+    """A fresh copy of the complete default config of `command`."""
+    if command not in _COMMANDS:
+        raise ValidationError(f"unknown command {command!r}")
+    return copy.deepcopy(_COMMANDS[command].defaults)
 
 
 # --------------------------------------------------------------------------- config plumbing
@@ -299,19 +223,16 @@ def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
     return out
 
 
-def _merge_kinded(defaults_by_kind, user, fallback: dict, path: str) -> dict:
+def _merge_kinded(defaults_by_kind, user, default_kind: str, path: str) -> dict:
     """Merge a dict whose legal keys depend on its 'kind' entry."""
     if not isinstance(user, dict):
         raise ValidationError(f"config key {path!r} takes an object, got {user!r}")
-    kind = user.get("kind", fallback["kind"])
+    kind = user.get("kind", default_kind)
     if not isinstance(kind, str) or kind not in defaults_by_kind:
         raise ValidationError(
             f"unknown {path} kind {kind!r}; choose from {sorted(defaults_by_kind)}"
         )
-    base = dict(defaults_by_kind[kind])
-    if fallback.get("kind") == kind:
-        base.update(fallback)  # keep caller-tuned defaults for the same kind
-    return _merge_strict(base, user, path + ".")
+    return _merge_strict(defaults_by_kind[kind], user, path + ".")
 
 
 def build_config(
@@ -321,16 +242,15 @@ def build_config(
     for expr in sets:
         _apply_set(user, expr)
     defaults = command_defaults(command)
-    if full_scale and "dataset" in defaults:
-        defaults["dataset"] = dict(_FULL_IMAGES)
     # kind-dependent sections are matched against their own key tables
-    kinded = {"dataset": DATASET_DEFAULTS} if "dataset" in defaults else {}
-    if command in ("fit", "effparams"):
+    datasets = {**DATASET_DEFAULTS, "images": _FULL_IMAGES} if full_scale else DATASET_DEFAULTS
+    kinded = {"dataset": datasets} if "dataset" in defaults else {}
+    if defaults.get("model") in MODEL_DEFAULTS.values():  # bias-variance's is analytic
         kinded["model"] = MODEL_DEFAULTS
     out = _merge_strict({k: v for k, v in defaults.items() if k not in kinded},
                         {k: v for k, v in user.items() if k not in kinded})
     for key, table in kinded.items():
-        out[key] = _merge_kinded(table, user.get(key, {}) or {}, defaults[key], key)
+        out[key] = _merge_kinded(table, user.get(key, {}) or {}, defaults[key]["kind"], key)
     return out
 
 
@@ -386,6 +306,13 @@ def _echo_config(out_dir: Path, command: str, config: dict) -> None:
 # --------------------------------------------------------------------------- datasets
 
 
+def _same_width(train: Dataset, test: Dataset, train_key: str, test_key: str) -> None:
+    """Reject train and test files whose rows have different feature counts."""
+    if test.d != train.d:
+        raise ValidationError(f"dataset.{test_key} has {test.d} features per row, "
+                              f"dataset.{train_key} has {train.d}")
+
+
 def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
     kind = cfg["kind"]
     if kind == "idx":
@@ -394,12 +321,14 @@ def load_datasets(cfg: dict) -> tuple[Dataset, Dataset]:
                 raise ValidationError(f"dataset.{key} is required for kind 'idx'")
         train = load_idx(cfg["images"], cfg["labels"], name="idx-train")
         test = load_idx(cfg["test_images"], cfg["test_labels"], name="idx-test")
+        _same_width(train, test, "images", "test_images")
     elif kind == "csv":
         for key in ("train", "test"):
             if not cfg[key]:
                 raise ValidationError(f"dataset.{key} is required for kind 'csv'")
         train = load_csv(cfg["train"], name="csv-train")
         test = load_csv(cfg["test"], name="csv-test")
+        _same_width(train, test, "train", "test")
         if cfg["normalize"]:  # one scale for both sets, fitted on train
             train, test = normalize_minmax(train), normalize_minmax(test, train)
     elif kind == "synthetic":
@@ -798,18 +727,74 @@ def _cmd_select(cfg, out, args) -> str:
     return f"select: configs={len(result.rows)} {picked} spearman={rho} -> {path}"
 
 
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    """A subcommand: its handler, its complete default config, and where --seed lands."""
+
+    run: Callable[[dict, Path, argparse.Namespace], str]
+    defaults: dict
+    seed: tuple[str, ...]
+
+
+def _sweep_command(run, **extra) -> _Command:
+    """A sweep command: desk images, a family, its two axes and SweepConfig."""
+    return _Command(run, {
+        "dataset": _DESK_IMAGES,
+        "family": "rff_linear",
+        "axis1_values": None,  # None picks a family default sized to n_train
+        "axis2_values": None,
+        "shared": dataclasses.asdict(SweepConfig()),
+        **extra,
+    }, ("shared", "base_seed"))
+
+
 _COMMANDS = {
-    "ingest": _cmd_ingest,
-    "fit": _cmd_fit,
-    "sweep": _cmd_sweep,
-    "grid": _cmd_grid,
-    "peaks": _cmd_peaks,
-    "back-to-u": _cmd_back_to_u,
-    "effparams": _cmd_effparams,
-    "cond-study": _cmd_cond_study,
-    "fixed-design": _cmd_fixed_design,
-    "bias-variance": _cmd_bias_variance,
-    "select": _cmd_select,
+    "ingest": _Command(_cmd_ingest, {"dataset": _DESK_IMAGES}, ("dataset", "seed")),
+    "fit": _Command(_cmd_fit, {"dataset": _DESK_IMAGES, "model": MODEL_DEFAULTS["pcr"]},
+                    ("model", "seed")),
+    "sweep": _sweep_command(_cmd_sweep),
+    "grid": _sweep_command(_cmd_grid),
+    "peaks": _sweep_command(_cmd_peaks, switches=None),
+    "back-to-u": _sweep_command(_cmd_back_to_u),
+    "effparams": _Command(_cmd_effparams, {
+        "dataset": _DESK_IMAGES,
+        "model": MODEL_DEFAULTS["pcr"],
+        "knn_k": [1, 2, 5, 10],
+    }, ("model", "seed")),
+    "cond-study": _Command(_cmd_cond_study, {
+        "dataset": _DESK_IMAGES,
+        "p_phi_values": None,
+        "k_values": None,
+        "rff_seed": 0,
+        "rff_scale": DEFAULT_SCALE,
+    }, ("rff_seed",)),
+    "fixed-design": _Command(_cmd_fixed_design, {
+        "n": 60,
+        "d": 3,
+        "generator": "sine",
+        "noise_std": 0.3,
+        "seed": 0,
+        "resample_seed": 123,
+        # low-d inputs need wide frequencies for a full-rank cosine design
+        "rff_scale": 3.0,
+        "interp_tol": 1e-4,
+        "loss_tol": 1e-8,
+    }, ("seed",)),
+    "bias-variance": _Command(_cmd_bias_variance, {
+        "spec": {"generator": "sine", "n": 40, "d": 1, "noise_std": 0.3,
+                 "seed": 0},
+        "model": dataclasses.asdict(AnalyticModelConfig("ols", k=3)),
+        "n_resamples": 400,
+        "n_test_points": 25,
+    }, ("spec", "seed")),
+    "select": _Command(_cmd_select, {
+        "dataset": _DESK_IMAGES,
+        "leaf_grid": [2, 5, 10, "max"],
+        "lr_grid": [0.5, 0.85],
+        "interp_tol": 1e-4,
+        "max_rounds": 200,
+        "seed": 1,
+    }, ("seed",)),
 }
 
 
@@ -862,11 +847,12 @@ def main(argv=None) -> int:
                 raise ValidationError(f"config is not valid JSON: {exc}") from exc
             if not isinstance(file_cfg, dict):
                 raise ValidationError("config file must hold a JSON object")
+        command = _COMMANDS[args.command]
         cfg = build_config(args.command, file_cfg, args.set,
                            full_scale=args.full_scale)
         if args.seed is not None:
             node = cfg
-            *head, last = _SEED_PATHS[args.command]
+            *head, last = command.seed
             for part in head:
                 node = node[part]
             if last not in node:
@@ -880,7 +866,7 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         _echo_config(out_dir, args.command, cfg)
         with one_blas_thread():  # outputs must not depend on the BLAS threads
-            line = _COMMANDS[args.command](cfg, out_dir, args)
+            line = command.run(cfg, out_dir, args)
         print(line)
         return 0
     except ValidationError as exc:

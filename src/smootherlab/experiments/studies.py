@@ -311,7 +311,6 @@ def model_selection_study(
     interp_tol: float = 1e-4,
     max_rounds: int = 500,
     seed: int = 1,
-    subset_size: int | None = None,
 ) -> SelectionResult:
     """Boost every config to interpolation; rank survivors by test-side p.
 
@@ -335,7 +334,6 @@ def model_selection_study(
                 leaf_budget=leaf_budget,
                 seed=seed,
                 stop_tol=interp_tol,
-                subset_size=subset_size,
             )
             train_mse = model.train_mse_history[-1]
             W_test = model.weight_matrix(test.features)

@@ -10,6 +10,7 @@ import csv
 import json
 import os
 import runpy
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -900,6 +901,37 @@ def test_csv_test_set_is_scaled_with_the_train_ranges(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command", [["ingest"], ["fit", "--set", "model.kind=knn"]], ids=["ingest", "fit-knn"]
+)
+@pytest.mark.parametrize("normalize", [True, False])
+def test_file_sets_of_different_widths_exit_one(tmp_path, capsys, command, normalize):
+    train = tmp_path / "train.csv"
+    train.write_text("x1,x2,x3,label\n" + "".join(f"{i},1,{i % 3},{i % 2}\n"
+                                                  for i in range(8)))
+    test = tmp_path / "test.csv"
+    test.write_text("x1,x2,label\n" + "".join(f"{i},1,{i % 2}\n" for i in range(4)))
+    sets = [*_csv_sets(train, test), f"dataset.normalize={json.dumps(normalize)}"]
+    argv = [*command, *(a for expr in sets for a in ("--set", expr))]
+    assert _run(argv, tmp_path / "a") == 1
+    err = capsys.readouterr().err
+    assert err == "error: dataset.test has 2 features per row, dataset.train has 3\n"
+
+
+def test_idx_sets_of_different_widths_exit_one(tmp_path, capsys):
+    argv = ["ingest", "--set", "dataset.kind=idx"]
+    for stem, side in (("train", 3), ("test", 2)):
+        images, labels = tmp_path / f"{stem}-images", tmp_path / f"{stem}-labels"
+        images.write_bytes(struct.pack(">iiii", 0x803, 2, side, side) + bytes(2 * side**2))
+        labels.write_bytes(struct.pack(">ii", 0x801, 2) + bytes([0, 1]))
+        prefix = "" if stem == "train" else "test_"
+        argv += ["--set", f"dataset.{prefix}images={images}",
+                 "--set", f"dataset.{prefix}labels={labels}"]
+    assert _run(argv, tmp_path / "a") == 1
+    err = capsys.readouterr().err
+    assert err == "error: dataset.test_images has 4 features per row, dataset.images has 9\n"
+
+
+@pytest.mark.parametrize(
     "key, value", [("n_train", -5), ("n_train", 0), ("n_train", 5), ("n_test", 0),
                    ("n_test", 3)]
 )
@@ -1000,6 +1032,12 @@ def test_scripts_run_every_step_at_tiny_scale(tmp_path, monkeypatch, script):
         if "dataset" in defaults:
             tiny = [*TINY, *_tiny_model(defaults.get("model", {}).get("kind"))]
         assert main([*step, *fixed, *tiny, "--threads", "1"]) == 0, step
+
+
+def test_shipped_sweep_config_template_runs(tmp_path):
+    # README offers it as a template; a renamed or removed config key breaks it
+    path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "rff_sweep_small.json"
+    assert _run(["sweep", "--config", str(path), "--threads", "1"], tmp_path / "a") == 0
 
 
 @pytest.mark.parametrize(

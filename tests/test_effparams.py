@@ -7,6 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smootherlab.dataset import (
+    SyntheticSpec,
+    one_vs_all_targets,
+    synth_generate,
+    synth_images,
+)
 from smootherlab.effparams import (
     generalized_eff_params,
     hessian_proxy_eff_params,
@@ -95,6 +101,33 @@ def test_empty_inputs_rejected():
     model = fit_knn(X, y, 2)
     with pytest.raises(ValidationError):
         generalized_eff_params(model, np.empty((0, 3)))
+
+
+def _scope_data(name, seed):
+    if name == "sine":
+        ds = synth_generate(SyntheticSpec("sine", 120, 2, 0.1, seed))
+        return ds.features, ds.targets
+    ds = synth_images(120, side=6, n_classes=5, seed=seed, label_noise=0.15)
+    return ds.features, one_vs_all_targets(ds, ds.task_classes, column=0)
+
+
+@pytest.mark.parametrize("name", ["sine", "images"])
+def test_tree_p0_reads_the_fitted_partition_not_the_refit(name):
+    """p0 of a tree is that of its frozen partition. Refitting on y + τz
+    moves the partition too, and the refit variance n·mean Var / τ², which
+    a frozen linear smoother would hold at p_train, exceeds it and grows as
+    τ shrinks (search degrees of freedom: Ye 1998, Efron 2004)."""
+    for seed in range(10):
+        X, y = _scope_data(name, seed)
+        n = len(y)
+        p_train = generalized_eff_params(fit_tree(X, y, 8, seed=1), X).p_generalized
+        assert p_train == pytest.approx(8.0, rel=1e-12)  # one per leaf
+        Z = np.random.default_rng(seed).choice([-1.0, 1.0], size=(24, n))
+        ratios = []
+        for tau in (0.2, 0.05):
+            fits = np.array([fit_tree(X, y + tau * z, 8, seed=1).predict(X) for z in Z])
+            ratios.append(n * fits.var(axis=0, ddof=1).mean() / tau**2 / p_train)
+        assert ratios[0] >= 2.0 and ratios[1] > ratios[0], (seed, ratios)
 
 
 # ---------------------------------------------------------------------------

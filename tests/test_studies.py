@@ -251,8 +251,7 @@ def _selection_data(seed=0):
 def test_selection_prefers_smallest_test_side_count():
     train, test = _selection_data()
     result = model_selection_study(
-        train, test, leaf_grid=[4, "max"], lr_grid=[0.85], max_rounds=300,
-        subset_size=1,
+        train, test, leaf_grid=[4, "max"], lr_grid=[0.85], max_rounds=300
     )
     assert len(result.rows) == 2
     assert all(r.interpolating for r in result.rows)
@@ -267,7 +266,7 @@ def test_selection_prefers_smallest_test_side_count():
 def test_selection_with_no_interpolating_config():
     train, test = _selection_data(seed=1)
     result = model_selection_study(
-        train, test, leaf_grid=[2], lr_grid=[0.02], max_rounds=1, subset_size=1
+        train, test, leaf_grid=[2], lr_grid=[0.02], max_rounds=1
     )
     assert result.selected is None
     assert result.spearman is None
@@ -290,7 +289,7 @@ def test_selection_uses_binary_targets_for_labeled_data(toy_images):
 def test_selection_early_stop_bounds_rounds():
     train, test = _selection_data(seed=2)
     result = model_selection_study(
-        train, test, leaf_grid=["max"], lr_grid=[1.0], max_rounds=50, subset_size=1
+        train, test, leaf_grid=["max"], lr_grid=[1.0], max_rounds=50
     )
     (row,) = result.rows
     assert row.rounds_used == 1  # full budget at unit rate interpolates at once

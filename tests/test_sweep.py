@@ -27,7 +27,7 @@ from smootherlab.dataset import (
     synth_generate,
     synth_images,
 )
-from smootherlab.effparams import p_eff
+from smootherlab.effparams import p_eff, p_eff_of_sq_norms
 from smootherlab.errors import ScheduleError, WorkerDiedError
 from smootherlab.experiments import families
 from smootherlab.experiments.families import FAMILY_RUNNERS, RffLinearFamily
@@ -44,8 +44,8 @@ from smootherlab.experiments.sweep import (
     run_grid,
     run_sweep,
 )
-from smootherlab.linear import pcr_smoother
-from smootherlab.rff import BLOCK, RffMap, sample_frequencies
+from smootherlab.linear import pcr_smoother, standardize
+from smootherlab.rff import BLOCK, RffMap, sample_frequencies, transform
 from smootherlab.trees import RegressionTree, fit_ensemble
 
 
@@ -425,6 +425,32 @@ def test_rff_point_p0_closed_form_matches_explicit_rows(
     )
     if p_pc == train.n - 1 and p_ex == 0:
         assert abs(got.p_train - train.n) <= 1e-9 * train.n
+
+
+def test_rff_peak_p0_matches_an_svd_of_the_standardized_design():
+    """At the desk interpolation peak, p_pc = n - 1 with no excess features,
+    the smallest kept singular value is 3e-4 of the largest and p_test is
+    about 4e5. p0 from the Gram eigendecomposition still agrees with one
+    read off an SVD of the standardized design itself, whose error grows
+    with the condition number κ rather than κ²."""
+    from smootherlab.cli import command_defaults, load_datasets
+
+    train, test = load_datasets(command_defaults("sweep")["dataset"])
+    n, shared = train.n, SweepConfig()
+    family = _prefitted(RffLinearFamily(train, test, shared, [(n - 1, 0)]))
+    got = family.evaluate(n - 1, 0)
+    fmap = sample_frequencies(shared.base_seed, family.Xs_train.shape[1], train.d,
+                              shared.rff_scale)
+    Xs, mean, std, kept = standardize(transform(fmap, train.features, n - 1))
+    Xs0 = (transform(fmap, test.features, n - 1)[:, kept] - mean) / std
+    U, sig, Vt = np.linalg.svd(Xs, full_matrices=False)
+    assert Xs.shape == (n, n - 1) and sig[-1] / sig[0] < 1e-3
+    # s(x0) = Xs0 V diag(1/sig) U' + 1'/n; U is orthonormal and, Xs being
+    # centered, orthogonal to 1
+    p_train = p_eff_of_sq_norms(np.sum(U**2, axis=1) + 1 / n, n)
+    p_test = p_eff_of_sq_norms(np.sum((Xs0 @ Vt.T / sig) ** 2, axis=1) + 1 / n, n)
+    assert p_test > 1e5
+    np.testing.assert_allclose([got.p_train, got.p_test], [p_train, p_test], rtol=1e-8)
 
 
 def test_rff_sweep_forms_no_weight_matrices(toy_images, monkeypatch):
