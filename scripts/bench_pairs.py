@@ -3,21 +3,25 @@
     python3 scripts/bench_pairs.py --base HEAD~1 --name pcr_memory --what "..."
     python3 scripts/bench_pairs.py --base HEAD~1 --name x --workloads boost_fold,forest_deep
 
-Extracts the committed files of ``--base`` (``git archive``) into a
-temporary directory and runs ``perfbench/run.py --trace 0`` there and in
-this working tree, in ``PAIRS`` alternating pairs per workload: the base
-("parent") runs first on even pair indices and the working tree ("change")
-on odd ones, and pair i uses seed i. The workloads are BENCHMARK.json's,
-or those named by ``--workloads``: any that perfbench/run.py runs, such as
-``forest_deep``. Run length and the direction in which each metric is
-better come from BENCHMARK.json. Each side runs its own perfbench. The
-record, written again after every pair, is BENCH_<name>.json at the
-repository root: per workload and metric the parent's and change's median
-and quartiles, the pairs the change wins, the change of the median as a
-fraction of the parent's, and the median and quartiles of the per-pair
-change/parent ratio. Both sides of a pair run the
-same seed back to back, so the ratio cancels that seed's cost and most of
-the host's drift over the record, which widen each side's own quartiles.
+Extracts the committed files of ``--base`` (``git archive``) into
+``parent/`` and copies this working tree's tracked and untracked,
+non-ignored files into ``change/``, two sibling directories of one
+temporary directory, so both sides run from paths of the same length (the
+peak RSS of a run can move with the length of the paths it is given). It
+runs ``perfbench/run.py --trace 0`` in each, in ``PAIRS`` alternating
+pairs per workload: the base ("parent") runs first on even pair indices
+and the working tree ("change") on odd ones, and pair i uses seed i. The
+workloads are BENCHMARK.json's, or those named by ``--workloads``: any
+that perfbench/run.py runs, such as ``forest_deep``. Run length and the
+direction in which each metric is better come from BENCHMARK.json. Each
+side runs its own perfbench. The record, written again after every pair,
+is BENCH_<name>.json at the repository root: per workload and metric the
+parent's and change's median and quartiles, the pairs the change wins,
+the change of the median as a fraction of the parent's, and the median
+and quartiles of the per-pair change/parent ratio. Both sides of a pair
+run the same seed back to back, so the ratio cancels that seed's cost and
+most of the host's drift over the record, which widen each side's own
+quartiles.
 """
 from __future__ import annotations
 
@@ -25,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -45,14 +50,28 @@ def checkout(rev: str, dest: Path) -> str:
         ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
         cwd=ROOT, check=True, capture_output=True, text=True,
     ).stdout.strip()
-    archive = dest / "base.tar"
+    archive = dest.with_suffix(".tar")
     subprocess.run(["git", "archive", "--output", str(archive), sha], cwd=ROOT, check=True)
     with tarfile.open(archive) as tar:
         # the "data" filter exists from Python 3.10.12 and 3.11.4 on
         safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
-        tar.extractall(dest / "tree", **safe)
+        tar.extractall(dest, **safe)
     archive.unlink()
     return sha
+
+
+def copy_working_tree(dest: Path, root: Path = ROOT) -> None:
+    """The tracked and untracked, non-ignored files of the working tree at
+    `root`, as they are on disk, under `dest`; a deleted tracked file is
+    left out."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, check=True, capture_output=True, text=True,
+    ).stdout.split("\0")
+    for name in filter(None, names):
+        if (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -142,8 +161,9 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     out = ROOT / f"BENCH_{args.name}.json"
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        sha = checkout(args.base, Path(tmp))
-        roots = {"parent": Path(tmp) / "tree", "change": ROOT}
+        roots = {side: Path(tmp) / side for side in SIDES}
+        sha = checkout(args.base, roots["parent"])
+        copy_working_tree(roots["change"])
         runs: dict = {name: [] for name in names}
         for seed in range(PAIRS):
             for workload, pairs in runs.items():

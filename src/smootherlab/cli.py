@@ -226,7 +226,7 @@ def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
 def _merge_kinded(defaults_by_kind, user, default_kind: str, path: str) -> dict:
     """Merge a dict whose legal keys depend on its 'kind' entry."""
     if not isinstance(user, dict):
-        raise ValidationError(f"config key {path!r} takes an object, got {user!r}")
+        raise ValidationError(f"config key {path!r} takes an object, got {json.dumps(user)}")
     kind = user.get("kind", default_kind)
     if not isinstance(kind, str) or kind not in defaults_by_kind:
         raise ValidationError(
@@ -250,7 +250,7 @@ def build_config(
     out = _merge_strict({k: v for k, v in defaults.items() if k not in kinded},
                         {k: v for k, v in user.items() if k not in kinded})
     for key, table in kinded.items():
-        out[key] = _merge_kinded(table, user.get(key, {}) or {}, defaults[key]["kind"], key)
+        out[key] = _merge_kinded(table, user.get(key, {}), defaults[key]["kind"], key)
     return out
 
 
@@ -473,7 +473,7 @@ def _fit_model(cfg: dict, X: np.ndarray, y: np.ndarray):
 def _loss_chart(path: Path, title: str, x_label: str, series, log_x=False) -> None:
     """An SVG of summed squared loss on a log axis, one line per
     (label, x, y[, dashed]) entry of `series`."""
-    chart = LineChart(title, x_label, "summed squared loss", log_y=True, log_x=log_x)
+    chart = LineChart(title, x_label, log_x=log_x)
     for line in series:
         chart.add(*line)
     chart.write(path)

@@ -18,7 +18,7 @@ A tree or boosting point averages its seeded members' predictions and
 weight rows, and both p_train and p_test are p0 of the averaged rows. Both
 families share one path for them (``_MemberFamily``), in two prefit rounds.
 The one-vs-all classes of a member share its seed, hence its trees' feature
-draws, so one task fits a member's classes (per leaf budget, for trees),
+draws, so one task fits a member's classes at every a1 the member needs,
 draws each feature subset once for all of them and sends back prediction
 snapshots and, for the effparams class only, leaf ids. Then one task per
 block of training or test rows takes every member's weight rows of its
@@ -215,15 +215,18 @@ ROW_BLOCK = 128
 
 class _MemberFamily(_FamilyBase):
     """Trees or boosted runs of seeded members, one per one-vs-all class;
-    a point (a1, p_ens) averages members 1 .. p_ens. Two prefit rounds:
+    a point (a1, p_ens) averages members 1 .. p_ens, so member m is needed
+    at ``a1_values[m]``, the a1 values the schedule pairs with a p_ens of
+    at least m. Two prefit rounds:
 
-    Members. A member fits every class from the same seed, so one task fits
-    a member's classes (per leaf budget, for trees) with one shared
+    Members. A prefit key is (class, member). A member fits every class
+    from the same seed, so one task fits a member's classes with one shared
     ``trees.FeatureDraws``, and each feature subset is drawn once. Where
     there are fewer such tasks than pool workers, a member's classes are
     split over several tasks; the draws are the same bits in any task. A
-    task sends back (key, (snapshots, weights)) pairs: what ``_snapshot``
-    reads and, for the effparams class only, what ``_member_rows`` reads.
+    key's value is (snapshots, weights), each a dict by a1: what
+    ``_snapshot`` reads and, for the effparams class only, what
+    ``_member_rows`` reads.
 
     Row blocks. One task per ``ROW_BLOCK`` training or test rows adds up the
     members' weight rows of its block in member order, at every needed a1,
@@ -231,10 +234,11 @@ class _MemberFamily(_FamilyBase):
     state. ``store`` joins the blocks in row order into p_train and p_test,
     so ``evaluate`` only averages snapshots.
 
-    A subclass supplies ``_prefit(key, draws)``; ``_snapshot(c, member, a1)``
-    -> (train predictions, test predictions, leaf count); and
-    ``_member_rows(member, side, rows)``, which yields (a1, weight rows) of
-    the member's training or test rows ``rows`` at each a1 it is fit for.
+    A subclass supplies ``_prefit(key, draws)`` -> (key, (snapshots,
+    weights)), whose snapshots map each a1 of the member to (train
+    predictions, test predictions, leaf count); and ``_member_rows(member,
+    side, rows)``, which yields (a1, weight rows) of the member's training
+    or test rows ``rows`` at each of its a1 values.
     """
 
     def __init__(self, train, test, shared, states, threads=1):
@@ -242,6 +246,11 @@ class _MemberFamily(_FamilyBase):
         self.order = presort(train.features)  # shared by every prefit fit
         self.states = set(states)
         self.p_ens_max = max(a2 for _, a2 in states)
+        self.a1_values = {
+            m: sorted({a1 for a1, p_ens in states if p_ens >= m})
+            for m in range(1, self.p_ens_max + 1)
+        }
+        self._needed = sorted((c, m) for m in self.a1_values for c in self.classes)
         self._blocks = [
             (side, start)
             for side, rows in (("train", train.n), ("test", test.n))
@@ -250,7 +259,7 @@ class _MemberFamily(_FamilyBase):
         self._p_values: dict = {}  # (a1, p_ens) -> (p_train, p_test)
 
     def prefit_tasks(self):
-        tasks: dict = {}  # a row block, or a member (and budget) -> its keys
+        tasks: dict = {}  # a row block, or a member -> its keys
         for key in self._needed:
             if key not in self._cache:
                 tasks.setdefault(key if key in self._blocks else key[1:], []).append(key)
@@ -301,6 +310,11 @@ class _MemberFamily(_FamilyBase):
             self._p_values[state] = (p_eff_of_sq_norms(train_sq, n),
                                      p_eff_of_sq_norms(test_sq, n))
 
+    def _snapshot(self, c, member, a1):
+        """(train predictions, test predictions, leaf count) of a member's
+        class c at a1."""
+        return self._cache[(c, member)][0][a1]
+
     def evaluate(self, a1: int, p_ens: int) -> PointEval:
         members = range(1, p_ens + 1)
         preds_train, preds_test = _mean_predictions(
@@ -314,80 +328,59 @@ class _MemberFamily(_FamilyBase):
 class TreeFamily(_MemberFamily):
     """Best-first trees averaged over independently seeded members.
 
-    A task fits one member's classes at one leaf budget and sends back each
-    class's train and test predictions and leaf count and, for the
-    effparams class, the train and test leaf ids and the leaf counts; a
-    member's weight rows of a row block are its leaf rows at the block's
-    leaf ids. A member exists at a budget only up to the largest p_ens the
-    schedule pairs with that budget.
+    A task fits one member's classes at each of its leaf budgets and sends
+    back, per budget, each class's train and test predictions and leaf
+    count and, for the effparams class, the train and test leaf ids and the
+    leaf counts; a member's weight rows of a row block are its leaf rows at
+    the block's leaf ids.
     """
 
-    def __init__(self, train, test, shared, states, threads=1):
-        super().__init__(train, test, shared, states, threads)
-        self.budgets = sorted({budget for budget, _ in states})
-        self._needed = sorted(
-            {
-                (c, member, budget)
-                for budget, k in states
-                for member in range(1, k + 1)
-                for c in self.classes
-            }
-        )
-
     def _prefit(self, key, draws):
-        c, member, budget = key
-        tree = fit_tree(
-            self.train.features,
-            self.Y_train[:, c],
-            budget,
-            seed=self.shared.base_seed + member,
-            subset_size=self.shared.tree_subset,
-            order=self.order,
-            draws=draws,
-        )
-        test_lids = tree.leaf_ids(self.test.features)
-        snapshot = (tree.leaf_values[tree.train_leaf], tree.leaf_values[test_lids],
-                    tree.n_leaves)
-        if c != self.weights_class:
-            return key, (snapshot, None)
-        return key, (snapshot, (tree.train_leaf, test_lids, tree.leaf_counts))
-
-    def _snapshot(self, c, member, p_leaf):
-        return self._cache[(c, member, p_leaf)][0]
+        c, member = key
+        snapshots, weights = {}, {}
+        for budget in self.a1_values[member]:
+            tree = fit_tree(
+                self.train.features,
+                self.Y_train[:, c],
+                budget,
+                seed=self.shared.base_seed + member,
+                subset_size=self.shared.tree_subset,
+                order=self.order,
+                draws=draws,
+            )
+            test_lids = tree.leaf_ids(self.test.features)
+            snapshots[budget] = (tree.leaf_values[tree.train_leaf],
+                                 tree.leaf_values[test_lids], tree.n_leaves)
+            weights[budget] = (tree.train_leaf, test_lids, tree.leaf_counts)
+        return key, (snapshots, weights if c == self.weights_class else None)
 
     def _member_rows(self, member, side, rows):
-        for budget in self.budgets:
-            key = (self.weights_class, member, budget)
-            if key in self._cache:
-                train_leaf, test_lids, counts = self._cache[key][1]
-                query = train_leaf if side == "train" else test_lids
-                yield budget, leaf_rows(train_leaf, counts)[query[rows]]
+        weights = self._cache[(self.weights_class, member)][1]
+        for budget, (train_leaf, test_lids, counts) in weights.items():
+            query = train_leaf if side == "train" else test_lids
+            yield budget, leaf_rows(train_leaf, counts)[query[rows]]
 
 
 class BoostFamily(_MemberFamily):
     """Boosted residual trees, optionally averaged over seeded runs.
 
-    Every (class, member) run is fitted once to the largest round count the
-    schedule needs; shorter points read round prefixes, which are identical
-    bit for bit because round p is seeded by (member seed, p). A run sends
-    back its predictions and cumulative leaf count at each needed round
-    count and, for the effparams class only, the per-round train and test
-    leaf ids. That run also walks its recursion once with ``weight_steps``
-    and writes each round's step lr * (W_p - R_p) into ``steps``, an array
-    in shared memory; a row block steps its rows through a member's rounds
-    by adding the step rows at their leaf ids.
+    Every (class, member) run is fitted once to the member's largest round
+    count in ``a1_values``; shorter points read round prefixes, which are
+    identical bit for bit because round p is seeded by (member seed, p). A
+    run sends back its predictions and cumulative leaf count at each of the
+    member's round counts and, for the effparams class only, the per-round
+    train and test leaf ids. That run also walks its recursion once with
+    ``weight_steps`` and writes each round's step lr * (W_p - R_p) into
+    ``steps``, an array in shared memory; a row block steps its rows
+    through a member's rounds by adding the step rows at their leaf ids.
     """
 
     def __init__(self, train, test, shared, states, threads=1):
         super().__init__(train, test, shared, states, threads)
-        self.p_boosts = {a1 for a1, _ in states}
-        self._needed = sorted(
-            (c, member) for member in range(1, self.p_ens_max + 1) for c in self.classes
-        )
         # lr * (W_p - R_p) of each effparams member and round, zero past the
-        # tree's leaves
+        # tree's leaves; member 1 runs the most rounds
         self.steps = _shared_zeros(
-            self.p_ens_max, max(self.p_boosts), shared.boost_leaf_budget, train.n
+            self.p_ens_max, max(self.a1_values[1]), shared.boost_leaf_budget, train.n
         )
 
     def _prefit(self, key, draws):
@@ -396,7 +389,7 @@ class BoostFamily(_MemberFamily):
         model = fit_boost(
             self.train.features,
             self.Y_train[:, c],
-            n_rounds=max(self.p_boosts),
+            n_rounds=max(self.a1_values[member]),
             learning_rate=lr,
             leaf_budget=self.shared.boost_leaf_budget,
             seed=self.shared.base_seed + member,
@@ -411,7 +404,7 @@ class BoostFamily(_MemberFamily):
             p: (model.predictions_from_leaf_ids(train_lids[:p], self.train.n),
                 model.predictions_from_leaf_ids(test_lids[:p], self.test.n),
                 sum(t.n_leaves for t in model.trees[:p]))
-            for p in self.p_boosts
+            for p in self.a1_values[member]
         }
         if c != self.weights_class:
             return key, (snapshots, None)
@@ -420,16 +413,13 @@ class BoostFamily(_MemberFamily):
             self.steps[member - 1, p, :len(R)] = lr * (W - R)
         return key, (snapshots, (train_lids, test_lids))
 
-    def _snapshot(self, c, member, p_boost):
-        return self._cache[(c, member)][0][p_boost]
-
     def _member_rows(self, member, side, rows):
         train_lids, test_lids = self._cache[(self.weights_class, member)][1]
         queries = train_lids if side == "train" else test_lids
         acc = np.zeros((len(queries[0][rows]), self.train.n))
         for p, (step, query) in enumerate(zip(self.steps[member - 1], queries), start=1):
             acc = acc + step[query[rows]]
-            if p in self.p_boosts:
+            if p in self.a1_values[member]:
                 yield p, acc
 
 

@@ -1,6 +1,7 @@
 """Minimal SVG line charts, so sweep outputs can be eyeballed without a
-plotting stack. Only what the CLI needs: polylines on linear or log axes,
-tick labels, and a legend."""
+plotting stack. Only what the CLI needs: polylines of summed squared loss
+on a log y axis against a linear or log x axis, tick labels, and a
+legend."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ _PALETTE = [
 
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 64, 16, 36, 48  # margins
+_Y_LABEL = "summed squared loss"
 
 
 @dataclass
@@ -39,8 +41,6 @@ class Series:
 class LineChart:
     title: str
     x_label: str
-    y_label: str
-    log_y: bool = False
     log_x: bool = False
     series: list[Series] = field(default_factory=list)
 
@@ -54,16 +54,14 @@ class LineChart:
             raise ValidationError("chart has no series")
         xs = np.concatenate([s.x for s in self.series])
         ys = np.concatenate([s.y for s in self.series])
-        finite = np.isfinite(xs) & np.isfinite(ys)
-        if self.log_y:
-            finite &= ys > 0
+        finite = np.isfinite(xs) & np.isfinite(ys) & (ys > 0)
         if self.log_x:
             finite &= xs > 0
         if not finite.any():
             raise ValidationError("chart has no finite points")
         x_vals = np.log10(xs[finite]) if self.log_x else xs[finite]
         x_lo, x_hi = float(x_vals.min()), float(x_vals.max())
-        y_vals = np.log10(ys[finite]) if self.log_y else ys[finite]
+        y_vals = np.log10(ys[finite])
         y_lo, y_hi = float(y_vals.min()), float(y_vals.max())
         if x_hi == x_lo:
             x_hi = x_lo + 1.0
@@ -75,7 +73,7 @@ class LineChart:
             return _ML + (v - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
 
         def sy(v):
-            v = np.log10(v) if self.log_y else v
+            v = np.log10(v)
             return _H - _MB - (v - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
 
         parts = [
@@ -90,9 +88,7 @@ class LineChart:
             color = _PALETTE[i % len(_PALETTE)]
             pts = []
             for xv, yv in zip(s.x, s.y):
-                ok = np.isfinite(xv) and np.isfinite(yv)
-                if self.log_y:
-                    ok = ok and yv > 0
+                ok = np.isfinite(xv) and np.isfinite(yv) and yv > 0
                 if self.log_x:
                     ok = ok and xv > 0
                 if ok:
@@ -117,7 +113,7 @@ class LineChart:
             f'text-anchor="middle">{_esc(self.x_label)}</text>',
             f'<text x="16" y="{(_MT + _H - _MB) / 2:.1f}" text-anchor="middle" '
             f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.1f})">'
-            f"{_esc(self.y_label)}</text>",
+            f"{_Y_LABEL}</text>",
         ]
         for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
             xv = x_lo + frac * (x_hi - x_lo)
@@ -133,7 +129,7 @@ class LineChart:
             )
             yv = y_lo + frac * (y_hi - y_lo)
             py = _H - _MB - frac * (_H - _MT - _MB)
-            label = 10**yv if self.log_y else yv
+            label = 10**yv
             out.append(
                 f'<line x1="{_ML - 4}" y1="{py:.1f}" x2="{_ML}" y2="{py:.1f}" '
                 'stroke="black"/>'

@@ -1,8 +1,10 @@
-"""The summary that scripts/bench_pairs.py writes, on synthetic pairs."""
+"""The summary that scripts/bench_pairs.py writes, on synthetic pairs, and
+the copy of the working tree that it runs."""
 
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,28 @@ def test_empty_or_repeated_workload_names_exit_two_naming_the_option(spec, capsy
         bench_pairs.main(["--base", "HEAD", "--name", "x", "--workloads", spec])
     assert exc.value.code == 2
     assert "--workloads" in capsys.readouterr().err
+
+
+def test_working_tree_copy_holds_edits_and_new_files_but_no_ignored_ones(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "pkg" / "mod.py").write_text("x = 1\n")
+    (repo / "gone.py").write_text("y = 1\n")
+
+    def git(*argv):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *argv],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "pkg" / "mod.py").write_text("x = 2\n")  # uncommitted edit
+    (repo / "pkg" / "new.py").write_text("z = 3\n")  # untracked
+    (repo / "pkg" / "run.log").write_text("ignored\n")
+    (repo / "gone.py").unlink()  # deleted, still tracked
+    bench_pairs.copy_working_tree(dest, repo)
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "pkg/mod.py", "pkg/new.py"]
+    assert (dest / "pkg" / "mod.py").read_text() == "x = 2\n"

@@ -161,6 +161,22 @@ def test_bad_image_generator_inputs_exit_one_naming_them(tmp_path, capsys, key, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["0", "false", '""', "[]", "null"])
+@pytest.mark.parametrize("command, key", [("ingest", "dataset"), ("fit", "model")])
+def test_falsy_kinded_sections_exit_one_naming_the_key(tmp_path, capsys, command, key,
+                                                       value):
+    # a value that is not an object is refused, however falsy; before, these
+    # ran the default section
+    assert _run([command, "--set", f"{key}={value}"], tmp_path / "a") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config key {key!r} takes an object, got {value}\n"
+
+
+def test_missing_or_empty_kinded_sections_take_the_defaults():
+    for command, key in (("ingest", "dataset"), ("fit", "model")):
+        assert build_config(command, {}, [f"{key}={{}}"]) == build_config(command, {}, [])
+
+
 def test_malformed_set_expression(tmp_path, capsys):
     rc = _run(["fit", "--set", "oops"], tmp_path / "a")
     assert rc == 1
@@ -654,13 +670,13 @@ def test_tree_family_sweeps_are_thread_independent(tmp_path, family, axes):
 
 
 @pytest.mark.parametrize(
-    "family, axis1", [("tree", "[8]"), ("boosting", "[1,3,6]")]
+    "family, axis1", [("tree", "[8]"), ("tree", "[2,8]"), ("boosting", "[1,3,6]")]
 )
 def test_one_member_schedules_still_fill_the_prefit_pool(
     tmp_path, monkeypatch, family, axis1
 ):
-    # one member, and one leaf budget for trees, is one task per member; its
-    # classes are split so that every pool worker gets a prefit task
+    # one member is one task at every a1 value; its classes are split so
+    # that every pool worker gets a prefit task
     cls, first_rounds = FAMILY_RUNNERS[family], []
     prefit_tasks = cls.prefit_tasks
 
