@@ -3,16 +3,17 @@
 A family adapter prepares whatever is shared across a sweep (feature caches,
 prefit trees, boosted runs) and then evaluates individual (axis1, axis2)
 points. Preparation runs as prefit tasks in the sweep's pool. An rff_linear
-task computes one ``rff.BLOCK`` of cosine columns, standardizes it with
-train statistics, writes it into train and test caches in shared memory
-and sends back only the block's per-column means, scales and kept mask; a
-point fits PCR on column prefixes of those caches. Evaluation is a pure
-function of the axis values and the shared config — never of the schedule
-position — so composite sweeps, grids and contour branches that visit the
-same point produce bit-identical records, and the sweep can run every
-family's points in its process pool. An rff_linear point forms no weight
-rows: its p0 values are sums over the projection coefficients of its train
-and test designs (``linear.PcrSmoother.sq_norms``).
+task draws one ``rff.BLOCK`` of frequency rows, computes that block of
+cosine columns, writes them standardized with train statistics straight
+into train and test caches in shared memory and sends back only the
+block's per-column means, scales and kept mask; a point fits PCR on column
+prefixes of those caches. Evaluation is a pure function of the axis values
+and the shared config — never of the schedule position — so composite
+sweeps, grids and contour branches that visit the same point produce
+bit-identical records, and the sweep can run every family's points in its
+process pool. An rff_linear point forms no weight rows: its p0 values are
+sums over the projection coefficients of its train and test designs
+(``linear.PcrSmoother.sq_norms``).
 
 A tree or boosting point averages its seeded members' predictions and
 weight rows, and both p_train and p_test are p0 of the averaged rows. Both
@@ -45,7 +46,7 @@ from ..boosting import fit_boost, weight_steps
 from ..dataset import Dataset, one_vs_all_targets
 from ..effparams import p_eff_of_sq_norms
 from ..errors import ScheduleError, ValidationError
-from ..linear import pcr_smoother, standardize
+from ..linear import column_scales, pcr_smoother
 from ..rff import BLOCK, feature_block, sample_frequencies
 from ..trees import FeatureDraws, fit_tree, leaf_rows, presort
 
@@ -124,12 +125,15 @@ class RffLinearFamily(_FamilyBase):
     """Principal-component regression on a growing random cosine design.
 
     The train and test cosine designs are standardized once, with train
-    statistics, into caches in shared memory. Each prefit task fills one
-    ``rff.BLOCK`` of columns of both caches and sends back only that block's
-    means, scales and kept mask. A point fits on column prefixes of the
-    standardized caches, neither copied nor standardized again: every
-    statistic is per column, so a prefix holds what standardizing that
-    prefix alone would give.
+    statistics, into caches in shared memory. The parent only builds the
+    frequency map, which draws no row; each prefit task draws its own
+    ``rff.BLOCK`` of rows, writes (Phi - mean) / scale for that block of
+    columns in place into both caches and sends back only the block's
+    means, scales and kept mask. A dropped column is cached with scale 1,
+    finite but never read: a point selects the kept columns. A point fits
+    on column prefixes of the standardized caches, neither copied nor
+    standardized again: every statistic is per column, so a prefix holds
+    what standardizing that prefix alone would give.
 
     A point never forms its (n, n) hat matrix or (m, n) test weights. It
     projects the test prefix onto the fit's components, predicts through
@@ -156,18 +160,18 @@ class RffLinearFamily(_FamilyBase):
 
     def _prefit(self, start):
         cols = slice(start, start + BLOCK)
-        Xs, mean, std, kept = standardize(
-            feature_block(self.fmap, self.train.features, start)
-        )
-        self.Xs_train[:, cols][:, kept] = Xs
+        Phi = feature_block(self.fmap, self.train.features, start)
+        mean, scale, kept = column_scales(Phi)
         Phi_test = feature_block(self.fmap, self.test.features, start)
-        self.Xs_test[:, cols][:, kept] = (Phi_test[:, kept] - mean) / std
-        return start, (mean, std, kept)
+        for cache, block in ((self.Xs_train, Phi), (self.Xs_test, Phi_test)):
+            out = np.subtract(block, mean, out=cache[:, cols])
+            out /= scale
+        return start, (mean[kept], scale[kept], kept)
 
     def store(self, results):
         """Store the blocks' statistics, joined in column order, and drop the
-        frequency bank: every block is cached, so the evaluation workers
-        need not inherit it."""
+        frequency map: every block is cached, so the evaluation workers
+        need not inherit it or any rows it drew."""
         super().store(results)
         blocks = (self._cache[start] for start in self._needed)
         self.mean, self.std, self.kept = map(np.concatenate, zip(*blocks))

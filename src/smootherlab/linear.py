@@ -257,20 +257,32 @@ def fit_svd_basis(Phi: np.ndarray, y: np.ndarray) -> LinearFit:
     )
 
 
+def column_scales(Phi: np.ndarray):
+    """Per-column (mean, scale, kept) of Phi, the statistics ``standardize``
+    applies.
+
+    A column is kept when its standard deviation exceeds
+    1e-12 * max(1, max |Phi|); a kept column's scale is that deviation, a
+    dropped column's is 1, so (Phi - mean) / scale is finite everywhere.
+    """
+    mean = Phi.mean(axis=0)
+    scale = Phi.std(axis=0)
+    kept = scale > 1e-12 * max(1.0, float(np.abs(Phi).max()))
+    scale[~kept] = 1.0
+    return mean, scale, kept
+
+
 def standardize(Phi: np.ndarray):
     """Center and scale the columns, dropping zero-variance ones.
 
     Returns (Xs, mean, std, kept): the standardized kept columns, their means
-    and scales, and the boolean kept-column mask. A column is kept when its
-    scale exceeds 1e-12 * max(1, max |Phi|); every statistic is per column,
-    so for a design with |Phi| <= 1 each column's values, mean, scale and
-    mask are the same whichever other columns are standardized with it.
+    and scales, and the boolean kept-column mask (``column_scales``). Every
+    statistic is per column, so for a design with |Phi| <= 1 each column's
+    values, mean, scale and mask are the same whichever other columns are
+    standardized with it.
     """
-    mean_all = Phi.mean(axis=0)
-    std_all = Phi.std(axis=0)
-    kept = std_all > 1e-12 * max(1.0, float(np.abs(Phi).max()))
-    std = std_all[kept]
-    return (Phi[:, kept] - mean_all[kept]) / std, mean_all[kept], std, kept
+    mean, scale, kept = column_scales(Phi)
+    return (Phi[:, kept] - mean[kept]) / scale[kept], mean[kept], scale[kept], kept
 
 
 def pcr_smoother(Phi: np.ndarray, p_pc: int, scaling=None) -> PcrSmoother:

@@ -4,14 +4,18 @@ Feature p of input x is cos(v_p . x) with v_p ~ N(0, scale^2 I_d) drawn
 independently per row. Row p is generated from a counter-based stream keyed by
 (seed, p), so the first p rows of a wider map equal a narrower map with the
 same seed bit for bit — growing the map never reshuffles earlier features.
-``transform`` computes the cosines in fixed blocks of BLOCK rows
-(``feature_block``), so a feature's float value does not depend on how many
-columns are requested either. ``RffModel`` wraps a linear fit on these
-features as a smoother of raw inputs.
+An ``RffMap`` holds only (seed, scale, p_max, d): it draws its rows BLOCK at a
+time, the first time a block is read (``RffMap.block``), so building a map
+costs nothing and a process draws only the blocks it reads.
+``transform`` computes the cosines in the same blocks (``feature_block``), so
+a feature's float value does not depend on how many columns are requested
+either. ``RffModel`` wraps a linear fit on these features as a smoother of
+raw inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,36 +31,67 @@ def _frequency_row(seed: int, row: int, d: int, scale: float) -> np.ndarray:
     return gen.normal(0.0, scale, size=d)
 
 
+def _check_int(name: str, value, low: int) -> None:
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if number < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class RffMap:
-    """An immutable bank of sampled frequency rows (p_max, d)."""
+    """Frequency rows (p_max, d), drawn BLOCK rows at a time on first read.
 
-    frequencies: np.ndarray
+    Each drawn block is kept read-only in a memo that equality and hashing
+    ignore: two maps with the same (seed, scale, p_max, d) are equal however
+    many of their blocks have been drawn.
+    """
+
     seed: int
     scale: float
+    p_max: int
+    d: int
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # rows are drawn later, possibly in a pool worker, so a seed the
+        # row streams would reject fails here
+        _check_int("seed", self.seed, 0)
+        _check_int("p_max", self.p_max, 1)
+        _check_int("d", self.d, 1)
+        if not self.scale > 0:
+            raise ValidationError(f"scale must be > 0, got {self.scale}")
+
+    def block(self, start: int) -> np.ndarray:
+        """Rows start .. start + BLOCK (fewer where the map ends), read-only."""
+        if start % BLOCK or not 0 <= start < self.p_max:
+            raise ValidationError(
+                f"block start must be a multiple of {BLOCK} in [0, {self.p_max}), got {start}"
+            )
+        rows = self._blocks.get(start)
+        if rows is None:
+            rows = np.stack([
+                _frequency_row(self.seed, p, self.d, self.scale)
+                for p in range(start, min(start + BLOCK, self.p_max))
+            ])
+            rows.setflags(write=False)
+            self._blocks[start] = rows
+        return rows
 
     @property
-    def p_max(self) -> int:
-        return self.frequencies.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.frequencies.shape[1]
+    def frequencies(self) -> np.ndarray:
+        """All p_max rows, read-only."""
+        rows = np.concatenate([self.block(s) for s in range(0, self.p_max, BLOCK)])
+        rows.setflags(write=False)
+        return rows
 
 
 def sample_frequencies(seed: int, p_max: int, d: int, scale: float = DEFAULT_SCALE) -> RffMap:
-    """Sample p_max frequency rows for d-dimensional inputs."""
-    if p_max < 1:
-        raise ValidationError(f"p_max must be >= 1, got {p_max}")
-    if d < 1:
-        raise ValidationError(f"d must be >= 1, got {d}")
-    if scale <= 0:
-        raise ValidationError(f"scale must be > 0, got {scale}")
-    rows = np.empty((p_max, d))
-    for p in range(p_max):
-        rows[p] = _frequency_row(seed, p, d, scale)
-    rows.setflags(write=False)
-    return RffMap(frequencies=rows, seed=seed, scale=scale)
+    """The map of p_max frequency rows for d-dimensional inputs. Its
+    arguments are checked now; no row is drawn until a block is read."""
+    return RffMap(seed=seed, scale=scale, p_max=p_max, d=d)
 
 
 def transform(fmap: RffMap, X: np.ndarray, p_phi: int) -> np.ndarray:
@@ -83,8 +118,9 @@ def transform(fmap: RffMap, X: np.ndarray, p_phi: int) -> np.ndarray:
 
 def feature_block(fmap: RffMap, X: np.ndarray, start: int) -> np.ndarray:
     """Columns start .. start + BLOCK of the feature matrix (fewer where the
-    map ends), from one matrix product; ``transform`` is built from these."""
-    return np.cos(X @ fmap.frequencies[start : start + BLOCK].T)
+    map ends), from one matrix product with ``fmap.block(start)``;
+    ``transform`` is built from these."""
+    return np.cos(X @ fmap.block(start).T)
 
 
 @dataclass

@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from smootherlab import rff
 from smootherlab.errors import ValidationError
-from smootherlab.rff import DEFAULT_SCALE, RffMap, sample_frequencies, transform
+from smootherlab.rff import BLOCK, DEFAULT_SCALE, sample_frequencies, transform
 
 
 def test_default_scale():
@@ -45,8 +48,9 @@ def test_transform_at_origin_is_one():
     assert np.array_equal(Phi, np.ones((2, 8)))
 
 
-def test_transform_known_frequency():
-    fmap = RffMap(frequencies=np.array([[np.pi, 0.0]]), seed=0, scale=1.0)
+def test_transform_known_frequency(monkeypatch):
+    monkeypatch.setattr(rff, "_frequency_row", lambda seed, row, d, scale: np.array([np.pi, 0.0]))
+    fmap = sample_frequencies(0, 1, 2, scale=1.0)
     Phi = transform(fmap, np.array([[1.0, 5.0], [0.5, -2.0]]), 1)
     assert np.allclose(Phi[:, 0], [math.cos(math.pi), math.cos(math.pi / 2)], atol=1e-15)
 
@@ -92,6 +96,52 @@ def test_validation():
         transform(fmap, np.zeros((2, 2)), 0)
     with pytest.raises(ValidationError):
         transform(fmap, np.zeros((2, 3)), 2)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [((-1, 3, 2), "seed"), ((1.0, 3, 2), "seed"), (("3", 3, 2), "seed"),
+     ((None, 3, 2), "seed"), ((0, 2.5, 2), "p_max"), ((0, 3, 2.0), "d")],
+)
+def test_bad_arguments_fail_when_the_map_is_built(args, name):
+    # rows are drawn later, maybe in a pool worker: a bad seed must not get that far
+    with pytest.raises(ValidationError, match=name):
+        sample_frequencies(*args)
+
+
+@settings(deadline=None, max_examples=12)
+@given(
+    seed=st.integers(min_value=0, max_value=2**63),
+    full_blocks=st.integers(min_value=0, max_value=2),
+    rest=st.integers(min_value=0, max_value=BLOCK - 1),
+    d=st.integers(min_value=1, max_value=4),
+)
+@example(seed=3, full_blocks=1, rest=5, d=2)  # a partial last block
+def test_blocks_are_drawn_by_row_on_first_read(seed, full_blocks, rest, d):
+    p_max = full_blocks * BLOCK + rest
+    if p_max == 0:
+        return
+    starts = range(0, p_max, BLOCK)
+    reference = np.stack([rff._frequency_row(seed, p, d, 0.5) for p in range(p_max)])
+    with mock.patch.object(rff, "_frequency_row", wraps=rff._frequency_row) as draws:
+        fmap = sample_frequencies(seed, p_max, d, scale=0.5)
+        fresh = sample_frequencies(seed, p_max, d, scale=0.5)
+        assert draws.call_count == 0
+        assert fmap == fresh and hash(fmap) == hash(fresh)
+        for start in reversed(starts):
+            rows = fmap.block(start)
+            assert rows.tobytes() == reference[start : start + BLOCK].tobytes()
+            assert not rows.flags.writeable
+        joined = fmap.frequencies
+        assert draws.call_count == p_max  # each row drawn once, then memoized
+        # maps that differ only in the blocks they have drawn are equal
+        assert fmap == fresh and hash(fmap) == hash(fresh)
+        for start in starts:
+            rows = sample_frequencies(seed, p_max, d, scale=0.5).block(start)
+            assert rows.tobytes() == reference[start : start + BLOCK].tobytes()
+    assert joined.tobytes() == reference.tobytes()
+    with pytest.raises(ValueError):
+        joined[0, 0] = 1.0
 
 
 @settings(deadline=None, max_examples=20)

@@ -399,6 +399,29 @@ def _masking_block(block):
     return patched
 
 
+def test_rff_caches_hold_each_block_standardized_in_place(toy_images, monkeypatch):
+    train, test = toy_images
+    shared = SweepConfig()
+    block = _masking_block(families.feature_block)
+    monkeypatch.setattr(families, "feature_block", block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        family = _prefitted(RffLinearFamily(train, test, shared, [(20, 300)]))
+    p_cache = family.Xs_train.shape[1]
+    assert p_cache == 2 * BLOCK
+    fmap = sample_frequencies(shared.base_seed, p_cache, train.d, shared.rff_scale)
+    for start in range(0, p_cache, BLOCK):
+        cols = slice(start, start + BLOCK)
+        Xs, mean, std, kept = standardize(block(fmap, train.features, start))
+        # the constant column is dropped; its duplicated neighbour is kept
+        assert kept[1] and not kept[2]
+        assert np.array_equal(family.Xs_train[:, cols][:, kept], Xs)
+        Phi_test = block(fmap, test.features, start)[:, kept]
+        assert np.array_equal(family.Xs_test[:, cols][:, kept], (Phi_test - mean) / std)
+        assert np.array_equal(family.kept[cols], kept)
+    assert np.isfinite(family.Xs_train).all() and np.isfinite(family.Xs_test).all()
+
+
 @pytest.mark.parametrize(
     "p_pc, p_ex, masked",
     [(8, 0, False), (8, 100, False), (59, 0, False), (20, 0, True)],
@@ -471,7 +494,7 @@ def test_rff_family_drops_its_frequency_bank_once_the_blocks_are_stored(toy_imag
     family = RffLinearFamily(train, test, SweepConfig(), [(10, 0), (59, 700)])
     assert isinstance(family.fmap, RffMap)
     _prefitted(family)
-    # the evaluation workers fork after store and so inherit no bank
+    # the evaluation workers fork after store and so inherit no map
     assert not any(isinstance(value, RffMap) for value in vars(family).values())
 
 
