@@ -18,10 +18,12 @@ side runs its own perfbench. The record, written again after every pair,
 is BENCH_<name>.json at the repository root: per workload and metric the
 parent's and change's median and quartiles, the pairs the change wins,
 the change of the median as a fraction of the parent's, and the median
-and quartiles of the per-pair change/parent ratio. Both sides of a pair
-run the same seed back to back, so the ratio cancels that seed's cost and
+and quartiles of the per-pair change/parent ratio, over all pairs and
+separately over the pairs each side ran first. Both sides of a pair run
+the same seed back to back, so the ratio cancels that seed's cost and
 most of the host's drift over the record, which widen each side's own
-quartiles.
+quartiles; a ratio that moves with the side that ran first is an order
+effect of the host, not of the change.
 """
 from __future__ import annotations
 
@@ -99,13 +101,19 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             (c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"])
         )
         stats = {side: spread(values[side]) for side in SIDES}
+        ratios = [c / p for p, c in zip(values["parent"], values["change"])]
+        by_first = {side: [r for r, pair in zip(ratios, pairs) if pair["first"] == side]
+                    for side in SIDES}
         out[name] = {
             "unit": metric["unit"],
             **stats,
             "change_wins": wins,
             "pairs": len(pairs),
             "median_change_frac": stats["change"]["median"] / stats["parent"]["median"] - 1.0,
-            "change_ratio": spread([c / p for p, c in zip(values["parent"], values["change"])]),
+            "change_ratio": spread(ratios),
+            # keyed by the side that ran first; a side that has not yet run
+            # first in any pair is left out
+            "change_ratio_by_first": {side: spread(r) for side, r in by_first.items() if r},
         }
     return out
 
@@ -129,8 +137,9 @@ def record(args, sha: str, bench: dict, runs: dict) -> dict:
                 f"{platform.python_version()}, numpy {version('numpy')}",
         "method": "alternating pairs: parent first on even pair index, change first on "
                   "odd; seed = pair index; medians and quartiles (statistics.quantiles, "
-                  "n=4) over the pairs and over the per-pair change/parent ratios; a "
-                  "win is a pair where the change reads better",
+                  "n=4) over the pairs and over the per-pair change/parent ratios, the "
+                  "ratios also split by the side that ran first; a win is a pair "
+                  "where the change reads better",
         "workloads": workloads,
     }
 

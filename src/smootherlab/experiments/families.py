@@ -17,15 +17,16 @@ sums over the projection coefficients of its train and test designs
 
 A tree or boosting point averages its seeded members' predictions and
 weight rows, and both p_train and p_test are p0 of the averaged rows. Both
-families share one path for them (``_MemberFamily``), in two prefit rounds.
-The one-vs-all classes of a member share its seed, hence its trees' feature
-draws, so one task fits a member's classes at every a1 the member needs,
-draws each feature subset once for all of them and sends back prediction
-snapshots and, for the effparams class only, leaf ids. Then one task per
-block of training or test rows takes every member's weight rows of its
-block, keeps running member sums and sends back each row's squared norm per
-point. No task sends back weight rows; the parent only joins the blocks'
-norms into p0.
+families share one path for them (``_MemberFamily``), in two prefit stages.
+The members stage holds each (class, member)'s prediction snapshots and,
+for the effparams class only, leaf ids: the one-vs-all classes of a member
+share its seed, hence its trees' feature draws, so one task fits a
+member's classes at every a1 the member needs and draws each feature
+subset once for all of them. The row-block stage holds p_train and p_test
+of every point: one task per block of training or test rows takes every
+member's weight rows of its block, keeps running member sums and sends
+back each row's squared norm per point. No task sends back weight rows;
+the parent only joins the blocks' norms into p0.
 
 Multiclass data is handled one-vs-all: C binary {0,1} tasks share the inputs,
 squared losses are summed across tasks, and the 0-1 error takes the argmax
@@ -62,14 +63,13 @@ class PointEval:
 
 
 class _FamilyBase:
-    """Shared data and the prefit protocol.
+    """Shared data of every family, and the record of a point.
 
-    A fitted family lists the keys it needs in ``_needed`` and fits one with
-    ``_prefit(key) -> (key, value)``. The sweep prefits in rounds: it runs
-    ``prefit_tasks()`` in its pool and hands that round's list of results to
-    ``store``, until ``prefit_tasks()`` is empty. ``store`` may list more
-    keys, whose tasks read the stored results (the tree and boosting row
-    blocks). ``threads`` is the size of the sweep's pool.
+    A family prefits in stages. The sweep runs the tasks that
+    ``prefit_tasks()`` lists in its pool and hands their results, in task
+    order, to ``store``, until ``prefit_tasks()`` is empty; a stage's tasks
+    may read what ``store`` kept of the stages before it. ``threads`` is the
+    size of the sweep's pool.
     """
 
     #: every family's points run in the pool; kept for perfbench's tracer,
@@ -96,15 +96,6 @@ class _FamilyBase:
         self.weights_class = shared.effparams_class if self.n_classes else 0
         self.Y_train = one_vs_all_targets(train, self.n_classes)
         self.Y_test = one_vs_all_targets(test, self.n_classes)
-        self._needed: list = []
-        self._cache: dict = {}
-
-    def prefit_tasks(self):
-        missing = [key for key in self._needed if key not in self._cache]
-        return [functools.partial(self._prefit, key) for key in missing]
-
-    def store(self, results):
-        self._cache.update(results)
 
     def _point(self, raw_params, preds_train, preds_test, p_train, p_test) -> PointEval:
         """A point's record: the errors of its predictions and its p0 values."""
@@ -149,14 +140,20 @@ class RffLinearFamily(_FamilyBase):
                 raise ScheduleError(
                     f"p_pc={p_pc} exceeds n-1={train.n - 1}", point_index=i
                 )
-        p_needed = max(p_pc + p_ex for p_pc, p_ex in states)
+        p_widest = max(p_pc + p_ex for p_pc, p_ex in states)
         # whole transform blocks, so every cached column comes from a
         # full-width block whatever the sweep's widest point is
-        p_cache = -(-p_needed // BLOCK) * BLOCK
-        self.fmap = sample_frequencies(shared.base_seed, p_cache, train.d, shared.rff_scale)
-        self.Xs_train = _shared_zeros(train.n, p_cache)
-        self.Xs_test = _shared_zeros(test.n, p_cache)
-        self._needed = list(range(0, p_cache, BLOCK))
+        p_blocks = -(-p_widest // BLOCK) * BLOCK
+        self.fmap = sample_frequencies(shared.base_seed, p_blocks, train.d, shared.rff_scale)
+        self.Xs_train = _shared_zeros(train.n, p_blocks)
+        self.Xs_test = _shared_zeros(test.n, p_blocks)
+        self.kept = None  # the kept mask of every cached column, once stored
+
+    def prefit_tasks(self):
+        if self.kept is not None:
+            return []
+        starts = range(0, self.Xs_train.shape[1], BLOCK)
+        return [functools.partial(self._prefit, start) for start in starts]
 
     def _prefit(self, start):
         cols = slice(start, start + BLOCK)
@@ -166,15 +163,13 @@ class RffLinearFamily(_FamilyBase):
         for cache, block in ((self.Xs_train, Phi), (self.Xs_test, Phi_test)):
             out = np.subtract(block, mean, out=cache[:, cols])
             out /= scale
-        return start, (mean[kept], scale[kept], kept)
+        return mean[kept], scale[kept], kept
 
     def store(self, results):
         """Store the blocks' statistics, joined in column order, and drop the
         frequency map: every block is cached, so the evaluation workers
         need not inherit it or any rows it drew."""
-        super().store(results)
-        blocks = (self._cache[start] for start in self._needed)
-        self.mean, self.std, self.kept = map(np.concatenate, zip(*blocks))
+        self.mean, self.std, self.kept = map(np.concatenate, zip(*results))
         del self.fmap
 
     def evaluate(self, p_pc: int, p_ex: int) -> PointEval:
@@ -201,17 +196,6 @@ def _shared_zeros(*shape: int) -> np.ndarray:
 # --------------------------------------------------------------------------- averaged members
 
 
-def _sums(parts):
-    """Elementwise sums of tuples of arrays, added in the order given."""
-    return functools.reduce(lambda acc, part: tuple(a + b for a, b in zip(acc, part)), parts)
-
-
-def _mean_predictions(per_class, p_ens):
-    """Train and test predictions, (n, C) and (m, C), from each class's
-    iterable of member (train, test) prediction pairs, summed in member order."""
-    return (np.column_stack(p) / p_ens for p in zip(*(_sums(m) for m in per_class)))
-
-
 #: training or test rows per row-block task; a row's weights and squared
 #: norm are the same bits in any block
 ROW_BLOCK = 128
@@ -221,25 +205,26 @@ class _MemberFamily(_FamilyBase):
     """Trees or boosted runs of seeded members, one per one-vs-all class;
     a point (a1, p_ens) averages members 1 .. p_ens, so member m is needed
     at ``a1_values[m]``, the a1 values the schedule pairs with a p_ens of
-    at least m. Two prefit rounds:
+    at least m. Two prefit stages, then nothing more to prefit:
 
-    Members. A prefit key is (class, member). A member fits every class
-    from the same seed, so one task fits a member's classes with one shared
-    ``trees.FeatureDraws``, and each feature subset is drawn once. Where
-    there are fewer such tasks than pool workers, a member's classes are
-    split over several tasks; the draws are the same bits in any task. A
-    key's value is (snapshots, weights), each a dict by a1: what
-    ``_snapshot`` reads and, for the effparams class only, what
-    ``_member_rows`` reads.
+    Members. ``_members`` holds, by (class, member), the pair (snapshots,
+    weights), each a dict by a1: the snapshots ``evaluate`` averages and,
+    for the effparams class only, the weights ``_member_rows`` reads. A
+    member fits every class from the same seed, so one ``_fit_members``
+    task fits a member's classes with one shared ``trees.FeatureDraws``,
+    and each feature subset is drawn once. Where there are fewer members
+    than pool workers, a member's classes are split over several tasks;
+    the draws are the same bits in any task.
 
-    Row blocks. One task per ``ROW_BLOCK`` training or test rows adds up the
-    members' weight rows of its block in member order, at every needed a1,
-    and sends back each row's squared norm of the sum over p_ens at every
-    state. ``store`` joins the blocks in row order into p_train and p_test,
-    so ``evaluate`` only averages snapshots.
+    Row blocks. ``_p_values`` holds (p_train, p_test) by state. One
+    ``_block_sq_norms`` task per ``ROW_BLOCK`` training or test rows adds
+    up the members' weight rows of its block in member order, at every
+    needed a1, and sends back each row's squared norm of the sum over p_ens
+    at every state. ``store`` joins the blocks in row order into p_train
+    and p_test, so ``evaluate`` only averages snapshots.
 
-    A subclass supplies ``_prefit(key, draws)`` -> (key, (snapshots,
-    weights)), whose snapshots map each a1 of the member to (train
+    A subclass supplies ``_prefit(c, member, draws)`` -> (snapshots,
+    weights), whose snapshots map each a1 of the member to (train
     predictions, test predictions, leaf count); and ``_member_rows(member,
     side, rows)``, which yields (a1, weight rows) of the member's training
     or test rows ``rows`` at each of its a1 values.
@@ -254,33 +239,31 @@ class _MemberFamily(_FamilyBase):
             m: sorted({a1 for a1, p_ens in states if p_ens >= m})
             for m in range(1, self.p_ens_max + 1)
         }
-        self._needed = sorted((c, m) for m in self.a1_values for c in self.classes)
         self._blocks = [
             (side, start)
             for side, rows in (("train", train.n), ("test", test.n))
             for start in range(0, rows, ROW_BLOCK)
         ]
+        self._members: dict = {}  # (class, member) -> (snapshots, weights)
         self._p_values: dict = {}  # (a1, p_ens) -> (p_train, p_test)
 
     def prefit_tasks(self):
-        tasks: dict = {}  # a row block, or a member -> its keys
-        for key in self._needed:
-            if key not in self._cache:
-                tasks.setdefault(key if key in self._blocks else key[1:], []).append(key)
-        parts = -(-self.threads // max(1, len(tasks)))
-        return [
-            functools.partial(self._prefit_keys, keys[i::parts])
-            for keys in tasks.values()
-            for i in range(min(parts, len(keys)))
-        ]
+        if not self._members:
+            parts = -(-self.threads // len(self.a1_values))
+            return [
+                functools.partial(self._fit_members, member, self.classes[i::parts])
+                for member in self.a1_values
+                for i in range(min(parts, len(self.classes)))
+            ]
+        if not self._p_values:
+            return [functools.partial(self._block_sq_norms, *block) for block in self._blocks]
+        return []
 
-    def _prefit_keys(self, keys):
+    def _fit_members(self, member, classes):
+        """{(class, member): (snapshots, weights)} of the member's classes,
+        fitted with one shared draw of each feature subset."""
         draws = FeatureDraws()
-        return [
-            (key, self._block_sq_norms(*key)) if key in self._blocks
-            else self._prefit(key, draws)
-            for key in keys
-        ]
+        return {(c, member): self._prefit(c, member, draws) for c in classes}
 
     def _block_sq_norms(self, side, start):
         """{(a1, p_ens): squared norms} of the weight rows of training or test
@@ -298,34 +281,30 @@ class _MemberFamily(_FamilyBase):
         return sq_norms
 
     def store(self, results):
-        """Store one prefit round. After the members, ask for the row
-        blocks; after the blocks, record p_train and p_test of every state."""
-        super().store(pair for pairs in results for pair in pairs)
-        if self._blocks[0] not in self._cache:
-            self._needed += self._blocks
+        """Store one prefit stage: the members, then p_train and p_test of
+        every state from the row blocks' norms, joined in row order."""
+        if not self._members:
+            for members in results:
+                self._members.update(members)
             return
         n = self.train.n
         for state in self.states:
-            train_sq, test_sq = (
-                np.concatenate([self._cache[key][state] for key in self._blocks
-                                if key[0] == side])
+            self._p_values[state] = tuple(
+                p_eff_of_sq_norms(np.concatenate(
+                    [sq[state] for (s, _), sq in zip(self._blocks, results) if s == side]), n)
                 for side in ("train", "test")
             )
-            self._p_values[state] = (p_eff_of_sq_norms(train_sq, n),
-                                     p_eff_of_sq_norms(test_sq, n))
-
-    def _snapshot(self, c, member, a1):
-        """(train predictions, test predictions, leaf count) of a member's
-        class c at a1."""
-        return self._cache[(c, member)][0][a1]
 
     def evaluate(self, a1: int, p_ens: int) -> PointEval:
-        members = range(1, p_ens + 1)
-        preds_train, preds_test = _mean_predictions(
-            ((self._snapshot(c, m, a1)[:2] for m in members) for c in self.classes),
-            p_ens,
+        # each class's (train, test, leaf count) snapshots, in member order
+        snapshots = [[self._members[c, m][0][a1] for m in range(1, p_ens + 1)]
+                     for c in self.classes]
+        preds_train, preds_test = (
+            np.column_stack([functools.reduce(np.add, (s[side] for s in per_class))
+                             for per_class in snapshots]) / p_ens
+            for side in (0, 1)
         )
-        raw_params = sum(self._snapshot(self.weights_class, m, a1)[2] for m in members)
+        raw_params = sum(s[2] for s in snapshots[self.weights_class])
         return self._point(raw_params, preds_train, preds_test, *self._p_values[(a1, p_ens)])
 
 
@@ -339,8 +318,7 @@ class TreeFamily(_MemberFamily):
     the block's leaf ids.
     """
 
-    def _prefit(self, key, draws):
-        c, member = key
+    def _prefit(self, c, member, draws):
         snapshots, weights = {}, {}
         for budget in self.a1_values[member]:
             tree = fit_tree(
@@ -356,10 +334,10 @@ class TreeFamily(_MemberFamily):
             snapshots[budget] = (tree.leaf_values[tree.train_leaf],
                                  tree.leaf_values[test_lids], tree.n_leaves)
             weights[budget] = (tree.train_leaf, test_lids, tree.leaf_counts)
-        return key, (snapshots, weights if c == self.weights_class else None)
+        return snapshots, weights if c == self.weights_class else None
 
     def _member_rows(self, member, side, rows):
-        weights = self._cache[(self.weights_class, member)][1]
+        weights = self._members[self.weights_class, member][1]
         for budget, (train_leaf, test_lids, counts) in weights.items():
             query = train_leaf if side == "train" else test_lids
             yield budget, leaf_rows(train_leaf, counts)[query[rows]]
@@ -387,8 +365,7 @@ class BoostFamily(_MemberFamily):
             self.p_ens_max, max(self.a1_values[1]), shared.boost_leaf_budget, train.n
         )
 
-    def _prefit(self, key, draws):
-        c, member = key
+    def _prefit(self, c, member, draws):
         lr = self.shared.learning_rate
         model = fit_boost(
             self.train.features,
@@ -411,14 +388,14 @@ class BoostFamily(_MemberFamily):
             for p in self.a1_values[member]
         }
         if c != self.weights_class:
-            return key, (snapshots, None)
+            return snapshots, None
         # weights only for the class they are read from
         for p, (W, R, _) in enumerate(weight_steps(train_lids, lr, self.train.n)):
             self.steps[member - 1, p, :len(R)] = lr * (W - R)
-        return key, (snapshots, (train_lids, test_lids))
+        return snapshots, (train_lids, test_lids)
 
     def _member_rows(self, member, side, rows):
-        train_lids, test_lids = self._cache[(self.weights_class, member)][1]
+        train_lids, test_lids = self._members[self.weights_class, member][1]
         queries = train_lids if side == "train" else test_lids
         acc = np.zeros((len(queries[0][rows]), self.train.n))
         for p, (step, query) in enumerate(zip(self.steps[member - 1], queries), start=1):

@@ -156,13 +156,14 @@ class SweepResult:
 def _run_states(family, states, threads):
     """Prefit, then evaluate each state; every family's points run in the pool.
 
-    Prefit runs in rounds: each round's tasks run in the pool and their
-    results are stored, until the family lists no more tasks. A round's
-    workers fork after the previous round is stored, so they inherit its
-    results (the tree and boosting row blocks read the stored members'
-    leaf ids). The family's caches are filled before the evaluation pool
-    forks, so the workers inherit them; points run largest first, so no big
-    one is left to run alone at the end, and come back in input order.
+    Prefit runs one stage at a time: the tasks the family lists run in the
+    pool and their results are stored, in task order, until the family
+    lists no more tasks. A stage's workers fork after the stage before it
+    is stored, so they inherit what it holds (the tree and boosting row
+    blocks read the stored members' leaf ids). Every stage is stored
+    before the evaluation pool forks, so the workers inherit it; points
+    run largest first, so no big one is left to run alone at the end, and
+    come back in input order.
     """
     while tasks := family.prefit_tasks():
         family.store(_pool_map(lambda task: task(), tasks, threads, "prefit"))

@@ -18,11 +18,12 @@ METRICS = [{"name": "wall_s", "unit": "s", "better": "lower"},
            {"name": "points_per_s", "unit": "1/s", "better": "higher"}]
 
 
-def _pair(parent_wall, change_wall):
+def _pair(parent_wall, change_wall, first="parent"):
     """One pair of runs; a run's rate is the inverse of its time."""
     return {
-        side: {"metrics": {"wall_s": {"value": wall}, "points_per_s": {"value": 1 / wall}}}
-        for side, wall in (("parent", parent_wall), ("change", change_wall))
+        "first": first,
+        **{side: {"metrics": {"wall_s": {"value": wall}, "points_per_s": {"value": 1 / wall}}}
+           for side, wall in (("parent", parent_wall), ("change", change_wall))},
     }
 
 
@@ -44,6 +45,23 @@ def test_summarize_counts_wins_and_pairs_the_ratios():
     assert wall["change_ratio"]["q1"] == pytest.approx(0.9)
     assert wall["change_ratio"]["q3"] == pytest.approx(1.05)
     assert rate["change_ratio"]["median"] == pytest.approx(1 / 0.9)
+
+
+def test_ratios_are_split_by_the_side_that_ran_first():
+    # the side that runs second reads 10% slower: an order effect of the
+    # host, which the overall ratios hide
+    walls = [(1.0, 1.1, "parent"), (2.0, 1.8, "change"), (3.0, 3.3, "parent"),
+             (4.0, 3.6, "change"), (5.0, 5.5, "parent")]
+    out = bench_pairs.summarize([_pair(*w) for w in walls], METRICS)
+    by_first = out["wall_s"]["change_ratio_by_first"]
+    assert by_first["parent"]["median"] == pytest.approx(1.1)
+    assert by_first["parent"]["iqr"] == pytest.approx(0.0)
+    assert by_first["change"]["median"] == pytest.approx(0.9)
+    assert out["points_per_s"]["change_ratio_by_first"]["change"]["median"] == (
+        pytest.approx(1 / 0.9))
+    # a record of one pair has no pair the change ran first
+    one = bench_pairs.summarize([_pair(*walls[0])], METRICS)["wall_s"]
+    assert list(one["change_ratio_by_first"]) == ["parent"]
 
 
 BENCH = {"workloads": [{"name": "rff_pcr"}, {"name": "boost_fold"}]}

@@ -163,9 +163,15 @@ def test_member_p0_does_not_depend_on_the_row_blocks(monkeypatch, family):
     values = {}
     for block in (5, 8):  # several blocks each, neither dividing 38 nor 63
         monkeypatch.setattr(families, "ROW_BLOCK", block)
-        runner = _prefitted(FAMILY_RUNNERS[family](train, test, shared, states))
+        runner = FAMILY_RUNNERS[family](train, test, shared, states)
+        runner.store([task() for task in runner.prefit_tasks()])  # the members
+        tasks = runner.prefit_tasks()  # then one task per row block
+        sides = [task.args[0] for task in tasks]
         for side, ds in (("train", train), ("test", test)):
-            assert sum(key[0] == side for key in runner._cache) == math.ceil(ds.n / block)
+            assert sides.count(side) == math.ceil(ds.n / block)
+        runner.store([task() for task in tasks])
+        # two stages: once both are stored, nothing is left to prefit
+        assert runner.prefit_tasks() == []
         values[block] = [runner.evaluate(*state) for state in states]
     for (a1, p_ens), ev in zip(states, values[5]):
         if family == "tree":
@@ -180,7 +186,7 @@ def test_member_p0_does_not_depend_on_the_row_blocks(monkeypatch, family):
     assert values[5] == values[8]
 
 
-def _assert_lean_payloads(tasks, n):
+def _assert_lean_payloads(results, n):
     """No prefit task sends back a model, weight rows or anything of n² values."""
 
     def leaves(value):
@@ -190,12 +196,19 @@ def _assert_lean_payloads(tasks, n):
             return leaves(list(value.values()))
         return [value]
 
-    for value in leaves([value for _, pairs in tasks for _, value in pairs]):
+    for value in leaves(results):
         assert not isinstance(value, (boosting.BoostedModel, RegressionTree))
         assert np.size(value) < n * n
         # no weight rows: those are formed only where they are read
         array = np.asarray(value)
         assert not (array.ndim == 2 and np.issubdtype(array.dtype, np.floating))
+
+
+def _row_blocks(train, test):
+    """(side, start) of every row block, training rows first: together they
+    cover every row."""
+    return [(side, start) for side, ds in (("train", train), ("test", test))
+            for start in range(0, ds.n, families.ROW_BLOCK)]
 
 
 def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
@@ -204,11 +217,10 @@ def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
     train, test = load_datasets(command_defaults("sweep")["dataset"])  # desk scale
     shared = SweepConfig(effparams_class=2)
     Y = one_vs_all_targets(train, train.task_classes)
-    class_of, step_runs, tasks, in_task, in_store = {}, [], [], [], []
-    fit_boost, steps, prefit_keys, store = (
-        families.fit_boost, boosting.weight_steps,
-        families.BoostFamily._prefit_keys, families.BoostFamily.store,
-    )
+    class_of, step_runs, runs, blocks, results, in_task, in_store = {}, [], [], [], [], [], []
+    fit_boost, steps, store = families.fit_boost, boosting.weight_steps, families.BoostFamily.store
+    fit_members, block_sq_norms = (families.BoostFamily._fit_members,
+                                   families.BoostFamily._block_sq_norms)
     round_step, member_rows = boosting._round_step, families.BoostFamily._member_rows
 
     def counted_fit_boost(X, y, **kwargs):
@@ -229,17 +241,20 @@ def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
 
     def checked_member_rows(self, *args):
         assert not in_store, "store stepped weight rows"
-        assert isinstance(in_task[-1][0][0], str), "weight rows outside a row block"
+        assert in_task[-1][0] == "block", "weight rows outside a row block"
         yield from member_rows(self, *args)
 
-    def recorded_task(self, keys):
-        in_task.append(keys)
-        try:
-            pairs = prefit_keys(self, keys)
-        finally:
-            in_task.pop()
-        tasks.append((keys, pairs))
-        return pairs
+    def recorded(kind, task, log):
+        def run(self, *args):
+            in_task.append((kind, *args))
+            try:
+                result = task(self, *args)
+            finally:
+                in_task.pop()
+            log.append(args)
+            results.append(result)
+            return result
+        return run
 
     def guarded_store(self, results):
         in_store.append(True)
@@ -253,23 +268,22 @@ def test_boosting_weights_are_computed_only_where_they_are_read(monkeypatch):
     monkeypatch.setattr(families, "weight_steps", counted_steps)
     monkeypatch.setattr(boosting, "_round_step", checked_round_step)
     monkeypatch.setattr(families.BoostFamily, "_member_rows", checked_member_rows)
-    monkeypatch.setattr(families.BoostFamily, "_prefit_keys", recorded_task)
+    monkeypatch.setattr(families.BoostFamily, "_fit_members",
+                        recorded("member", fit_members, runs))
+    monkeypatch.setattr(families.BoostFamily, "_block_sq_norms",
+                        recorded("block", block_sq_norms, blocks))
     monkeypatch.setattr(families.BoostFamily, "store", guarded_store)
     schedule = composite_schedule("boosting", [1, 3, 6], [2, 4], shared=shared)
     run_sweep(schedule, train, test, threads=1)
     # one task per member 1..4, fitting all of that member's classes
-    runs = [keys for keys, _ in tasks if not isinstance(keys[0][0], str)]
     classes = range(train.task_classes)
-    assert runs == [[(c, member) for c in classes] for member in range(1, 5)]
+    assert runs == [(member, classes) for member in range(1, 5)]
     # one weight walk per member, for the effparams class, inside its task
     c = shared.effparams_class
-    assert step_runs == [(c, keys) for keys in runs]
-    # then the row blocks, one per task, cover the training and the test rows
-    blocks = [keys for keys, _ in tasks[len(runs):]]
-    assert all(len(keys) == 1 and isinstance(keys[0][0], str) for keys in blocks)
-    assert {keys[0][0] for keys in blocks} == {"train", "test"}
-    assert len(blocks) == sum(math.ceil(ds.n / families.ROW_BLOCK) for ds in (train, test))
-    _assert_lean_payloads(tasks, train.n)
+    assert step_runs == [(c, ("member", *run)) for run in runs]
+    # then the row blocks cover the training and the test rows
+    assert blocks == _row_blocks(train, test)
+    _assert_lean_payloads(results, train.n)
 
 
 def test_tree_sweep_forms_no_weight_matrices(toy_images, monkeypatch):
@@ -278,23 +292,28 @@ def test_tree_sweep_forms_no_weight_matrices(toy_images, monkeypatch):
 
     for name in ("leaf_weight_rows", "weight_matrix"):
         monkeypatch.setattr(RegressionTree, name, refuse)
-    tasks, prefit_keys = [], families.TreeFamily._prefit_keys
+    runs, blocks, results = [], [], []
 
-    def recorded_task(self, keys):
-        pairs = prefit_keys(self, keys)
-        tasks.append((keys, pairs))
-        return pairs
+    def recorded(task, log):
+        def run(self, *args):
+            log.append(args)
+            results.append(task(self, *args))
+            return results[-1]
+        return run
 
-    monkeypatch.setattr(families.TreeFamily, "_prefit_keys", recorded_task)
+    monkeypatch.setattr(families.TreeFamily, "_fit_members",
+                        recorded(families.TreeFamily._fit_members, runs))
+    monkeypatch.setattr(families.TreeFamily, "_block_sq_norms",
+                        recorded(families.TreeFamily._block_sq_norms, blocks))
     train, test = toy_images
     schedule = composite_schedule("tree", [2, 8, 30], [3], shared=SweepConfig())
     result = run_sweep(schedule, train, test, threads=1)
     assert len(result.records) == 4
     assert all(np.isfinite(r.p_test) and r.p_test > 0 for r in result.records)
-    # members, then one task per row block
-    assert sum(isinstance(keys[0][0], str) for keys, _ in tasks) == sum(
-        math.ceil(ds.n / families.ROW_BLOCK) for ds in (train, test))
-    _assert_lean_payloads(tasks, train.n)
+    # one task per member, fitting all of its classes, then the row blocks
+    assert runs == [(member, range(train.task_classes)) for member in (1, 2, 3)]
+    assert blocks == _row_blocks(train, test)
+    _assert_lean_payloads(results, train.n)
 
 
 def test_infeasible_point_fails_before_any_fitting(toy_images):
@@ -531,9 +550,12 @@ def test_rff_prefit_values_hold_one_block_of_column_statistics(toy_images):
     bound = len(pickle.dumps((np.zeros(BLOCK), np.zeros(BLOCK), np.ones(BLOCK, bool))))
     tasks = family.prefit_tasks()
     assert len(tasks) == family.Xs_train.shape[1] // BLOCK
-    for task in tasks:
-        _, value = task()
+    results = [task() for task in tasks]
+    for value in results:
         assert len(pickle.dumps(value)) <= bound
+    # one stage: once it is stored, nothing is left to prefit
+    family.store(results)
+    assert family.prefit_tasks() == []
 
 
 def test_rerun_is_bitwise_deterministic(toy_images, tmp_path):
