@@ -19,7 +19,8 @@ is BENCH_<name>.json at the repository root: per workload and metric the
 parent's and change's median and quartiles, the pairs the change wins,
 the change of the median as a fraction of the parent's, and the median
 and quartiles of the per-pair change/parent ratio, over all pairs and
-separately over the pairs each side ran first. Both sides of a pair run
+separately over the pairs each side ran first, and the order-balanced
+ratio: the geometric mean of those two medians. Both sides of a pair run
 the same seed back to back, so the ratio cancels that seed's cost and
 most of the host's drift over the record, which widen each side's own
 quartiles; a ratio that moves with the side that ran first is an order
@@ -115,6 +116,12 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             # first in any pair is left out
             "change_ratio_by_first": {side: spread(r) for side, r in by_first.items() if r},
         }
+        if all(by_first.values()):
+            # a host that slows whichever side runs second by a constant
+            # factor scales one by-first median by it and the other by its
+            # inverse; their geometric mean cancels it
+            out[name]["change_ratio_balanced"] = statistics.geometric_mean(
+                statistics.median(r) for r in by_first.values())
     return out
 
 
@@ -138,7 +145,8 @@ def record(args, sha: str, bench: dict, runs: dict) -> dict:
         "method": "alternating pairs: parent first on even pair index, change first on "
                   "odd; seed = pair index; medians and quartiles (statistics.quantiles, "
                   "n=4) over the pairs and over the per-pair change/parent ratios, the "
-                  "ratios also split by the side that ran first; a win is a pair "
+                  "ratios also split by the side that ran first, and the geometric mean "
+                  "of the two by-first medians (change_ratio_balanced); a win is a pair "
                   "where the change reads better",
         "workloads": workloads,
     }

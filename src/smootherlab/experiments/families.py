@@ -126,11 +126,14 @@ class RffLinearFamily(_FamilyBase):
     standardized again: every statistic is per column, so a prefix holds
     what standardizing that prefix alone would give.
 
-    A point never forms its (n, n) hat matrix or (m, n) test weights. It
-    projects the test prefix onto the fit's components, predicts through
-    the coefficients, and takes p_train and p_test from the squared norms
-    that the orthogonal columns of [Z, 1] give in closed form; p_train is
-    summed from the training design, not assumed to be the rank.
+    A point never forms its (n, n) hat matrix or (m, n) test weights, and
+    it holds one design at a time. It solves for the coefficients, predicts
+    the training rows, squares the training design in place for p_train and
+    frees it; only then does it project the test prefix onto the fit's
+    components, predict through the coefficients and square the test
+    design in place for p_test. Both come from the squared norms that the
+    orthogonal columns of [Z, 1] give in closed form; p_train is summed
+    from the training design, not assumed to be the rank.
     """
 
     def __init__(self, train, test, shared, states, threads=1):
@@ -178,12 +181,17 @@ class RffLinearFamily(_FamilyBase):
         q = int(np.count_nonzero(kept))  # kept columns come first in mean, std
         sm = pcr_smoother(self.Xs_train[:, :p_phi], p_pc,
                           scaling=(self.mean[:q], self.std[:q], kept))
-        Xs_test = self.Xs_test[:, :p_phi]
-        A = sm.train_design
-        A0 = sm.standardized_design(Xs_test if q == p_phi else Xs_test[:, kept])
         beta, n = sm.coefficients(self.Y_train), self.train.n
-        return self._point(p_phi, A @ beta, A0 @ beta,
-                           p_eff_of_sq_norms(sm.sq_norms(A), n),
+        # finish the training side and free its design before the test
+        # design exists; sq_norms squares each design in place
+        A, sm.train_design = sm.train_design, None
+        preds_train = A @ beta
+        p_train = p_eff_of_sq_norms(sm.sq_norms(A), n)
+        del A
+        Xs_test = self.Xs_test[:, :p_phi]
+        A0 = sm.standardized_design(Xs_test if q == p_phi else Xs_test[:, kept])
+        preds_test = A0 @ beta
+        return self._point(p_phi, preds_train, preds_test, p_train,
                            p_eff_of_sq_norms(sm.sq_norms(A0), n))
 
 
@@ -355,6 +363,12 @@ class BoostFamily(_MemberFamily):
     ``weight_steps`` and writes each round's step lr * (W_p - R_p) into
     ``steps``, an array in shared memory; a row block steps its rows
     through a member's rounds by adding the step rows at their leaf ids.
+
+    A training block steps rows that ``weight_steps`` has stepped already.
+    Keeping each member's training state at every a1 for the blocks would
+    hold members x |a1| x n^2 floats: 58 MB at desk scale (10 x 8 x 300^2
+    x 8 B) and 640 MB at full scale. Stepping them again costs the 300
+    training rows among the 900 rows of the desk blocks.
     """
 
     def __init__(self, train, test, shared, states, threads=1):

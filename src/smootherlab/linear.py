@@ -26,8 +26,11 @@ the single fits of ``fit``, ``effparams`` and ``bias-variance``.
 A sweep point's memory is dominated by the (p, p_pc) components and the
 (rows, p_pc + 1) designs, so PCR makes no second copy of them: the
 components are scaled in place, the designs are written straight into
-their final arrays, and the (p_pc + 1, n) solver is formed only when asked
-for. Each gives the same bits as the plain expression it replaces.
+their final arrays and squared in place by ``sq_norms``, and the
+(p_pc + 1, n) solver is formed only when asked for. So a caller that
+reads p0 from both designs, as the sweep does, can finish with the
+training design and free it before it projects the test rows. Each gives
+the same bits as the plain expression it replaces.
 """
 from __future__ import annotations
 
@@ -114,6 +117,8 @@ class PcrSmoother:
     def sq_norms(self, A0: np.ndarray) -> np.ndarray:
         """||s(x0)||^2 of each row a0 of A0, projected queries as ``design``
         or ``standardized_design`` return them, without forming the weights.
+        Overwrites A0 with its elementwise square, so no second array of its
+        size is made; a caller that still needs A0 passes a copy.
 
         The weight row a0 diag(sa_inv_sq) A' has squared norm
         a0 diag(sa_inv_sq) A'A diag(sa_inv_sq) a0', and A'A is diagonal with
@@ -122,7 +127,7 @@ class PcrSmoother:
         A's rounding away from orthogonality, of order
         eps * sigma_1^2 / sigma_j^2 relative in component j.
         """
-        return (A0 * A0) @ self.sa_inv_sq
+        return np.multiply(A0, A0, out=A0) @ self.sa_inv_sq
 
     def coefficients(self, y: np.ndarray) -> np.ndarray:
         return self.solver @ np.asarray(y, dtype=float)

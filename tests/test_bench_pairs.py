@@ -64,6 +64,29 @@ def test_ratios_are_split_by_the_side_that_ran_first():
     assert list(one["change_ratio_by_first"]) == ["parent"]
 
 
+def test_balanced_ratio_cancels_a_constant_order_factor():
+    # the change is 5% faster, and whichever side runs second reads 10%
+    # slower on top of pair costs that grow with the seed
+    walls = []
+    for i in range(6):
+        first = "parent" if i % 2 == 0 else "change"
+        parent, change = i + 1.0, 0.95 * (i + 1.0)
+        if first == "parent":
+            change *= 1.1
+        else:
+            parent *= 1.1
+        walls.append((parent, change, first))
+    out = bench_pairs.summarize([_pair(*w) for w in walls], METRICS)
+    wall = out["wall_s"]
+    assert wall["change_ratio_by_first"]["parent"]["median"] == pytest.approx(0.95 * 1.1)
+    assert wall["change_ratio_by_first"]["change"]["median"] == pytest.approx(0.95 / 1.1)
+    assert wall["change_ratio_balanced"] == pytest.approx(0.95)
+    assert out["points_per_s"]["change_ratio_balanced"] == pytest.approx(1 / 0.95)
+    # until both sides have run first there is nothing to balance
+    one = bench_pairs.summarize([_pair(*walls[0])], METRICS)["wall_s"]
+    assert "change_ratio_balanced" not in one
+
+
 BENCH = {"workloads": [{"name": "rff_pcr"}, {"name": "boost_fold"}]}
 
 

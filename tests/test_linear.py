@@ -431,7 +431,7 @@ def test_pcr_products_keep_the_bits_of_the_plain_expressions(n, p, p_pc, masked,
     assert np.array_equal(A0, concatenated(sm.scale(X0)))
     assert np.array_equal(sm.design(X0), A0)
     for D in (A, A0):
-        assert np.array_equal(sm.sq_norms(D), (D * D) @ sm.sa_inv_sq)
+        assert np.array_equal(sm.sq_norms(D.copy()), (D * D) @ sm.sa_inv_sq)
     solver = (A * sm.sa_inv_sq).T
     assert np.array_equal(sm.solver, solver)
     y, Y = rng.normal(size=n), rng.normal(size=(n, 3))

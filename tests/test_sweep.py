@@ -14,6 +14,7 @@ import os
 import pickle
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -409,6 +410,25 @@ def _explicit_point(family, p_pc, p_ex):
     return values, sm
 
 
+def _plain_point(family, p_pc, p_ex):
+    """A point's record from the plain expression on intact designs: the
+    fit, its coefficients, both projections and (D * D) @ sa_inv_sq."""
+    p_phi = p_pc + p_ex
+    kept = family.kept[:p_phi]
+    q = int(np.count_nonzero(kept))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a zero-variance column's drop warning
+        sm = pcr_smoother(family.Xs_train[:, :p_phi], p_pc,
+                          scaling=(family.mean[:q], family.std[:q], kept))
+    Xs_test = family.Xs_test[:, :p_phi]
+    A = sm.train_design
+    A0 = sm.standardized_design(Xs_test if q == p_phi else Xs_test[:, kept])
+    beta, n = sm.coefficients(family.Y_train), family.train.n
+    return family._point(p_phi, A @ beta, A0 @ beta,
+                         p_eff_of_sq_norms((A * A) @ sm.sa_inv_sq, n),
+                         p_eff_of_sq_norms((A0 * A0) @ sm.sa_inv_sq, n))
+
+
 def _masking_block(block):
     """Cosine block with column 1 a copy of column 0 and column 2 constant."""
     def patched(fmap, X, start):
@@ -457,6 +477,11 @@ def test_rff_point_p0_closed_form_matches_explicit_rows(
         warnings.simplefilter("ignore")
         family = _prefitted(RffLinearFamily(train, test, SweepConfig(), [(p_pc, p_ex)]))
         got = family.evaluate(p_pc, p_ex)
+    # evaluate frees the training design before it projects the test rows
+    # and squares each design in place, keeping every bit of the plain
+    # expression; the masked point's prefix also drops a constant column
+    assert got == _plain_point(family, p_pc, p_ex)
+    assert family.kept[:p_pc + p_ex].all() != masked
     want, sm = _explicit_point(family, p_pc, p_ex)
     # the cutoff masks the duplicated direction, and only there
     assert (sm.rank < sm.train_design.shape[1]) == masked
@@ -467,6 +492,41 @@ def test_rff_point_p0_closed_form_matches_explicit_rows(
     )
     if p_pc == train.n - 1 and p_ex == 0:
         assert abs(got.p_train - train.n) <= 1e-9 * train.n
+
+
+def test_rff_point_frees_its_training_design_before_the_test_design(monkeypatch):
+    """The training design is dead when the test rows are projected, and the
+    traced peak of a point whose test design dominates stays below the
+    components plus 1.5 test designs: the test design is never held
+    together with the training design or with its own square."""
+    full = synth_images(60 + 1500, side=6, n_classes=3, noise_std=0.25, seed=7,
+                        label_noise=0.15)
+    train, test = full.take(slice(None, 60)), full.take(slice(60, None))
+    p_pc, p_ex = 59, 140
+    family = _prefitted(RffLinearFamily(train, test, SweepConfig(), [(p_pc, p_ex)]))
+    project, designs = linear._project, []
+
+    def watched(Xs, components):
+        if Xs.shape[0] == test.n:
+            assert designs and designs[-1]() is None, "training design still alive"
+        A = project(Xs, components)
+        designs.append(weakref.ref(A))
+        return A
+
+    monkeypatch.setattr(linear, "_project", watched)
+    family.evaluate(p_pc, p_ex)  # also warms numpy's caches outside the trace
+    assert len(designs) == 2
+    monkeypatch.setattr(linear, "_project", project)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        family.evaluate(p_pc, p_ex)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    components, test_design = 8 * (p_pc + p_ex) * p_pc, 8 * test.n * (p_pc + 1)
+    assert test_design > 4 * components
+    assert peak < components + 1.5 * test_design, (peak, components, test_design)
 
 
 def test_rff_peak_p0_matches_an_svd_of_the_standardized_design():
@@ -519,17 +579,17 @@ def test_rff_family_drops_its_frequency_bank_once_the_blocks_are_stored(toy_imag
 
 def test_rff_wide_point_peak_memory_is_bounded():
     """One wide point's evaluate holds at most one (p, k) components array,
-    one (n, k+1) training design and two (m, k+1) arrays (the test design
-    and its square in ``sq_norms``), plus 64 KiB for the predictions and
-    small products. At this point, scaling the components out of place or
-    keeping the solver exceeds the bound."""
+    one (n, k+1) training design and one (m, k+1) test design, plus 64 KiB
+    for the predictions and small products. At this point, scaling the
+    components out of place, keeping the solver or squaring a design out of
+    place exceeds the bound."""
     full = synth_images(420, side=6, n_classes=3, noise_std=0.25, seed=7,
                         label_noise=0.15)
     train, test = full.take(slice(None, 120)), full.take(slice(120, None))
     p_pc, p_ex = 119, 900
     family = _prefitted(RffLinearFamily(train, test, SweepConfig(), [(p_pc, p_ex)]))
     p, k, n, m = p_pc + p_ex, p_pc, train.n, test.n
-    floats = p * k + n * (k + 1) + 2 * m * (k + 1)
+    floats = p * k + n * (k + 1) + m * (k + 1)
     bound = 8 * floats + 64 * 1024
     family.evaluate(p_pc, p_ex)  # warm numpy's caches outside the trace
     tracemalloc.start()
