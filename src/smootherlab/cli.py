@@ -281,12 +281,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, float) and not np.isfinite(obj):
         return repr(obj)
     return obj
@@ -467,18 +461,6 @@ def _fit_model(cfg: dict, X: np.ndarray, y: np.ndarray):
     raise ValidationError(f"unknown model kind {kind!r}")
 
 
-# --------------------------------------------------------------------------- svg helpers
-
-
-def _loss_chart(path: Path, title: str, x_label: str, series, log_x=False) -> None:
-    """An SVG of summed squared loss on a log axis, one line per
-    (label, x, y[, dashed]) entry of `series`."""
-    chart = LineChart(title, x_label, log_x=log_x)
-    for line in series:
-        chart.add(*line)
-    chart.write(path)
-
-
 # --------------------------------------------------------------------------- subcommands
 
 
@@ -532,10 +514,10 @@ def _cmd_sweep(cfg, out, args) -> str:
     result.write_csv(path)
     if args.svg:
         idx = [r.point_index for r in result.records]
-        _loss_chart(out / "sweep.svg", f"composite sweep ({cfg['family']})",
-                    "schedule position",
-                    [("test", idx, result.test_mse),
-                     ("train", idx, np.maximum(result.train_mse, 1e-18))])
+        LineChart(f"composite sweep ({cfg['family']})", "schedule position",
+                  [("test", idx, result.test_mse),
+                   ("train", idx, np.maximum(result.train_mse, 1e-18))]
+                  ).write(out / "sweep.svg")
     peak = int(np.argmax(result.test_mse))
     return (
         f"sweep: family={cfg['family']} points={len(result.records)} "
@@ -553,9 +535,10 @@ def _cmd_grid(cfg, out, args) -> str:
     if args.svg:
         columns = [(a2, [r for r in result.records if r.axis2_value == a2])
                    for a2 in axis2]
-        _loss_chart(out / "grid.svg", f"grid ({cfg['family']})", "axis-1 value",
-                    [(f"{rows[0].axis2_name}={a2}", [r.axis1_value for r in rows],
-                      [r.test_mse for r in rows]) for a2, rows in columns])
+        LineChart(f"grid ({cfg['family']})", "axis-1 value",
+                  [(f"{rows[0].axis2_name}={a2}", [r.axis1_value for r in rows],
+                    [r.test_mse for r in rows]) for a2, rows in columns]
+                  ).write(out / "grid.svg")
     return (
         f"grid: family={cfg['family']} points={len(result.records)} -> {path}"
     )
@@ -579,11 +562,10 @@ def _cmd_peaks(cfg, out, args) -> str:
         switch_at = result.schedule.switch_indices()
         lines.append(f"switch={switch} peak@{peak} (axis change @{switch_at})")
     if args.svg:
-        _loss_chart(out / "peaks.svg", f"peak moving ({cfg['family']})",
-                    "schedule position",
-                    [(f"switch={switch}", [r.point_index for r in result.records],
-                      result.test_mse)
-                     for switch, result in zip(switches, results)])
+        LineChart(f"peak moving ({cfg['family']})", "schedule position",
+                  [(f"switch={switch}", [r.point_index for r in result.records],
+                    result.test_mse) for switch, result in zip(switches, results)]
+                  ).write(out / "peaks.svg")
     return f"peaks: family={cfg['family']} " + "; ".join(lines) + f" -> {out}"
 
 
@@ -595,11 +577,10 @@ def _cmd_back_to_u(cfg, out, args) -> str:
     result.write_csv(path)
     if args.svg:
         branches = [(name, result.branch(name)) for name in result.branch_names()]
-        _loss_chart(out / "back_to_u.svg", f"back to U ({cfg['family']})",
-                    "generalized params (test inputs)",
-                    [(name, [r.p_test for r in rows], [r.test_mse for r in rows],
-                      name.startswith("contour")) for name, rows in branches],
-                    log_x=True)
+        LineChart(f"back to U ({cfg['family']})", "generalized params (test inputs)",
+                  [(name, [r.p_test for r in rows], [r.test_mse for r in rows],
+                    name.startswith("contour")) for name, rows in branches],
+                  log_x=True).write(out / "back_to_u.svg")
     n_contours = sum(1 for b in result.branch_names() if b.startswith("contour"))
     return (
         f"back-to-u: family={cfg['family']} branches={len(result.branch_names())} "

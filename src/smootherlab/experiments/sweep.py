@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,20 +22,6 @@ from ..tableio import write_csv
 from .families import FAMILY_RUNNERS
 from .schedule import AXES, SweepConfig, SweepSchedule, composite_schedule
 
-SWEEP_HEADER = [
-    "point_index",
-    "axis1_name",
-    "axis1_value",
-    "axis2_name",
-    "axis2_value",
-    "raw_params",
-    "train_mse",
-    "test_mse",
-    "test_zero_one",
-    "p_train",
-    "p_test",
-    "seed",
-]
 
 def resolve_threads(threads: int | None = None) -> int:
     """Worker processes: the argument, else one per core."""
@@ -116,6 +102,10 @@ class SweepRecord:
 
     def row(self) -> list:
         return [getattr(self, name) for name in SWEEP_HEADER]
+
+
+#: the CSV columns: a record's fields but the in-memory ``wall_time``
+SWEEP_HEADER = [f.name for f in fields(SweepRecord) if f.name != "wall_time"]
 
 
 @dataclass

@@ -4,7 +4,7 @@ on a log y axis against a linear or log x axis, tick labels, and a
 legend."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,46 +22,30 @@ _Y_LABEL = "summed squared loss"
 
 
 @dataclass
-class Series:
-    label: str
-    x: np.ndarray
-    y: np.ndarray
-    dashed: bool = False
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        if self.x.shape != self.y.shape or self.x.ndim != 1:
-            raise ValidationError(
-                f"series {self.label!r}: x {self.x.shape} / y {self.y.shape}"
-            )
-
-
-@dataclass
 class LineChart:
+    """A chart of `series`, (label, x, y[, dashed]) tuples, one line each."""
+
     title: str
     x_label: str
+    series: list
     log_x: bool = False
-    series: list[Series] = field(default_factory=list)
-
-    def add(self, label, x, y, dashed=False) -> None:
-        self.series.append(Series(label, x, y, dashed))
-
-    # -- rendering -----------------------------------------------------------
 
     def render(self) -> str:
-        if not self.series:
-            raise ValidationError("chart has no series")
-        xs = np.concatenate([s.x for s in self.series])
-        ys = np.concatenate([s.y for s in self.series])
-        finite = np.isfinite(xs) & np.isfinite(ys) & (ys > 0)
-        if self.log_x:
-            finite &= xs > 0
-        if not finite.any():
-            raise ValidationError("chart has no finite points")
-        x_vals = np.log10(xs[finite]) if self.log_x else xs[finite]
+        # each series' drawable points: finite, y > 0 and, on a log x axis, x > 0
+        lines = []
+        for label, x, y, *dashed in self.series:
+            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+            ok = np.isfinite(x) & np.isfinite(y) & (y > 0)
+            if self.log_x:
+                ok &= x > 0
+            lines.append((label, x[ok], y[ok], any(dashed)))
+        if not any(len(x) for _, x, _, _ in lines):
+            raise ValidationError("chart has no drawable points")
+        xs = np.concatenate([x for _, x, _, _ in lines])
+        ys = np.concatenate([y for _, _, y, _ in lines])
+        x_vals = np.log10(xs) if self.log_x else xs
         x_lo, x_hi = float(x_vals.min()), float(x_vals.max())
-        y_vals = np.log10(ys[finite])
+        y_vals = np.log10(ys)
         y_lo, y_hi = float(y_vals.min()), float(y_vals.max())
         if x_hi == x_lo:
             x_hi = x_lo + 1.0
@@ -84,23 +68,17 @@ class LineChart:
             f'font-size="14">{_esc(self.title)}</text>',
         ]
         parts += self._axes(x_lo, x_hi, y_lo, y_hi)
-        for i, s in enumerate(self.series):
-            color = _PALETTE[i % len(_PALETTE)]
-            pts = []
-            for xv, yv in zip(s.x, s.y):
-                ok = np.isfinite(xv) and np.isfinite(yv) and yv > 0
-                if self.log_x:
-                    ok = ok and xv > 0
-                if ok:
-                    pts.append(f"{sx(xv):.2f},{sy(yv):.2f}")
-            if not pts:
+        for i, (_, x, y, dashed) in enumerate(lines):
+            if not len(x):
                 continue
-            dash = ' stroke-dasharray="6 4"' if s.dashed else ""
+            color = _PALETTE[i % len(_PALETTE)]
+            pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, y))
+            dash = ' stroke-dasharray="6 4"' if dashed else ""
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} '
-                f'points="{" ".join(pts)}"/>'
+                f'points="{pts}"/>'
             )
-        parts += self._legend()
+        parts += self._legend(lines)
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
 
@@ -140,18 +118,18 @@ class LineChart:
             )
         return out
 
-    def _legend(self):
+    def _legend(self, lines):
         out = []
         y = _MT + 6
-        for i, s in enumerate(self.series):
+        for i, (label, _, _, dashed) in enumerate(lines):
             color = _PALETTE[i % len(_PALETTE)]
-            dash = ' stroke-dasharray="6 4"' if s.dashed else ""
+            dash = ' stroke-dasharray="6 4"' if dashed else ""
             out.append(
                 f'<line x1="{_W - _MR - 150}" y1="{y}" x2="{_W - _MR - 120}" '
                 f'y2="{y}" stroke="{color}" stroke-width="1.5"{dash}/>'
             )
             out.append(
-                f'<text x="{_W - _MR - 114}" y="{y + 4}">{_esc(s.label)}</text>'
+                f'<text x="{_W - _MR - 114}" y="{y + 4}">{_esc(label)}</text>'
             )
             y += 16
         return out

@@ -821,6 +821,20 @@ def test_fixed_design_report(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("fixed-design: models=5")
 
 
+def test_non_finite_setting_is_written_as_a_json_string(tmp_path):
+    """An infinite --set value reaches config.json and the report as the
+    string "inf", never as the bare ``Infinity`` strict JSON rejects."""
+    def strict(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    out = tmp_path / "a"
+    assert _run(["fixed-design", "--set", "loss_tol=1e999"], out) == 0
+    config = json.loads((out / "config.json").read_text(), parse_constant=strict)
+    report = json.loads((out / "fixed_design.json").read_text(), parse_constant=strict)
+    assert config["config"]["loss_tol"] == "inf"
+    assert report["tolerance"] == "inf"
+
+
 def test_dead_sweep_worker_exits_three_with_one_line(tmp_path, monkeypatch, capsys):
     parent = os.getpid()
 
