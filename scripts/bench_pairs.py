@@ -47,14 +47,15 @@ SIDES = ("parent", "change")
 PAIRS = 10
 
 
-def checkout(rev: str, dest: Path) -> str:
-    """The committed files of `rev` under `dest`; returns the full hash."""
+def checkout(rev: str, dest: Path, root: Path = ROOT) -> str:
+    """The committed files of `rev` in the repository at `root` under `dest`;
+    returns the full hash."""
     sha = subprocess.run(
         ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
-        cwd=ROOT, check=True, capture_output=True, text=True,
+        cwd=root, check=True, capture_output=True, text=True,
     ).stdout.strip()
     archive = dest.with_suffix(".tar")
-    subprocess.run(["git", "archive", "--output", str(archive), sha], cwd=ROOT, check=True)
+    subprocess.run(["git", "archive", "--output", str(archive), sha], cwd=root, check=True)
     with tarfile.open(archive) as tar:
         # the "data" filter exists from Python 3.10.12 and 3.11.4 on
         safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}

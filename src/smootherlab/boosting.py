@@ -53,6 +53,18 @@ def _round_step(prev, W, R, lids, lr):
     return prev + (lr * (W - R))[lids]
 
 
+def boosted_predictions(leaf_values, lids_per_round, learning_rate, m):
+    """Predictions of m inputs after the rounds of their leaf ids, summed
+    round by round from zeros; ``leaf_values`` holds each round's tree's leaf
+    values, and the shorter of the two sets the round count. These are the
+    float operations of the training-time update of the fitted values, with
+    each product lr * value formed once per leaf instead of once per input."""
+    out = np.zeros(m)
+    for values, lids in zip(leaf_values, lids_per_round):
+        out += (learning_rate * values).take(lids)
+    return out
+
+
 def weight_steps(train_leaf_ids, learning_rate, n):
     """Yield, after each round of the training leaf ids, the tree's leaf weight
     rows W_p and corrections R_p, (J_p, n) each, and the (n, n) weight rows at
@@ -113,12 +125,10 @@ class BoostedModel:
         return self.predictions_from_leaf_ids(self.train_leaf_ids, self.n_train)
 
     def predictions_from_leaf_ids(self, lids_per_round, m) -> np.ndarray:
-        """Predictions of m inputs after the rounds of their leaf ids; the
-        float operations of the training-time update of the fitted values."""
-        out = np.zeros(m)
-        for tree, lids in zip(self.trees, lids_per_round):
-            out += self.learning_rate * tree.leaf_values[lids]
-        return out
+        """Predictions of m inputs after the rounds of their leaf ids
+        (``boosted_predictions``)."""
+        return boosted_predictions([t.leaf_values for t in self.trees], lids_per_round,
+                                   self.learning_rate, m)
 
     def weight_matrix(self, X0: np.ndarray) -> np.ndarray:
         X0 = np.atleast_2d(np.asarray(X0, dtype=float))

@@ -18,15 +18,19 @@ sums over the projection coefficients of its train and test designs
 A tree or boosting point averages its seeded members' predictions and
 weight rows, and both p_train and p_test are p0 of the averaged rows. Both
 families share one path for them (``_MemberFamily``), in two prefit stages.
-The members stage holds each (class, member)'s prediction snapshots and,
-for the effparams class only, leaf ids: the one-vs-all classes of a member
-share its seed, hence its trees' feature draws, so one task fits a
-member's classes at every a1 the member needs and draws each feature
-subset once for all of them. The row-block stage holds p_train and p_test
-of every point: one task per block of training or test rows takes every
-member's weight rows of its block, keeps running member sums and sends
-back each row's squared norm per point. No task sends back weight rows;
-the parent only joins the blocks' norms into p0.
+The members stage holds one ``MemberRecord`` per (class, member): each of
+its trees' training and test leaf ids, in the narrowest unsigned dtype that
+holds the tree's leaf count, and leaf values. A tree is its leaf partition,
+so a member's predictions and weight rows follow from its record; no
+prediction is sent back, and ``evaluate`` forms them, summing a boosted
+member's rounds. The one-vs-all classes of a member share its seed, hence
+its trees' feature draws, so one task fits a member's classes at every a1
+the member needs and draws each feature subset once for all of them. The
+row-block stage holds p_train and p_test of every point: one task per
+block of training or test rows takes every member's weight rows of its
+block, keeps running member sums and sends back each row's squared norm
+per point. No task sends back weight rows; the parent only joins the
+blocks' norms into p0.
 
 Multiclass data is handled one-vs-all: C binary {0,1} tasks share the inputs,
 squared losses are summed across tasks, and the 0-1 error takes the argmax
@@ -40,10 +44,11 @@ import functools
 import math
 import mmap
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ..boosting import fit_boost, weight_steps
+from ..boosting import boosted_predictions, fit_boost, weight_steps
 from ..dataset import Dataset, one_vs_all_targets
 from ..effparams import p_eff_of_sq_norms
 from ..errors import ScheduleError, ValidationError
@@ -120,11 +125,13 @@ class RffLinearFamily(_FamilyBase):
     frequency map, which draws no row; each prefit task draws its own
     ``rff.BLOCK`` of rows, writes (Phi - mean) / scale for that block of
     columns in place into both caches and sends back only the block's
-    means, scales and kept mask. A dropped column is cached with scale 1,
-    finite but never read: a point selects the kept columns. A point fits
-    on column prefixes of the standardized caches, neither copied nor
-    standardized again: every statistic is per column, so a prefix holds
-    what standardizing that prefix alone would give.
+    means, scales and kept mask. The caches are as wide as the sweep's
+    widest point: the last block is computed, with its statistics, in full
+    and only its first columns are written. A dropped column is cached with
+    scale 1, finite but never read: a point selects the kept columns. A
+    point fits on column prefixes of the standardized caches, neither
+    copied nor standardized again: every statistic is per column, so a
+    prefix holds what standardizing that prefix alone would give.
 
     A point never forms its (n, n) hat matrix or (m, n) test weights, and
     it holds one design at a time. It solves for the coefficients, predicts
@@ -144,12 +151,13 @@ class RffLinearFamily(_FamilyBase):
                     f"p_pc={p_pc} exceeds n-1={train.n - 1}", point_index=i
                 )
         p_widest = max(p_pc + p_ex for p_pc, p_ex in states)
-        # whole transform blocks, so every cached column comes from a
-        # full-width block whatever the sweep's widest point is
+        # a map of whole transform blocks, so every cached column comes from
+        # a full-width block whatever the sweep's widest point is; the
+        # caches hold only the columns up to the widest point
         p_blocks = -(-p_widest // BLOCK) * BLOCK
         self.fmap = sample_frequencies(shared.base_seed, p_blocks, train.d, shared.rff_scale)
-        self.Xs_train = _shared_zeros(train.n, p_blocks)
-        self.Xs_test = _shared_zeros(test.n, p_blocks)
+        self.Xs_train = _shared_zeros(train.n, p_widest)
+        self.Xs_test = _shared_zeros(test.n, p_widest)
         self.kept = None  # the kept mask of every cached column, once stored
 
     def prefit_tasks(self):
@@ -160,11 +168,14 @@ class RffLinearFamily(_FamilyBase):
 
     def _prefit(self, start):
         cols = slice(start, start + BLOCK)
+        # the whole block and its statistics, whose bits depend on its
+        # width, but only the first w columns, those the caches hold
         Phi = feature_block(self.fmap, self.train.features, start)
-        mean, scale, kept = column_scales(Phi)
+        w = self.Xs_train[:, cols].shape[1]
+        mean, scale, kept = (a[:w] for a in column_scales(Phi))
         Phi_test = feature_block(self.fmap, self.test.features, start)
         for cache, block in ((self.Xs_train, Phi), (self.Xs_test, Phi_test)):
-            out = np.subtract(block, mean, out=cache[:, cols])
+            out = np.subtract(block[:, :w], mean, out=cache[:, cols])
             out /= scale
         return mean[kept], scale[kept], kept
 
@@ -209,33 +220,55 @@ def _shared_zeros(*shape: int) -> np.ndarray:
 ROW_BLOCK = 128
 
 
+class MemberRecord(NamedTuple):
+    """A (class, member)'s fitted trees, in fit order: one per leaf budget of
+    a tree member, one per round of a boosted one. A tree is its leaf
+    partition, so it is kept as its training and test leaf ids, each in the
+    narrowest unsigned dtype that holds its leaf count, and its 1-D leaf
+    values; its predictions and weight rows follow from those."""
+
+    train_lids: list
+    test_lids: list
+    values: list
+
+
+def _record(trees, X_test) -> MemberRecord:
+    """The ``MemberRecord`` of fitted trees, whose test inputs are X_test."""
+    dtypes = [np.min_scalar_type(tree.n_leaves - 1) for tree in trees]
+    return MemberRecord(
+        [tree.train_leaf.astype(dtype) for tree, dtype in zip(trees, dtypes)],
+        [tree.leaf_ids(X_test).astype(dtype) for tree, dtype in zip(trees, dtypes)],
+        [tree.leaf_values for tree in trees],
+    )
+
+
 class _MemberFamily(_FamilyBase):
     """Trees or boosted runs of seeded members, one per one-vs-all class;
     a point (a1, p_ens) averages members 1 .. p_ens, so member m is needed
     at ``a1_values[m]``, the a1 values the schedule pairs with a p_ens of
     at least m. Two prefit stages, then nothing more to prefit:
 
-    Members. ``_members`` holds, by (class, member), the pair (snapshots,
-    weights), each a dict by a1: the snapshots ``evaluate`` averages and,
-    for the effparams class only, the weights ``_member_rows`` reads. A
-    member fits every class from the same seed, so one ``_fit_members``
-    task fits a member's classes with one shared ``trees.FeatureDraws``,
-    and each feature subset is drawn once. Where there are fewer members
-    than pool workers, a member's classes are split over several tasks;
-    the draws are the same bits in any task.
+    Members. ``_members`` holds a ``MemberRecord`` by (class, member), for
+    every class: ``evaluate`` forms each member's predictions from it, and
+    ``_member_rows`` reads the effparams class's. A member fits every class
+    from the same seed, so one ``_fit_members`` task fits a member's
+    classes with one shared ``trees.FeatureDraws``, and each feature subset
+    is drawn once. Where there are fewer members than pool workers, a
+    member's classes are split over several tasks; the draws are the same
+    bits in any task.
 
     Row blocks. ``_p_values`` holds (p_train, p_test) by state. One
     ``_block_sq_norms`` task per ``ROW_BLOCK`` training or test rows adds
     up the members' weight rows of its block in member order, at every
     needed a1, and sends back each row's squared norm of the sum over p_ens
     at every state. ``store`` joins the blocks in row order into p_train
-    and p_test, so ``evaluate`` only averages snapshots.
+    and p_test, so ``evaluate`` only forms and averages predictions.
 
-    A subclass supplies ``_prefit(c, member, draws)`` -> (snapshots,
-    weights), whose snapshots map each a1 of the member to (train
-    predictions, test predictions, leaf count); and ``_member_rows(member,
-    side, rows)``, which yields (a1, weight rows) of the member's training
-    or test rows ``rows`` at each of its a1 values.
+    A subclass supplies ``_prefit(c, member, draws)`` -> ``MemberRecord``;
+    ``_snapshot(member, record, a1)``, the member's (train predictions,
+    test predictions, leaf count) at a1; and ``_member_rows(member, side,
+    rows)``, which yields (a1, weight rows) of the member's training or
+    test rows ``rows`` at each of its a1 values.
     """
 
     def __init__(self, train, test, shared, states, threads=1):
@@ -252,7 +285,7 @@ class _MemberFamily(_FamilyBase):
             for side, rows in (("train", train.n), ("test", test.n))
             for start in range(0, rows, ROW_BLOCK)
         ]
-        self._members: dict = {}  # (class, member) -> (snapshots, weights)
+        self._members: dict = {}  # (class, member) -> MemberRecord
         self._p_values: dict = {}  # (a1, p_ens) -> (p_train, p_test)
 
     def prefit_tasks(self):
@@ -268,8 +301,8 @@ class _MemberFamily(_FamilyBase):
         return []
 
     def _fit_members(self, member, classes):
-        """{(class, member): (snapshots, weights)} of the member's classes,
-        fitted with one shared draw of each feature subset."""
+        """{(class, member): MemberRecord} of the member's classes, fitted
+        with one shared draw of each feature subset."""
         draws = FeatureDraws()
         return {(c, member): self._prefit(c, member, draws) for c in classes}
 
@@ -305,8 +338,8 @@ class _MemberFamily(_FamilyBase):
 
     def evaluate(self, a1: int, p_ens: int) -> PointEval:
         # each class's (train, test, leaf count) snapshots, in member order
-        snapshots = [[self._members[c, m][0][a1] for m in range(1, p_ens + 1)]
-                     for c in self.classes]
+        snapshots = [[self._snapshot(m, self._members[c, m], a1)
+                      for m in range(1, p_ens + 1)] for c in self.classes]
         preds_train, preds_test = (
             np.column_stack([functools.reduce(np.add, (s[side] for s in per_class))
                              for per_class in snapshots]) / p_ens
@@ -320,16 +353,15 @@ class TreeFamily(_MemberFamily):
     """Best-first trees averaged over independently seeded members.
 
     A task fits one member's classes at each of its leaf budgets and sends
-    back, per budget, each class's train and test predictions and leaf
-    count and, for the effparams class, the train and test leaf ids and the
-    leaf counts; a member's weight rows of a row block are its leaf rows at
-    the block's leaf ids.
+    back each class's record: one tree per budget. A member's predictions
+    at a budget are that tree's leaf values at its leaf ids; its weight
+    rows of a row block are the tree's leaf rows, whose leaf counts are
+    counted from the training leaf ids, at the block's leaf ids.
     """
 
     def _prefit(self, c, member, draws):
-        snapshots, weights = {}, {}
-        for budget in self.a1_values[member]:
-            tree = fit_tree(
+        trees = [
+            fit_tree(
                 self.train.features,
                 self.Y_train[:, c],
                 budget,
@@ -338,17 +370,22 @@ class TreeFamily(_MemberFamily):
                 order=self.order,
                 draws=draws,
             )
-            test_lids = tree.leaf_ids(self.test.features)
-            snapshots[budget] = (tree.leaf_values[tree.train_leaf],
-                                 tree.leaf_values[test_lids], tree.n_leaves)
-            weights[budget] = (tree.train_leaf, test_lids, tree.leaf_counts)
-        return snapshots, weights if c == self.weights_class else None
+            for budget in self.a1_values[member]
+        ]
+        return _record(trees, self.test.features)
+
+    def _snapshot(self, member, record, budget):
+        i = self.a1_values[member].index(budget)
+        values = record.values[i]
+        return (values.take(record.train_lids[i]), values.take(record.test_lids[i]),
+                values.size)
 
     def _member_rows(self, member, side, rows):
-        weights = self._members[self.weights_class, member][1]
-        for budget, (train_leaf, test_lids, counts) in weights.items():
-            query = train_leaf if side == "train" else test_lids
-            yield budget, leaf_rows(train_leaf, counts)[query[rows]]
+        record = self._members[self.weights_class, member]
+        for budget, train_lids, test_lids in zip(self.a1_values[member], record.train_lids,
+                                                 record.test_lids):
+            query = train_lids if side == "train" else test_lids
+            yield budget, leaf_rows(train_lids, np.bincount(train_lids))[query[rows]]
 
 
 class BoostFamily(_MemberFamily):
@@ -357,12 +394,14 @@ class BoostFamily(_MemberFamily):
     Every (class, member) run is fitted once to the member's largest round
     count in ``a1_values``; shorter points read round prefixes, which are
     identical bit for bit because round p is seeded by (member seed, p). A
-    run sends back its predictions and cumulative leaf count at each of the
-    member's round counts and, for the effparams class only, the per-round
-    train and test leaf ids. That run also walks its recursion once with
-    ``weight_steps`` and writes each round's step lr * (W_p - R_p) into
-    ``steps``, an array in shared memory; a row block steps its rows
-    through a member's rounds by adding the step rows at their leaf ids.
+    run sends back its record: one tree per round. ``evaluate`` sums a
+    member's first p rounds from zeros with ``boosting.boosted_predictions``,
+    as ``BoostedModel.predictions_from_leaf_ids`` does, and reads its leaf
+    count off the rounds' leaf values. The effparams class's run also walks
+    its recursion once with ``weight_steps`` and writes each round's step
+    lr * (W_p - R_p) into ``steps``, an array in shared memory; a row block
+    steps its rows through a member's rounds by adding the step rows at
+    their leaf ids.
 
     A training block steps rows that ``weight_steps`` has stepped already.
     Keeping each member's training state at every a1 for the blocks would
@@ -393,24 +432,21 @@ class BoostFamily(_MemberFamily):
             order=self.order,
             draws=draws,
         )
-        train_lids = model.train_leaf_ids
-        test_lids = [t.leaf_ids(self.test.features) for t in model.trees]
-        snapshots = {
-            p: (model.predictions_from_leaf_ids(train_lids[:p], self.train.n),
-                model.predictions_from_leaf_ids(test_lids[:p], self.test.n),
-                sum(t.n_leaves for t in model.trees[:p]))
-            for p in self.a1_values[member]
-        }
-        if c != self.weights_class:
-            return snapshots, None
-        # weights only for the class they are read from
-        for p, (W, R, _) in enumerate(weight_steps(train_lids, lr, self.train.n)):
-            self.steps[member - 1, p, :len(R)] = lr * (W - R)
-        return snapshots, (train_lids, test_lids)
+        if c == self.weights_class:  # weights only for the class they are read from
+            walk = weight_steps(model.train_leaf_ids, lr, self.train.n)
+            for p, (W, R, _) in enumerate(walk):
+                self.steps[member - 1, p, :len(R)] = lr * (W - R)
+        return _record(model.trees, self.test.features)
+
+    def _snapshot(self, member, record, rounds):
+        lr, values = self.shared.learning_rate, record.values[:rounds]
+        return (boosted_predictions(values, record.train_lids, lr, self.train.n),
+                boosted_predictions(values, record.test_lids, lr, self.test.n),
+                sum(v.size for v in values))
 
     def _member_rows(self, member, side, rows):
-        train_lids, test_lids = self._members[self.weights_class, member][1]
-        queries = train_lids if side == "train" else test_lids
+        record = self._members[self.weights_class, member]
+        queries = record.train_lids if side == "train" else record.test_lids
         acc = np.zeros((len(queries[0][rows]), self.train.n))
         for p, (step, query) in enumerate(zip(self.steps[member - 1], queries), start=1):
             acc = acc + step[query[rows]]

@@ -75,7 +75,8 @@ class Presort:
 
     ``order[f]`` is the stable argsort of column f, ``values[f]`` that column
     in this order, and ``ranks[f]`` the inverse permutation:
-    ``ranks[f, order[f, j]] == j``.
+    ``ranks[f, order[f, j]] == j``. ``order`` and ``ranks`` are int32 where
+    every flat position of the (d, n) arrays fits in it (``_index_dtype``).
     """
 
     order: np.ndarray
@@ -83,15 +84,23 @@ class Presort:
     ranks: np.ndarray
 
 
+def _index_dtype(size: int) -> np.dtype:
+    """int32 for indices into an array of ``size`` entries when they all fit
+    in it, intp otherwise: ``_best_split`` adds a feature's flat start to
+    ranks, so ranks must hold every flat position of the (d, n) arrays."""
+    return np.dtype(np.int32 if size < 2**31 else np.intp)
+
+
 def presort(X: np.ndarray) -> Presort:
     """The ``Presort`` of X."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValidationError(f"X must be 2-d, got shape {X.shape}")
-    order = np.ascontiguousarray(np.argsort(X.T, axis=1, kind="stable"))
+    dtype = _index_dtype(X.size)
+    order = np.ascontiguousarray(np.argsort(X.T, axis=1, kind="stable"), dtype=dtype)
     values = np.ascontiguousarray(np.take_along_axis(X.T, order, axis=1))
     ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(X.shape[0]), axis=1)
+    np.put_along_axis(ranks, order, np.arange(X.shape[0], dtype=dtype), axis=1)
     for a in (order, values, ranks):
         a.setflags(write=False)
     return Presort(order, values, ranks)

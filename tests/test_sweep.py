@@ -21,7 +21,7 @@ import pytest
 
 from noise_band import increase_violations, seed_standard_error
 from smootherlab import blas, boosting, linear
-from smootherlab.boosting import fit_boost_ensemble
+from smootherlab.boosting import fit_boost, fit_boost_ensemble
 from smootherlab.dataset import (
     SyntheticSpec,
     one_vs_all_targets,
@@ -47,7 +47,7 @@ from smootherlab.experiments.sweep import (
 )
 from smootherlab.linear import pcr_smoother, standardize
 from smootherlab.rff import BLOCK, RffMap, sample_frequencies, transform
-from smootherlab.trees import RegressionTree, fit_ensemble
+from smootherlab.trees import RegressionTree, fit_ensemble, fit_tree
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +187,55 @@ def test_member_p0_does_not_depend_on_the_row_blocks(monkeypatch, family):
     assert values[5] == values[8]
 
 
+@pytest.mark.parametrize("family", ["tree", "boosting"])
+def test_member_predictions_are_those_of_the_member_fitted_alone(toy_images, family):
+    """``evaluate`` forms each member's predictions from its leaf ids and leaf
+    values; they are the bits of the member's own tree or boosted run at
+    every a1, a1 = 1 included."""
+    train, test = toy_images
+    shared = SweepConfig(base_seed=2)
+    a1_values = [1, 2, 9] if family == "tree" else [1, 2, 5]
+    states = [(a1, p_ens) for a1 in a1_values for p_ens in (1, 2)]
+    runner = _prefitted(FAMILY_RUNNERS[family](train, test, shared, states))
+    Y = one_vs_all_targets(train, train.task_classes)
+
+    def alone(c, member, a1):
+        """(train predictions, test predictions, leaf count) of the member."""
+        seed, k = shared.base_seed + member, shared.tree_subset
+        if family == "tree":
+            tree = fit_tree(train.features, Y[:, c], a1, seed=seed, subset_size=k)
+            return tree.train_predictions(), tree.predict(test.features), tree.n_leaves
+        model = fit_boost(train.features, Y[:, c], n_rounds=a1,
+                          learning_rate=shared.learning_rate,
+                          leaf_budget=shared.boost_leaf_budget, seed=seed,
+                          stop_tol=None, subset_size=k)
+        test_lids = [t.leaf_ids(test.features) for t in model.trees]
+        return (model.predictions_from_leaf_ids(model.train_leaf_ids, train.n),
+                model.predictions_from_leaf_ids(test_lids, test.n),
+                sum(t.n_leaves for t in model.trees))
+
+    for a1 in a1_values:
+        want = {c: alone(c, 1, a1) for c in runner.classes}
+        for c in runner.classes:
+            got = runner._snapshot(1, runner._members[c, 1], a1)
+            assert np.array_equal(got[0], want[c][0]) and np.array_equal(got[1], want[c][1])
+            assert got[2] == want[c][2]
+        # a point of one member is the record of those predictions
+        preds_train, preds_test = (np.column_stack([want[c][side] for c in runner.classes])
+                                   for side in (0, 1))
+        assert runner.evaluate(a1, 1) == runner._point(
+            want[runner.weights_class][2], preds_train, preds_test, *runner._p_values[a1, 1])
+    # member 2's record too, at the largest a1
+    c, a1 = runner.weights_class, a1_values[-1]
+    got, want = runner._snapshot(2, runner._members[c, 2], a1), alone(c, 2, a1)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def _assert_lean_payloads(results, n):
-    """No prefit task sends back a model, weight rows or anything of n² values."""
+    """No prefit task sends back a model, weight rows, predictions or anything
+    of n² values. A members task sends back, per (class, member), each
+    tree's leaf ids in the narrowest unsigned dtype that holds its leaf
+    count, and its leaf values; a row block, its rows' squared norms."""
 
     def leaves(value):
         if isinstance(value, (tuple, list)):
@@ -203,6 +250,18 @@ def _assert_lean_payloads(results, n):
         # no weight rows: those are formed only where they are read
         array = np.asarray(value)
         assert not (array.ndim == 2 and np.issubdtype(array.dtype, np.floating))
+    for result in results:
+        for record in result.values():
+            if isinstance(record, np.ndarray):  # a row block's squared norms
+                assert record.ndim == 1 and record.size <= families.ROW_BLOCK
+                continue
+            # no predictions: those are formed only where they are read
+            for array in map(np.asarray, leaves(record)):
+                assert not (np.issubdtype(array.dtype, np.floating) and array.size >= n)
+            train_lids, test_lids, values = record
+            assert len(train_lids) == len(test_lids) == len(values) > 0
+            for train, test, v in zip(train_lids, test_lids, values):
+                assert train.dtype == test.dtype == np.min_scalar_type(v.size - 1)
 
 
 def _row_blocks(train, test):
@@ -446,18 +505,23 @@ def test_rff_caches_hold_each_block_standardized_in_place(toy_images, monkeypatc
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         family = _prefitted(RffLinearFamily(train, test, shared, [(20, 300)]))
+    # as wide as the widest point, from a map of whole blocks
     p_cache = family.Xs_train.shape[1]
-    assert p_cache == 2 * BLOCK
-    fmap = sample_frequencies(shared.base_seed, p_cache, train.d, shared.rff_scale)
+    assert p_cache == 320 and family.kept.size == p_cache
+    fmap = sample_frequencies(shared.base_seed, 2 * BLOCK, train.d, shared.rff_scale)
     for start in range(0, p_cache, BLOCK):
         cols = slice(start, start + BLOCK)
+        # each block standardized in full; the caches hold its first columns
         Xs, mean, std, kept = standardize(block(fmap, train.features, start))
+        w = family.Xs_train[:, cols].shape[1]
         # the constant column is dropped; its duplicated neighbour is kept
         assert kept[1] and not kept[2]
-        assert np.array_equal(family.Xs_train[:, cols][:, kept], Xs)
-        Phi_test = block(fmap, test.features, start)[:, kept]
-        assert np.array_equal(family.Xs_test[:, cols][:, kept], (Phi_test - mean) / std)
-        assert np.array_equal(family.kept[cols], kept)
+        held = kept[:w]
+        assert np.array_equal(family.Xs_train[:, cols][:, held], Xs[:, :held.sum()])
+        Phi_test = block(fmap, test.features, start)[:, :w][:, held]
+        assert np.array_equal(family.Xs_test[:, cols][:, held],
+                              (Phi_test - mean[:held.sum()]) / std[:held.sum()])
+        assert np.array_equal(family.kept[cols], held)
     assert np.isfinite(family.Xs_train).all() and np.isfinite(family.Xs_test).all()
 
 
@@ -609,7 +673,7 @@ def test_rff_prefit_values_hold_one_block_of_column_statistics(toy_images):
     # columns stay in the shared caches
     bound = len(pickle.dumps((np.zeros(BLOCK), np.zeros(BLOCK), np.ones(BLOCK, bool))))
     tasks = family.prefit_tasks()
-    assert len(tasks) == family.Xs_train.shape[1] // BLOCK
+    assert len(tasks) == -(-family.Xs_train.shape[1] // BLOCK)
     results = [task() for task in tasks]
     for value in results:
         assert len(pickle.dumps(value)) <= bound

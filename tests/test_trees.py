@@ -379,6 +379,28 @@ def test_shared_presort_matches_own_presort():
     _assert_same_tree(own, shared)
 
 
+def test_presort_indices_are_int32_where_every_flat_position_fits():
+    rng = np.random.default_rng(23)
+    n, d = 300, 5
+    X = rng.integers(0, 40, size=(n, d)).astype(float)
+    y = rng.normal(size=n)
+    pre = presort(X)
+    assert pre.order.dtype == pre.ranks.dtype == np.int32
+    assert pre.order.flags.c_contiguous and pre.ranks.flags.c_contiguous
+    # the rule at its edge: d * n entries, flat positions 0 .. d * n - 1
+    assert trees._index_dtype(2**31 - 1) == np.int32
+    assert trees._index_dtype(2**31) == np.intp
+    # every path of the split search finds what intp indices find
+    wide = trees.Presort(pre.order.astype(np.intp), pre.values, pre.ranks.astype(np.intp))
+    mask, feats = np.zeros(n, dtype=bool), np.array([0, 2, 4])
+    for m in (n, 250, 60):  # the root, a mask node and a rank node
+        idx = np.sort(rng.choice(n, size=m, replace=False))
+        tot, _, node_sse = trees._node_sums(y[idx])
+        narrow_split = trees._best_split(y, idx, pre, mask, feats, tot, node_sse)
+        assert narrow_split is not None
+        assert narrow_split == trees._best_split(y, idx, wide, mask, feats, tot, node_sse)
+
+
 def test_wrongly_shaped_presort_is_rejected():
     rng = np.random.default_rng(22)
     X = rng.normal(size=(10, 3))
