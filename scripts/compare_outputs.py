@@ -10,7 +10,9 @@ Each side runs every command of ``runs()`` from its own root, with its own
 ``src`` on PYTHONPATH, ``OPENBLAS_NUM_THREADS=1`` and the same relative
 ``--out`` directory. The desk runs are ``sweep``, ``grid``, ``peaks`` and
 ``back-to-u`` for every family at ``--threads 1`` and ``2`` with ``--svg``,
-and every other subcommand at its defaults; ``--full`` adds full-scale
+``fit`` and ``effparams`` for every model kind of ``cli.MODEL_DEFAULTS``,
+``bias-variance`` for every analytic model kind, and every other
+subcommand at its defaults; ``--full`` adds full-scale
 ``sweep`` and ``back-to-u`` for every family. Every file a run writes, its
 exit code and its stdout are compared byte for byte; for a CSV that
 differs, the columns that differ are named, each with its worst relative
@@ -32,9 +34,14 @@ from pathlib import Path
 
 from bench_pairs import ROOT, SIDES, checkout, copy_working_tree
 
+sys.path.insert(0, str(ROOT / "src"))
+from smootherlab.cli import MODEL_DEFAULTS  # noqa: E402
+
 FAMILIES = ("rff_linear", "tree", "boosting")
 SWEEPS = ("sweep", "grid", "peaks", "back-to-u")
-OTHERS = ("ingest", "fit", "effparams", "cond-study", "fixed-design", "bias-variance", "select")
+OTHERS = ("ingest", "cond-study", "fixed-design", "select")
+# the model kinds of experiments.studies.AnalyticModelConfig
+ANALYTIC_KINDS = ("ols", "knn", "minnorm", "mean")
 
 
 def runs(full: bool = False) -> dict[str, list[str]]:
@@ -45,6 +52,9 @@ def runs(full: bool = False) -> dict[str, list[str]]:
         for family in FAMILIES for command in SWEEPS for threads in (1, 2)
     }
     out.update({command: [command] for command in OTHERS})
+    kinds = {"fit": MODEL_DEFAULTS, "effparams": MODEL_DEFAULTS, "bias-variance": ANALYTIC_KINDS}
+    out.update({f"{command}-{kind}": [command, "--set", f"model.kind={kind}"]
+                for command, kinds_of in kinds.items() for kind in kinds_of})
     if full:
         out.update({
             f"full-{command}-{family}":

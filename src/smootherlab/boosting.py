@@ -211,15 +211,7 @@ def fit_boost_ensemble(
 ) -> AveragedSmoother:
     """Average p_ens boosted models seeded base_seed+1 .. base_seed+p_ens,
     each run for all n_rounds (no early stop)."""
-    if p_ens < 1:
-        raise ValidationError(f"p_ens must be >= 1, got {p_ens}")
-    order = presort(X)
-    members = [
-        fit_boost(
-            X, y, n_rounds, learning_rate, leaf_budget,
-            seed=base_seed + j, stop_tol=None, subset_size=subset_size,
-            order=order,
-        )
-        for j in range(1, p_ens + 1)
-    ]
-    return AveragedSmoother(members=members)
+    return AveragedSmoother.seeded(X, p_ens, base_seed, lambda seed, order: fit_boost(
+        X, y, n_rounds, learning_rate, leaf_budget,
+        seed=seed, stop_tol=None, subset_size=subset_size, order=order,
+    ))

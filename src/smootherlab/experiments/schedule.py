@@ -6,9 +6,9 @@ Every model family exposes an ordered pair of complexity mechanisms:
     tree       : (p_leaf, p_ens) leaf budget, then averaged trees
     boosting   : (p_boost, p_ens) boosting rounds, then averaged runs
 
-A schedule is a list of (mechanism, value) points; each point moves one axis
-and holds the other at its current value, so a composite schedule describes a
-single family of models growing along axis 1 and then along axis 2.
+A schedule is a list of plain (mechanism, value) tuples; each point moves one
+axis and holds the other at its current value, so a composite schedule
+describes a single family of models growing along axis 1 and then axis 2.
 """
 from __future__ import annotations
 
@@ -33,12 +33,6 @@ AXIS2_INIT = {"rff_linear": 0, "tree": 1, "boosting": 1}
 _AXIS_MIN = {"p_pc": 1, "p_ex": 0, "p_leaf": 1, "p_ens": 1, "p_boost": 1}
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    mechanism: str
-    value: int
-
-
 @dataclass
 class SweepConfig:
     """Hyperparameters shared by every point of a sweep."""
@@ -54,13 +48,10 @@ class SweepConfig:
 @dataclass
 class SweepSchedule:
     family: str
-    points: list[SweepPoint]
+    points: list[tuple[str, int]]  # (mechanism, value)
     shared: SweepConfig = field(default_factory=SweepConfig)
 
     def __post_init__(self):
-        self.points = [
-            p if isinstance(p, SweepPoint) else SweepPoint(*p) for p in self.points
-        ]
         self.validate()
 
     def validate(self) -> None:
@@ -71,21 +62,21 @@ class SweepSchedule:
         if not self.points:
             raise ScheduleError("schedule has no points")
         ax1, ax2 = AXES[self.family]
-        for i, pt in enumerate(self.points):
-            if pt.mechanism not in (ax1, ax2):
+        for i, (mechanism, value) in enumerate(self.points):
+            if mechanism not in (ax1, ax2):
                 raise ScheduleError(
-                    f"mechanism {pt.mechanism!r} not valid for family "
+                    f"mechanism {mechanism!r} not valid for family "
                     f"{self.family!r} (axes: {ax1}, {ax2})",
                     point_index=i,
                 )
-            if int(pt.value) != pt.value:
-                raise ScheduleError(f"value {pt.value!r} is not an integer", point_index=i)
-            if pt.value < _AXIS_MIN[pt.mechanism]:
+            if int(value) != value:
+                raise ScheduleError(f"value {value!r} is not an integer", point_index=i)
+            if value < _AXIS_MIN[mechanism]:
                 raise ScheduleError(
-                    f"{pt.mechanism} must be >= {_AXIS_MIN[pt.mechanism]}, got {pt.value}",
+                    f"{mechanism} must be >= {_AXIS_MIN[mechanism]}, got {value}",
                     point_index=i,
                 )
-        if self.points[0].mechanism == ax2:
+        if self.points[0][0] == ax2:
             raise ScheduleError(
                 f"axis 2 ({ax2}) moves before axis 1 ({ax1}) has a value",
                 point_index=0,
@@ -96,11 +87,11 @@ class SweepSchedule:
         ax1, _ = AXES[self.family]
         a1, a2 = None, AXIS2_INIT[self.family]  # the first point sets axis 1
         states = []
-        for pt in self.points:
-            if pt.mechanism == ax1:
-                a1 = int(pt.value)
+        for mechanism, value in self.points:
+            if mechanism == ax1:
+                a1 = int(value)
             else:
-                a2 = int(pt.value)
+                a2 = int(value)
             states.append((a1, a2))
         return states
 
@@ -108,7 +99,7 @@ class SweepSchedule:
         """Indices where the moving mechanism changes (first point excluded)."""
         out = []
         for i in range(1, len(self.points)):
-            if self.points[i].mechanism != self.points[i - 1].mechanism:
+            if self.points[i][0] != self.points[i - 1][0]:
                 out.append(i)
         return out
 
@@ -121,6 +112,5 @@ def composite_schedule(
 ) -> SweepSchedule:
     """Grow axis 1 through its values, then axis 2 through its values."""
     ax1, ax2 = AXES.get(family, (None, None))  # SweepSchedule rejects the family
-    points = [SweepPoint(ax1, v) for v in axis1_values]
-    points += [SweepPoint(ax2, v) for v in axis2_values]
+    points = [(ax1, v) for v in axis1_values] + [(ax2, v) for v in axis2_values]
     return SweepSchedule(family=family, points=points, shared=shared or SweepConfig())

@@ -239,12 +239,11 @@ def run_grid(
 ) -> SweepResult:
     """Full cross product of the two axes, axis1-major point order; the
     composite schedule over the same values validates them."""
-    shared = shared if shared is not None else SweepConfig()
     if not len(axis1_values) or not len(axis2_values):
         raise ScheduleError("grid axes must both be non-empty")
     schedule = composite_schedule(family, axis1_values, axis2_values, shared=shared)
     labeled = [("", (int(a1), int(a2))) for a1 in axis1_values for a2 in axis2_values]
-    records = evaluate_states(family, labeled, train, test, shared, threads)
+    records = evaluate_states(family, labeled, train, test, schedule.shared, threads)
     return SweepResult(family, schedule, records)
 
 
@@ -300,12 +299,11 @@ def back_to_u(
     axis-1 grid with axis 2 held fixed; overlaying the contours recovers a
     family of classical U-shaped curves through the composite picture.
     """
-    shared = shared if shared is not None else SweepConfig()
     schedule = composite_schedule(family, axis1_values, axis2_values, shared=shared)
     walk = schedule.expand()
     leg1, leg2 = walk[:len(axis1_values)], walk[len(axis1_values):]
     labeled = [("axis1", state) for state in leg1] + [("axis2", state) for state in leg2]
     for _, a2 in leg2:
         labeled += [(f"contour_{AXES[family][1]}={a2}", (a1, a2)) for a1, _ in leg1]
-    records = evaluate_states(family, labeled, train, test, shared, threads)
+    records = evaluate_states(family, labeled, train, test, schedule.shared, threads)
     return SweepResult(family, schedule, records, [branch for branch, _ in labeled])

@@ -8,11 +8,12 @@ weights can be recovered for arbitrary inputs:
     over-determined  (p <  n):  s(x0) = phi(x0)' (Phi' Phi)^-1 Phi'
 
 both of which reduce to phi(x0)' V S^-1 U' on the compact SVD Phi = U S V'.
-The OLS, min-norm and SVD-basis fits invert through that SVD with a relative
-singular-value cutoff (``svd_cutoff``). PCR needs only its top components:
-it takes them from one eigendecomposition of the Gram matrix of the
-standardized design's shorter side, solves the intercept in closed form,
-and floors the cutoff at the Gram's rounding level (see ``pcr_smoother``).
+The OLS, min-norm and SVD-basis fits are one fit (``_svd_fit``) through that
+SVD with a relative singular-value cutoff (``svd_cutoff``), each behind its
+own shape check. PCR needs only its top components: it takes them from one
+eigendecomposition of the Gram matrix of the standardized design's shorter
+side, solves the intercept in closed form, and floors the cutoff at the
+Gram's rounding level (see ``pcr_smoother``).
 
 A PCR smoother projects onto [Z, 1], whose columns are orthogonal, so the
 squared norm of a weight row is a sum over the query's projection
@@ -205,20 +206,7 @@ def fit_ols(Phi: np.ndarray, y: np.ndarray) -> LinearFit:
     n, p = Phi.shape
     if p >= n:
         raise ValidationError(f"fit_ols needs p < n, got p={p}, n={n}")
-    U, s, Vt = np.linalg.svd(Phi, full_matrices=False)
-    cut = svd_cutoff(s, Phi.shape)
-    if s[-1] <= cut:
-        raise SingularDesignError(
-            f"design is rank deficient: smallest singular value {s[-1]:.3e} "
-            f"<= cutoff {cut:.3e}"
-        )
-    s_inv = 1.0 / s
-    beta = Vt.T @ (s_inv * (U.T @ y))
-    return LinearFit(
-        mode="ols", coefficients=beta, train_design=Phi,
-        fitted_values=Phi @ beta, tolerance=cut, rank=p,
-        _U=U, _s_inv=s_inv, _Vt=Vt,
-    )
+    return _svd_fit("ols", Phi, y)
 
 
 def fit_minnorm(Phi: np.ndarray, y: np.ndarray) -> LinearFit:
@@ -231,16 +219,7 @@ def fit_minnorm(Phi: np.ndarray, y: np.ndarray) -> LinearFit:
     n, p = Phi.shape
     if p < n:
         raise ValidationError(f"fit_minnorm needs p >= n, got p={p}, n={n}")
-    U, s, Vt = np.linalg.svd(Phi, full_matrices=False)
-    cut = svd_cutoff(s, Phi.shape)
-    rank = int(np.count_nonzero(s > cut))
-    s_inv = _masked_inverse(s, cut)
-    beta = Vt.T @ (s_inv * (U.T @ y))
-    return LinearFit(
-        mode="min_norm", coefficients=beta, train_design=Phi,
-        fitted_values=Phi @ beta, tolerance=cut, rank=rank,
-        rank_deficient=rank < n, _U=U, _s_inv=s_inv, _Vt=Vt,
-    )
+    return _svd_fit("min_norm", Phi, y)
 
 
 def fit_svd_basis(Phi: np.ndarray, y: np.ndarray) -> LinearFit:
@@ -249,16 +228,33 @@ def fit_svd_basis(Phi: np.ndarray, y: np.ndarray) -> LinearFit:
     Predictions for a new point use b(x0) = V' phi(x0); on that basis the fit
     is plain least squares, and it reproduces the minimum-norm predictions.
     """
-    Phi, y = _check_design(Phi, y)
+    return _svd_fit("svd_basis", *_check_design(Phi, y))
+
+
+def _svd_fit(mode: str, Phi: np.ndarray, y: np.ndarray) -> LinearFit:
+    """The cutoff least-squares fit through the compact SVD Phi = U S V',
+    with coefficients on the rotated basis U S for ``svd_basis`` and on
+    Phi's columns otherwise. OLS rejects a singular value at the cutoff;
+    on a full-rank design the masked inverse is 1 / s bit for bit."""
     U, s, Vt = np.linalg.svd(Phi, full_matrices=False)
     cut = svd_cutoff(s, Phi.shape)
+    if mode == "ols" and s[-1] <= cut:
+        raise SingularDesignError(
+            f"design is rank deficient: smallest singular value {s[-1]:.3e} "
+            f"<= cutoff {cut:.3e}"
+        )
     rank = int(np.count_nonzero(s > cut))
     s_inv = _masked_inverse(s, cut)
     beta = s_inv * (U.T @ y)  # solves (U S) beta = y in the least-squares sense
+    if mode == "svd_basis":
+        fitted = U @ (s * beta)
+    else:
+        beta = Vt.T @ beta
+        fitted = Phi @ beta
     return LinearFit(
-        mode="svd_basis", coefficients=beta, train_design=Phi,
-        fitted_values=U @ (s * beta), tolerance=cut, rank=rank,
-        rank_deficient=rank < min(Phi.shape), _U=U, _s_inv=s_inv, _Vt=Vt,
+        mode=mode, coefficients=beta, train_design=Phi, fitted_values=fitted,
+        tolerance=cut, rank=rank, rank_deficient=rank < min(Phi.shape),
+        _U=U, _s_inv=s_inv, _Vt=Vt,
     )
 
 

@@ -394,6 +394,16 @@ class AveragedSmoother:
 
     members: list
 
+    @classmethod
+    def seeded(cls, X: np.ndarray, p_ens: int, base_seed: int,
+               fit_member) -> AveragedSmoother:
+        """Average p_ens members ``fit_member(seed, order)`` seeded
+        base_seed+1 .. base_seed+p_ens, all on one ``presort(X)``."""
+        if p_ens < 1:
+            raise ValidationError(f"p_ens must be >= 1, got {p_ens}")
+        order = presort(X)
+        return cls([fit_member(base_seed + j, order) for j in range(1, p_ens + 1)])
+
     @property
     def n_train(self) -> int:
         return self.members[0].n_train
@@ -423,12 +433,5 @@ def fit_ensemble(
     subset_size: int | None = None,
 ) -> AveragedSmoother:
     """Fit p_ens trees with seeds base_seed+1 .. base_seed+p_ens and average."""
-    if p_ens < 1:
-        raise ValidationError(f"p_ens must be >= 1, got {p_ens}")
-    order = presort(X)
-    members = [
-        fit_tree(X, y, max_leaves, seed=base_seed + j, subset_size=subset_size,
-                 order=order)
-        for j in range(1, p_ens + 1)
-    ]
-    return AveragedSmoother(members=members)
+    return AveragedSmoother.seeded(X, p_ens, base_seed, lambda seed, order: fit_tree(
+        X, y, max_leaves, seed=seed, subset_size=subset_size, order=order))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from smootherlab import boosting, trees
 from smootherlab.boosting import (
     DEFAULT_LEAF_BUDGET,
     DEFAULT_LEARNING_RATE,
@@ -19,7 +20,7 @@ from smootherlab.boosting import (
     weight_steps,
 )
 from smootherlab.errors import ValidationError
-from smootherlab.trees import AveragedSmoother, FeatureDraws, fit_tree, presort
+from smootherlab.trees import AveragedSmoother, FeatureDraws, fit_ensemble, fit_tree, presort
 
 
 def _toy():
@@ -284,6 +285,29 @@ def test_boost_ensemble_duality():
     assert isinstance(ens, AveragedSmoother)
     assert all(isinstance(m, BoostedModel) for m in ens.members)
     assert ens.n_train == 30
+
+
+@pytest.mark.parametrize("build", [
+    lambda X, y: fit_ensemble(X, y, max_leaves=4, p_ens=3, base_seed=0),
+    lambda X, y: fit_boost_ensemble(X, y, n_rounds=3, p_ens=3, base_seed=0, leaf_budget=3),
+], ids=["forest", "boosting"])
+def test_ensembles_presort_once_for_every_member(monkeypatch, build):
+    sorts, orders = [], set()
+
+    def counted_presort(X):
+        sorts.append(presort(X))
+        return sorts[-1]
+
+    def recorded_fit_tree(*args, order=None, **kwargs):
+        orders.add(id(order))
+        return fit_tree(*args, order=order, **kwargs)
+
+    for module in (trees, boosting):
+        monkeypatch.setattr(module, "presort", counted_presort)
+        monkeypatch.setattr(module, "fit_tree", recorded_fit_tree)
+    X, y = _random_instance(22)
+    assert len(build(X, y).members) == 3
+    assert len(sorts) == 1 and orders == {id(sorts[0])}
 
 
 def test_boost_ensemble_validation():

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from smootherlab.cli import MODEL_DEFAULTS
+
 _SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 _CLI = '''import sys
@@ -77,10 +79,14 @@ def test_changed_files_new_files_and_failed_runs_are_reported(compare_outputs, t
 
 def test_runs_cover_every_subcommand_and_family(compare_outputs):
     desk, full = compare_outputs.runs(), compare_outputs.runs(full=True)
-    assert len(desk) == 3 * 4 * 2 + 7
+    assert len(desk) == 3 * 4 * 2 + 4 + 2 * 9 + 4
     assert {args[0] for args in desk.values()} == {
         "sweep", "grid", "peaks", "back-to-u", "ingest", "fit", "effparams", "cond-study",
         "fixed-design", "bias-variance", "select"}
-    assert all("--svg" in args for name, args in desk.items() if "-t" in name)
+    for command, kinds in [("fit", MODEL_DEFAULTS), ("effparams", MODEL_DEFAULTS),
+                           ("bias-variance", ("ols", "knn", "minnorm", "mean"))]:
+        assert {args[-1] for args in desk.values() if args[0] == command} == {
+            f"model.kind={kind}" for kind in kinds}
+    assert all("--svg" in args for name, args in desk.items() if name.endswith(("-t1", "-t2")))
     extra = [args for name, args in full.items() if name not in desk]
     assert len(extra) == 6 and all("--full-scale" in args for args in extra)

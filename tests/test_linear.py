@@ -191,6 +191,26 @@ def test_svd_basis_hand_factorization():
     assert np.allclose(fit.fitted_values, y, atol=1e-12)
 
 
+@pytest.mark.parametrize("fit, shape, deficient", [
+    (fit_ols, (8, 3), False),
+    (fit_minnorm, (3, 8), False),
+    (fit_minnorm, (3, 8), True),
+    (fit_svd_basis, (8, 3), False),
+    (fit_svd_basis, (8, 3), True),
+    (fit_svd_basis, (3, 8), False),
+    (fit_svd_basis, (3, 8), True),
+])
+def test_svd_fits_flag_a_rank_below_the_shorter_side(fit, shape, deficient):
+    # OLS on a rank-deficient design raises (test_ols_singular_design_raises)
+    rng = np.random.default_rng(31)
+    n, p = shape
+    k = min(shape) - deficient
+    Phi = rng.normal(size=(n, k)) @ rng.normal(size=(k, p))
+    result = fit(Phi, rng.normal(size=n))
+    assert result.rank == k
+    assert result.rank_deficient == (result.rank < min(Phi.shape)) == deficient
+
+
 def test_svd_basis_matches_minnorm_predictions():
     for seed in range(5):
         rng = np.random.default_rng(seed)

@@ -10,7 +10,6 @@ from smootherlab.experiments.schedule import (
     AXIS2_INIT,
     FAMILIES,
     SweepConfig,
-    SweepPoint,
     SweepSchedule,
     composite_schedule,
 )
@@ -30,9 +29,8 @@ def test_composite_expansion():
     assert sched.switch_indices() == [3]
 
 
-def test_tuples_coerce_to_points():
+def test_tuple_points_expand_to_states():
     sched = SweepSchedule(family="tree", points=[("p_leaf", 2), ("p_ens", 3)])
-    assert all(isinstance(p, SweepPoint) for p in sched.points)
     assert sched.expand() == [(2, 1), (2, 3)]
 
 
