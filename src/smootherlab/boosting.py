@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import xy_arrays
 from .errors import ValidationError
 from .trees import (
     AveragedSmoother,
@@ -166,10 +167,7 @@ def fit_boost(
     same seed on other targets (the one-vs-all classes of a sweep member):
     round p's tree reads the feature subsets that their round-p trees drew.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise ValidationError(f"bad shapes: X {X.shape}, y {y.shape}")
+    X, y = xy_arrays(X, y)
     if n_rounds < 1:
         raise ValidationError(f"n_rounds must be >= 1, got {n_rounds}")
     if not (0.0 < learning_rate <= 1.0):

@@ -51,22 +51,17 @@ from .effparams import (
     write_effparams_csv,
 )
 from .errors import SingularDesignError, ValidationError, WorkerDiedError
-from .experiments import (
-    AXIS2_INIT,
+from .experiments.schedule import AXIS2_INIT, SweepConfig, composite_schedule
+from .experiments.studies import (
     AnalyticModelConfig,
     ConditionRow,
     SelectionRow,
-    SweepConfig,
-    back_to_u,
     bias_variance,
-    composite_schedule,
     cond_study,
     fixed_design_check,
     model_selection_study,
-    peak_move,
-    run_grid,
-    run_sweep,
 )
+from .experiments.sweep import back_to_u, peak_move, run_grid, run_sweep
 from .knn import fit_knn
 from .linear import fit_minnorm, fit_ols, fit_pcr, fit_svd_basis
 from .rff import DEFAULT_SCALE, RffModel, sample_frequencies, transform

@@ -92,6 +92,15 @@ class Dataset:
         )
 
 
+def xy_arrays(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """A model's training inputs as float arrays, X (n, d) and y (n,)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.shape != (X.shape[0],):
+        raise ValidationError(f"bad shapes: X {X.shape}, y {y.shape}")
+    return X, y
+
+
 @dataclass
 class SyntheticSpec:
     """Named regression generator: y = f*(x) + eps, x ~ U[0,1]^d."""

@@ -1,63 +1,1 @@
 """Sweep schedules, family adapters and diagnostic studies."""
-from .families import BoostFamily, PointEval, RffLinearFamily, TreeFamily
-from .schedule import (
-    AXES,
-    AXIS2_INIT,
-    FAMILIES,
-    SweepConfig,
-    SweepSchedule,
-    composite_schedule,
-)
-from .studies import (
-    AnalyticModelConfig,
-    BiasVarianceReport,
-    ConditionRow,
-    FixedDesignReport,
-    SelectionResult,
-    SelectionRow,
-    bias_variance,
-    cond_study,
-    fixed_design_check,
-    model_selection_study,
-)
-from .sweep import (
-    SWEEP_HEADER,
-    SweepRecord,
-    SweepResult,
-    back_to_u,
-    peak_move,
-    resolve_threads,
-    run_grid,
-    run_sweep,
-)
-
-__all__ = [
-    "AXES",
-    "AXIS2_INIT",
-    "FAMILIES",
-    "SWEEP_HEADER",
-    "AnalyticModelConfig",
-    "BiasVarianceReport",
-    "BoostFamily",
-    "ConditionRow",
-    "FixedDesignReport",
-    "PointEval",
-    "RffLinearFamily",
-    "SelectionResult",
-    "SelectionRow",
-    "SweepConfig",
-    "SweepRecord",
-    "SweepResult",
-    "SweepSchedule",
-    "TreeFamily",
-    "back_to_u",
-    "bias_variance",
-    "composite_schedule",
-    "cond_study",
-    "fixed_design_check",
-    "model_selection_study",
-    "peak_move",
-    "resolve_threads",
-    "run_grid",
-    "run_sweep",
-]

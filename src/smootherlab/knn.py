@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import xy_arrays
 from .errors import ValidationError
 
 BLOCK = 16  # query rows per (rows, n, d) difference tensor in weight_matrix
@@ -42,10 +43,7 @@ class KnnSmoother:
 
 
 def fit_knn(X: np.ndarray, y: np.ndarray, k: int) -> KnnSmoother:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise ValidationError(f"bad shapes: X {X.shape}, y {y.shape}")
+    X, y = xy_arrays(X, y)
     if not (1 <= k <= X.shape[0]):
         raise ValidationError(f"k must be in [1, n={X.shape[0]}], got {k}")
     return KnnSmoother(features=X, targets=y, k=k)

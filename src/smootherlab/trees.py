@@ -57,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import xy_arrays
 from .errors import ValidationError
 
 _GAIN_EPS = 1e-12  # absolute guard against float-noise "gains" on pure nodes
@@ -290,12 +291,7 @@ def fit_tree(
     ``draws`` is a ``FeatureDraws`` shared with other trees of the same seed,
     or a private one when not given.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise ValidationError(
-            f"bad shapes: X {X.shape}, y {y.shape}"
-        )
+    X, y = xy_arrays(X, y)
     if max_leaves < 1:
         raise ValidationError(f"max_leaves must be >= 1, got {max_leaves}")
     n, d = X.shape

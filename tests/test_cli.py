@@ -1083,3 +1083,36 @@ def test_scripts_name_the_step_that_failed(tmp_path, monkeypatch, capsys, script
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("step failed with exit code 1: smootherlab " + " ".join(first))
     assert last.endswith("--seed -1")
+
+
+def test_readme_python_example_runs_as_written():
+    # the one Python example README gives, with the import paths it shows
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
+    dataset = {**command_defaults("sweep")["dataset"], "n_train": 60, "n_test": 120}
+    train, test = load_datasets(dataset)
+    namespace = {"train": train, "test": test}
+    exec(block, namespace)
+    assert len(namespace["result"].records) == 10
+
+
+def test_every_module_imports_on_its_own():
+    # a package __init__ imports nothing, so a module that leans on another
+    # having been imported first would fail only in a fresh interpreter
+    code = """
+import importlib, pkgutil, sys
+import smootherlab
+names = [m.name for m in pkgutil.walk_packages(smootherlab.__path__, "smootherlab.")]
+for name in names:
+    for loaded in [m for m in sys.modules if m.split(".")[0] == "smootherlab"]:
+        del sys.modules[loaded]
+    importlib.import_module(name)
+print("\\n".join(names))
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    src = Path(smootherlab.__file__).resolve().parent
+    files = {".".join(("smootherlab", *path.relative_to(src).with_suffix("").parts))
+             .removesuffix(".__init__") for path in src.rglob("*.py")}
+    assert set(done.stdout.split()) == files - {"smootherlab"}

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smootherlab.boosting import fit_boost
 from smootherlab.dataset import (
     GENERATORS,
     Dataset,
@@ -22,6 +23,8 @@ from smootherlab.dataset import (
     synth_images,
 )
 from smootherlab.errors import FormatError, ValidationError
+from smootherlab.knn import fit_knn
+from smootherlab.trees import fit_tree
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +199,20 @@ def test_dataset_rejects_length_mismatch():
     with pytest.raises(ValidationError):
         Dataset(features=np.zeros((3, 2)), targets=np.zeros(2))
 
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X, y: fit_tree(X, y, max_leaves=2, seed=0),
+    lambda X, y: fit_boost(X, y, n_rounds=1),
+    lambda X, y: fit_knn(X, y, k=1),
+], ids=["tree", "boost", "knn"])
+@pytest.mark.parametrize("X, y", [(np.zeros((3, 2)), np.zeros(2)),
+                                  (np.zeros(3), np.zeros(3)),
+                                  (np.zeros((3, 2)), np.zeros((3, 1)))])
+def test_model_fits_name_both_shapes_when_they_disagree(fit, X, y):
+    with pytest.raises(ValidationError) as err:
+        fit(X, y)
+    assert str(err.value) == f"bad shapes: X {X.shape}, y {y.shape}"
 
 def test_dataset_rejects_negative_labels():
     with pytest.raises(ValidationError):
