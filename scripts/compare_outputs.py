@@ -8,7 +8,7 @@ working tree into ``change/`` (``bench_pairs.checkout`` and
 ``copy_working_tree``), two sibling directories of one temporary directory.
 Each side runs every command of ``runs()`` from its own root, with its own
 ``src`` on PYTHONPATH, ``OPENBLAS_NUM_THREADS=1`` and the same relative
-``--out`` directory. The desk runs are ``sweep``, ``grid``, ``peaks`` and
+``--out`` directory. The desk runs are ``sweep``, ``peaks`` and
 ``back-to-u`` for every family at ``--threads 1`` and ``2`` with ``--svg``,
 ``fit`` and ``effparams`` for every model kind of ``cli.MODEL_DEFAULTS``,
 ``bias-variance`` for every analytic model kind, and every other
@@ -38,7 +38,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from smootherlab.cli import MODEL_DEFAULTS  # noqa: E402
 
 FAMILIES = ("rff_linear", "tree", "boosting")
-SWEEPS = ("sweep", "grid", "peaks", "back-to-u")
+SWEEPS = ("sweep", "peaks", "back-to-u")
 OTHERS = ("ingest", "cond-study", "fixed-design", "select")
 # the model kinds of experiments.studies.AnalyticModelConfig
 ANALYTIC_KINDS = ("ols", "knn", "minnorm", "mean")

@@ -61,7 +61,8 @@ from .experiments.studies import (
     fixed_design_check,
     model_selection_study,
 )
-from .experiments.sweep import back_to_u, peak_move, run_grid, run_sweep
+from .experiments.sweep import back_to_u, peak_move, run_sweep
+from .experiments.sweep import run_grid  # noqa: F401  kept for perfbench's tracer, which wraps it
 from .knn import fit_knn
 from .linear import fit_minnorm, fit_ols, fit_pcr, fit_svd_basis
 from .rff import DEFAULT_SCALE, RffModel, sample_frequencies, transform
@@ -129,7 +130,7 @@ def _grid(bound: str = "", ok=lambda v: True, may_be_empty: bool = False):
 
 # the range of every number or grid a user may set, by key name: each key
 # means the same wherever it appears. An empty axis2_values is an
-# axis-1-only walk, and the grid command checks its own axes.
+# axis-1-only walk; run_grid checks its own axes.
 _RANGES = {
     **dict.fromkeys(
         ("seed", "rff_seed", "base_seed", "resample_seed", "class_index",
@@ -521,24 +522,6 @@ def _cmd_sweep(cfg, out, args) -> str:
     )
 
 
-def _cmd_grid(cfg, out, args) -> str:
-    train, test, axis1, axis2, shared = _sweep_inputs(cfg)
-    result = run_grid(cfg["family"], axis1, axis2, train, test,
-                      shared=shared, threads=args.threads)
-    path = out / "grid.csv"
-    result.write_csv(path)
-    if args.svg:
-        columns = [(a2, [r for r in result.records if r.axis2_value == a2])
-                   for a2 in axis2]
-        LineChart(f"grid ({cfg['family']})", "axis-1 value",
-                  [(f"{rows[0].axis2_name}={a2}", [r.axis1_value for r in rows],
-                    [r.test_mse for r in rows]) for a2, rows in columns]
-                  ).write(out / "grid.svg")
-    return (
-        f"grid: family={cfg['family']} points={len(result.records)} -> {path}"
-    )
-
-
 def _cmd_peaks(cfg, out, args) -> str:
     train, test, axis1, axis2, shared = _sweep_inputs(cfg)
     switches = cfg["switches"]
@@ -729,7 +712,6 @@ _COMMANDS = {
     "fit": _Command(_cmd_fit, {"dataset": _DESK_IMAGES, "model": MODEL_DEFAULTS["pcr"]},
                     ("model", "seed")),
     "sweep": _sweep_command(_cmd_sweep),
-    "grid": _sweep_command(_cmd_grid),
     "peaks": _sweep_command(_cmd_peaks, switches=None),
     "back-to-u": _sweep_command(_cmd_back_to_u),
     "effparams": _Command(_cmd_effparams, {

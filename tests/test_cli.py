@@ -262,7 +262,7 @@ def test_shared_value_out_of_range_exits_one_naming_its_key(tmp_path, capsys, fa
 _EMPTY_GRIDS = [
     (["back-to-u"], "axis1_values"),
     (["sweep"], "axis1_values"),
-    (["grid", "--set", "family=tree"], "axis1_values"),
+    (["peaks", "--set", "family=tree"], "axis1_values"),
     (["cond-study"], "p_phi_values"),
     (["cond-study"], "k_values"),
     (["peaks"], "switches"),
@@ -303,7 +303,7 @@ _BAD_VALUE = {
     "p_ens": ["fit", "--set", "model.kind=forest", "--set", "model.p_ens=0"],
     "n_rounds": ["fit", "--set", "model.kind=boost_ensemble", "--set", "model.n_rounds=0"],
     "leaf_budget": ["fit", "--set", "model.kind=boost", "--set", "model.leaf_budget=0"],
-    "boost_leaf_budget": ["grid", "--set", "shared.boost_leaf_budget=0"],
+    "boost_leaf_budget": ["peaks", "--set", "shared.boost_leaf_budget=0"],
     "subset_size": ["effparams", "--set", "model.kind=tree", "--set", "model.subset_size=0"],
     "tree_subset": ["back-to-u", "--set", "shared.tree_subset=-2"],
     "n_features": ["bias-variance", "--set", "model.n_features=0"],
@@ -725,10 +725,9 @@ def test_sweep_bytes_do_not_depend_on_the_blas_threads(tmp_path):
 
 @pytest.mark.parametrize("command, extra, lines, dashed", [
     ("sweep", [], 2, 0),  # test and train loss
-    ("grid", [], 2, 0),  # one per axis-2 value
     ("peaks", ["--set", "switches=[8,12,23]"], 3, 0),  # one per switch
     ("back-to-u", [], 4, 2),  # axis1, axis2, and one dashed contour per axis-2 value
-], ids=["sweep", "grid", "peaks", "back-to-u"])
+], ids=["sweep", "peaks", "back-to-u"])
 def test_svg_draws_one_line_per_series(tmp_path, command, extra, lines, dashed):
     argv = [command, *TINY, *TINY_AXES, *extra]
     assert _run(argv, tmp_path / "plain") == 0
@@ -741,15 +740,13 @@ def test_svg_draws_one_line_per_series(tmp_path, command, extra, lines, dashed):
     assert sum("stroke-dasharray" in line for line in polylines) == dashed
 
 
-def test_grid_row_count(tmp_path, capsys):
+def test_grid_is_not_a_command(tmp_path, capsys):
+    # the axis-1 x axis-2 grid is the contour rows of back_to_u.csv
     out = tmp_path / "a"
-    argv = ["grid", *TINY, "--set", "axis1_values=[2,8]",
-            "--set", "axis2_values=[0,24]"]
-    assert _run(argv, out) == 0
-    header, rows = _read_csv(out / "grid.csv")
-    assert header == SWEEP_HEADER
-    assert len(rows) == 4
-    assert capsys.readouterr().out.startswith("grid: family=rff_linear points=4")
+    assert _run(["grid", *TINY], out) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'grid'" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_peaks_writes_one_csv_per_switch(tmp_path, capsys):
@@ -1094,6 +1091,12 @@ def test_readme_python_example_runs_as_written():
     namespace = {"train": train, "test": test}
     exec(block, namespace)
     assert len(namespace["result"].records) == 10
+
+
+def test_readme_synopsis_lists_every_command_in_order():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = text.split("smootherlab {", 1)[1].split("}", 1)[0]
+    assert synopsis.split("|") == list(_COMMANDS)
 
 
 def test_every_module_imports_on_its_own():

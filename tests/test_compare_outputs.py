@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from smootherlab.cli import MODEL_DEFAULTS
+from smootherlab.cli import _COMMANDS, MODEL_DEFAULTS
 
 _SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -79,10 +79,8 @@ def test_changed_files_new_files_and_failed_runs_are_reported(compare_outputs, t
 
 def test_runs_cover_every_subcommand_and_family(compare_outputs):
     desk, full = compare_outputs.runs(), compare_outputs.runs(full=True)
-    assert len(desk) == 3 * 4 * 2 + 4 + 2 * 9 + 4
-    assert {args[0] for args in desk.values()} == {
-        "sweep", "grid", "peaks", "back-to-u", "ingest", "fit", "effparams", "cond-study",
-        "fixed-design", "bias-variance", "select"}
+    assert len(desk) == 3 * 3 * 2 + 4 + 2 * 9 + 4
+    assert {args[0] for args in desk.values()} == set(_COMMANDS)
     for command, kinds in [("fit", MODEL_DEFAULTS), ("effparams", MODEL_DEFAULTS),
                            ("bias-variance", ("ols", "knn", "minnorm", "mean"))]:
         assert {args[-1] for args in desk.values() if args[0] == command} == {

@@ -403,6 +403,29 @@ def _by_state(result):
 
 
 @pytest.mark.parametrize(
+    "family,axis1,axis2",
+    [
+        ("rff_linear", [4, 20, 59], [0, 60]),  # holds the start value AXIS2_INIT
+        ("tree", [2, 5, 20], [2, 5]),
+        ("boosting", [1, 4, 9], [3, 6]),
+    ],
+)
+def test_grid_records_are_back_to_u_contour_records(toy_images, family, axis1, axis2):
+    # the axis-1 x axis-2 grid is the contour rows of back_to_u, so no
+    # subcommand writes it on its own
+    train, test = toy_images
+    shared = SweepConfig(base_seed=1)
+    grid = run_grid(family, axis1, axis2, train, test, shared)
+    btu = back_to_u(family, train, test, axis1, axis2, shared)
+    contours = {(r.axis1_value, r.axis2_value): r
+                for b, r in zip(btu.branches, btu.records) if b.startswith("contour")}
+    assert len(grid.records) == len(axis1) * len(axis2)
+    for g in grid.records:
+        c = contours[(g.axis1_value, g.axis2_value)]
+        assert g.row()[1:] == c.row()[1:]  # all but point_index
+
+
+@pytest.mark.parametrize(
     "family,axis1,axis2,grid_axis1",
     [
         ("rff_linear", [2, 10, 30, 59], [60, 180], [2, 10, 30, 59]),
